@@ -1,47 +1,24 @@
-"""Numeric inner loops, compiled with numba when available.
+"""The two numeric inner loops, over a CSR transition structure.
 
-Two interchangeable backends implement the same two kernels:
-
-* ``power_iteration`` -- one full power-iteration solve over a CSR
-  transition structure with restart and dangling-mass redistribution.
+* ``power_iteration`` -- one full power-iteration solve with restart and
+  dangling-mass redistribution.
 * ``random_walk`` -- a sequential restart walk driven by pre-drawn
   uniforms, tallying visits into an int64 histogram.
-
-The numba backend is the default. Setting ``POPRANK_DISABLE_NUMBA=1``
-in the environment (or running without numba installed) selects the
-numpy/python fallback. Both backends consume the same pre-drawn uniform
-array and share bisect-right semantics, so walk histograms are
-bitwise-identical across backends; power-iteration results differ only
-by float accumulation order (well below any contract tolerance).
-
-``benchmarks/bench_kernels.py`` times the two backends side by side.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 
 import numpy as np
 
-_DISABLE = os.environ.get("POPRANK_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _DISABLE
-
 
 def backend() -> str:
-    """Name of the backend selected at import time."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the numeric backend."""
+    return "numpy"
 
 
-def power_iteration_numpy(indptr, targets, probs, dangling, alpha, v, tol, max_iter):
+def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter):
     """Iterate r <- alpha * (pull(r) + dangling_mass * v) + (1 - alpha) * v
     from r0 = v until the L1 change drops below tol.
 
@@ -64,49 +41,15 @@ def power_iteration_numpy(indptr, targets, probs, dangling, alpha, v, tol, max_i
     return r, it, delta
 
 
-def _power_iteration_src(indptr, targets, probs, dangling, alpha, v, tol, max_iter):
-    n = v.shape[0]
-    r = v.copy()
-    r_new = np.empty(n, np.float64)
-    it = 0
-    delta = np.inf
-    for it in range(1, max_iter + 1):
-        d_mass = 0.0
-        for i in range(n):
-            if dangling[i]:
-                d_mass += r[i]
-        base = alpha * d_mass + (1.0 - alpha)
-        for i in range(n):
-            r_new[i] = base * v[i]
-        for s in range(n):
-            rs = alpha * r[s]
-            for e in range(indptr[s], indptr[s + 1]):
-                r_new[targets[e]] += rs * probs[e]
-        delta = 0.0
-        for i in range(n):
-            delta += abs(r_new[i] - r[i])
-            r[i] = r_new[i]
-        if delta < tol:
-            break
-    return r, it, delta
+def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_in, uniforms):
+    """Walk ``steps`` transitions and return the int64 visit counts after burn_in.
 
-
-def _bisect_right_src(arr, value, lo, hi):
-    # First index in [lo, hi) with arr[idx] > value; must match the
-    # semantics of bisect.bisect_right used by the numpy fallback.
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if value < arr[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def random_walk_numpy(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_in, uniforms, counts):
-    """Pure-python walk over list copies of the arrays; bit-compatible
-    with the numba kernel because both consume the same uniforms and use
-    bisect-right sampling."""
+    ``uniforms`` holds one draw for the start object, then a (restart,
+    choice) pair per step. Objects and links are sampled by bisect-right
+    on the prior CDF and on the current row of the link CDF. The walk
+    runs over list copies of the arrays, which index faster than numpy
+    scalars in a Python loop.
+    """
     ip = indptr.tolist()
     tg = targets.tolist()
     fc = cdf.tolist()
@@ -114,7 +57,7 @@ def random_walk_numpy(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps,
     pc = prior_cdf.tolist()
     us = uniforms.tolist()
     n = len(pc)
-    local = [0] * n
+    counts = [0] * n
     eps = float(epsilon)
 
     state = bisect_right(pc, us[0])
@@ -137,45 +80,5 @@ def random_walk_numpy(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps,
                 j = hi - 1
             state = tg[j]
         if t > burn_in:
-            local[state] += 1
-    counts[:] = local
-    return counts
-
-
-def _random_walk_src(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_in, uniforms, counts):
-    n = prior_cdf.shape[0]
-    state = _bisect(prior_cdf, uniforms[0], 0, n)
-    if state >= n:
-        state = n - 1
-    k = 1
-    for t in range(1, steps + 1):
-        u_restart = uniforms[k]
-        u_choice = uniforms[k + 1]
-        k += 2
-        if dangling[state] or u_restart < epsilon:
-            state = _bisect(prior_cdf, u_choice, 0, n)
-            if state >= n:
-                state = n - 1
-        else:
-            lo = indptr[state]
-            hi = indptr[state + 1]
-            j = _bisect(cdf, u_choice, lo, hi)
-            if j >= hi:
-                j = hi - 1
-            state = targets[j]
-        if t > burn_in:
             counts[state] += 1
-    return counts
-
-
-if HAVE_NUMBA:
-    _bisect = njit(cache=True)(_bisect_right_src)
-    power_iteration_numba = njit(cache=True)(_power_iteration_src)
-    random_walk_numba = njit(cache=True)(_random_walk_src)
-else:  # pragma: no cover - exercised only without numba
-    _bisect = _bisect_right_src
-    power_iteration_numba = None
-    random_walk_numba = None
-
-power_iteration = power_iteration_numba if USE_NUMBA else power_iteration_numpy
-random_walk = random_walk_numba if USE_NUMBA else random_walk_numpy
+    return np.array(counts, np.int64)

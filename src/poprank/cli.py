@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -161,22 +162,11 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _score_rows(bundle: CorpusBundle, scores: np.ndarray) -> list[tuple[str, ...]]:
-    positions = ranking_positions(scores)
-    order = np.argsort(positions)
-    rows = []
-    for object_id in order:
-        obj = bundle.graph.objects[int(object_id)]
-        schema = bundle.registry.get(obj.type_name)
-        rows.append(
-            (
-                str(int(positions[object_id]) + 1),
-                obj.type_name,
-                "|".join(obj.key_tuple(schema)),
-                repr(float(scores[object_id])),
-            )
-        )
-    return rows
+def _ranked_objects(bundle: CorpusBundle, positions: np.ndarray) -> Iterator[tuple[int, str, str]]:
+    """(object_id, type_name, key) for every object, in order of rank position."""
+    for object_id in np.argsort(positions).tolist():
+        obj = bundle.graph.objects[object_id]
+        yield object_id, obj.type_name, "|".join(obj.key_tuple(bundle.registry.get(obj.type_name)))
 
 
 def cmd_rank(args) -> int:
@@ -192,7 +182,12 @@ def cmd_rank(args) -> int:
     meta += [(f"gamma[{name}]", repr(float(g))) for name, g in sorted(ppf.factors.items())]
     meta += _convergence_meta("pagerank", page_result)
     meta += _convergence_meta("poprank", result)
-    _write_report(args, meta, _score_rows(bundle, result.scores))
+    positions = ranking_positions(result.scores)
+    rows = [
+        (str(int(positions[i]) + 1), type_name, key, repr(float(result.scores[i])))
+        for i, type_name, key in _ranked_objects(bundle, positions)
+    ]
+    _write_report(args, meta, rows)
     return _check_convergence(args, page_result, result)
 
 
@@ -251,22 +246,12 @@ def cmd_simulate(args) -> int:
     meta += _convergence_meta("poprank", analytic)
 
     positions = ranking_positions(analytic.scores)
-    order = np.argsort(positions)
     empirical = hist.empirical
-    rows = []
-    for object_id in order:
-        obj = bundle.graph.objects[int(object_id)]
-        schema = bundle.registry.get(obj.type_name)
-        rows.append(
-            (
-                str(int(positions[object_id]) + 1),
-                obj.type_name,
-                "|".join(obj.key_tuple(schema)),
-                repr(float(analytic.scores[object_id])),
-                repr(float(empirical[object_id])),
-                str(int(hist.counts[object_id])),
-            )
-        )
+    rows = [
+        (str(int(positions[i]) + 1), type_name, key, repr(float(analytic.scores[i])),
+         repr(float(empirical[i])), str(int(hist.counts[i])))
+        for i, type_name, key in _ranked_objects(bundle, positions)
+    ]
     _write_report(args, meta, rows)
     return _check_convergence(args, page_result, analytic)
 
@@ -287,21 +272,11 @@ def cmd_compare(args) -> int:
              ("damping", repr(args.damping))]
     meta += _convergence_meta("poprank", result)
 
-    order = np.argsort(object_positions)
-    rows = []
-    for object_id in order:
-        obj = bundle.graph.objects[int(object_id)]
-        schema = bundle.registry.get(obj.type_name)
-        rows.append(
-            (
-                obj.type_name,
-                "|".join(obj.key_tuple(schema)),
-                repr(float(result.scores[object_id])),
-                str(int(object_positions[object_id]) + 1),
-                repr(float(prior[object_id])),
-                str(int(page_positions[object_id]) + 1),
-            )
-        )
+    rows = [
+        (type_name, key, repr(float(result.scores[i])), str(int(object_positions[i]) + 1),
+         repr(float(prior[i])), str(int(page_positions[i]) + 1))
+        for i, type_name, key in _ranked_objects(bundle, object_positions)
+    ]
     _write_report(args, meta, rows)
     return _check_convergence(args, page_result, result)
 

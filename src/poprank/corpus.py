@@ -138,10 +138,10 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
         for page_id, targets in page_rows
         for target in targets
     ]
-    deduped = len(edges) - len(set(edges))
+    page_graph = PageGraph.build(len(page_index), edges)
+    deduped = len(edges) - page_graph.num_edges
     if deduped:
         diagnostics.append(f"hyperlink-duplicates\tcount={deduped}")
-    page_graph = PageGraph.build(len(page_index), edges)
 
     key_index: dict[tuple[str, KeyTuple], int] = {}
     for obj in graph.objects:

@@ -23,6 +23,7 @@ precision so reports parse back losslessly.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
@@ -192,8 +193,8 @@ def read_page_map(path: Path) -> list[tuple[str, ObjectRef, float | None]]:
                 weight = float(fields[3])
             except ValueError:
                 _fail(path, lineno, f"bad block weight {fields[3]!r}")
-            if weight < 0:
-                _fail(path, lineno, f"block weight must be non-negative, got {weight}")
+            if not 0.0 <= weight < math.inf:
+                _fail(path, lineno, f"block weight must be finite and non-negative, got {weight}")
         if not fields[1] or not fields[2]:
             _fail(path, lineno, "empty object type or key")
         entries.append((fields[0], (fields[1], tuple(fields[2].split("|"))), weight))

@@ -57,8 +57,8 @@ class PopRankConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.tol <= 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -144,7 +144,11 @@ def _check_prior(prior: np.ndarray, num_objects: int) -> np.ndarray:
             f"prior has {prior.shape[0] if prior.ndim == 1 else prior.shape} entries, "
             f"graph has {num_objects} objects"
         )
-    if np.any(prior < 0.0) or abs(float(prior.sum()) - 1.0) > 1e-9:
+    if (
+        not np.all(np.isfinite(prior))
+        or np.any(prior < 0.0)
+        or abs(float(prior.sum()) - 1.0) > 1e-9
+    ):
         raise ConfigError("prior must be a probability distribution over the objects")
     return prior
 

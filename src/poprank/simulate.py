@@ -69,8 +69,7 @@ def simulate(
     prior_cdf = np.cumsum(prior)
     link_cdf = transition.link_cdf()
     uniforms = np.random.default_rng(cfg.rng_seed).random(1 + 2 * cfg.steps)
-    counts = np.zeros(transition.num_objects, np.int64)
-    _kernels.random_walk(
+    counts = _kernels.random_walk(
         transition.indptr,
         transition.targets,
         link_cdf,
@@ -80,7 +79,6 @@ def simulate(
         int(cfg.steps),
         int(cfg.burn_in),
         uniforms,
-        counts,
     )
     return VisitHistogram(counts, cfg.steps, cfg.burn_in)
 

@@ -92,8 +92,8 @@ def pagerank(
         raise GraphError("pagerank needs a non-empty page graph")
     if not 0.0 < damping < 1.0:
         raise ConfigError(f"damping must lie in (0, 1), got {damping}")
-    if tol <= 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     n = graph.num_pages
@@ -137,8 +137,8 @@ class PageObjectMap:
         for i, (_, _, w) in enumerate(self.entries):
             if w is None:
                 weights[i] = 1.0
-            elif w < 0:
-                raise GraphError(f"block weight must be non-negative, got {w}")
+            elif not 0.0 <= w < np.inf:
+                raise GraphError(f"block weight must be finite and non-negative, got {w}")
             else:
                 weights[i] = float(w)
         page_sums = np.bincount(pages, weights=weights, minlength=int(pages.max()) + 1)

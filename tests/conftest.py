@@ -6,7 +6,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
@@ -23,17 +22,6 @@ from poprank import (  # noqa: E402
     build_graph,
     merge_records,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so timed tests measure steady state."""
-    from poprank import PageGraph, SimConfig, build_transition, pagerank, simulate
-
-    pagerank(PageGraph.build(2, [(0, 1), (1, 0)]), max_iter=3)
-    graph = simple_graph(2, {"warm": [(0, 1), (1, 0)]})
-    transition = build_transition(graph, PpfAssignment({"warm": 1.0}))
-    simulate(transition, np.array([0.5, 0.5]), SimConfig(steps=4, rng_seed=0))
 
 
 def dense_pagerank(num_pages: int, edges, damping: float) -> np.ndarray:

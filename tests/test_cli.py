@@ -147,6 +147,22 @@ class TestRank:
         meta, _ = read_report(out)  # report still written
         assert meta["poprank-converged"] == "false"
 
+    def test_nan_tol_exits_2(self, oracle_corpus, capsys):
+        code = run_cli("rank", oracle_corpus, "--ppf", oracle_corpus / "gamma.tsv", "--tol", "nan")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: tol must be positive and finite" in captured.err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_block_weight_exits_2(self, oracle_corpus, weight, capsys):
+        (oracle_corpus / "page_object_map.tsv").write_text(f"p0\tpaper\tt0\t{weight}\n")
+        code = run_cli("rank", oracle_corpus, "--ppf", oracle_corpus / "gamma.tsv")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "page_object_map.tsv:1: block weight must be finite and non-negative" in captured.err
+
 
 class TestIngest:
     def test_summary(self, oracle_corpus, capsys):

@@ -106,10 +106,10 @@ class TestLoadCorpus:
         assert bundle.page_index == {"p1": 0, "p2": 1, "p3": 2}
 
     def test_duplicate_hyperlinks_diagnosed(self, tmp_path):
-        paths = write_minimal_corpus(tmp_path, pages="p1\tp2,p2\np2\n")
+        paths = write_minimal_corpus(tmp_path, pages="p1\tp2,p2\np2\tp1,p1,p1\n")
         bundle = load_corpus(paths)
-        assert bundle.page_graph.num_edges == 1
-        assert any(d.startswith("hyperlink-duplicates") for d in bundle.diagnostics)
+        assert bundle.page_graph.num_edges == 2
+        assert "hyperlink-duplicates\tcount=3" in bundle.diagnostics
 
 
 class TestRoundTrip:

@@ -187,6 +187,16 @@ class TestPopRank:
         with pytest.raises(ConfigError):
             poprank(graph, PpfAssignment({"cites": 1.0}), np.array([0.9, 0.3]))
 
+    def test_nan_prior_rejected(self):
+        graph = simple_graph(2, {"cites": [(0, 1)]})
+        with pytest.raises(ConfigError):
+            poprank(graph, PpfAssignment({"cites": 1.0}), np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ConfigError, match="tol"):
+            PopRankConfig(tol=tol)
+
     def test_nonconvergence_warns(self):
         graph = simple_graph(3, {"cites": [(0, 1), (1, 2), (2, 0), (0, 2)]})
         with pytest.warns(NonConvergenceWarning):

@@ -96,6 +96,11 @@ class TestPageRank:
         with pytest.raises(ConfigError):
             pagerank(graph, damping=1.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ConfigError, match="tol"):
+            pagerank(PageGraph.build(2, [(0, 1)]), tol=tol)
+
     def test_nonconvergence_warns_and_returns(self):
         graph = PageGraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         with pytest.warns(NonConvergenceWarning):
@@ -180,6 +185,11 @@ class TestWebPopularity:
     def test_negative_weight_rejected(self):
         with pytest.raises(GraphError):
             PageObjectMap([(0, 0, -0.5)]).resolved()
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(GraphError):
+            PageObjectMap([(0, 0, weight)]).resolved()
 
     def test_prior_is_distribution(self):
         rng = np.random.default_rng(2)
