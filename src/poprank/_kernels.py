@@ -1,9 +1,11 @@
-"""The two numeric inner loops, over a CSR transition structure.
+"""The two numeric inner loops, and the edge-array helpers that feed them.
 
+* ``unique_edges`` and ``csr`` -- deduplicate ``(m, 2)`` int64 edge arrays
+  and group edges by source into CSR arrays.
 * ``power_iteration`` -- one full power-iteration solve with restart and
   dangling-mass redistribution.
-* ``random_walk`` -- a sequential restart walk driven by pre-drawn
-  uniforms, tallying visits into an int64 histogram.
+* ``random_walk`` -- a sequential restart walk driven by a seeded
+  generator, tallying visits into an int64 histogram.
 """
 
 from __future__ import annotations
@@ -12,10 +14,28 @@ from bisect import bisect_right
 
 import numpy as np
 
+WALK_CHUNK_STEPS = 65_536  # steps whose uniforms are drawn at once; bounds the walk's memory
+
 
 def backend() -> str:
     """Name of the numeric backend."""
     return "numpy"
+
+
+def unique_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Rows of the ``(m, 2)`` int64 array ``edges`` (ids in ``[0, n)``)
+    without repeats, in order of first appearance, and the number dropped."""
+    _, first = np.unique(edges[:, 0] * n + edges[:, 1], return_index=True)
+    first.sort()
+    return edges[first], len(edges) - len(first)
+
+
+def csr(n: int, src: np.ndarray, tgt: np.ndarray, probs: np.ndarray):
+    """CSR ``(indptr, targets, probs)``; edges keep their input order within a row."""
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, tgt[order], probs[order]
 
 
 def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter):
@@ -41,11 +61,12 @@ def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter):
     return r, it, delta
 
 
-def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_in, uniforms):
+def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_in, rng):
     """Walk ``steps`` transitions and return the int64 visit counts after burn_in.
 
-    ``uniforms`` holds one draw for the start object, then a (restart,
-    choice) pair per step. Objects and links are sampled by bisect-right
+    ``rng`` (a numpy ``Generator``) supplies one uniform for the start
+    object, then a (restart, choice) pair per step, drawn in chunks of
+    WALK_CHUNK_STEPS pairs. Objects and links are sampled by bisect-right
     on the prior CDF and on the current row of the link CDF. The walk
     runs over list copies of the arrays, which index faster than numpy
     scalars in a Python loop.
@@ -55,30 +76,29 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
     fc = cdf.tolist()
     dg = dangling.tolist()
     pc = prior_cdf.tolist()
-    us = uniforms.tolist()
     n = len(pc)
     counts = [0] * n
     eps = float(epsilon)
 
-    state = bisect_right(pc, us[0])
+    state = bisect_right(pc, rng.random())
     if state >= n:
         state = n - 1
-    k = 1
-    for t in range(1, steps + 1):
-        u_restart = us[k]
-        u_choice = us[k + 1]
-        k += 2
-        if dg[state] or u_restart < eps:
-            state = bisect_right(pc, u_choice)
-            if state >= n:
-                state = n - 1
-        else:
-            lo = ip[state]
-            hi = ip[state + 1]
-            j = bisect_right(fc, u_choice, lo, hi)
-            if j >= hi:
-                j = hi - 1
-            state = tg[j]
-        if t > burn_in:
-            counts[state] += 1
+    t = 0
+    for done in range(0, steps, WALK_CHUNK_STEPS):
+        pairs = iter(rng.random(2 * min(WALK_CHUNK_STEPS, steps - done)).tolist())
+        for u_restart, u_choice in zip(pairs, pairs):
+            t += 1
+            if dg[state] or u_restart < eps:
+                state = bisect_right(pc, u_choice)
+                if state >= n:
+                    state = n - 1
+            else:
+                lo = ip[state]
+                hi = ip[state + 1]
+                j = bisect_right(fc, u_choice, lo, hi)
+                if j >= hi:
+                    j = hi - 1
+                state = tg[j]
+            if t > burn_in:
+                counts[state] += 1
     return np.array(counts, np.int64)

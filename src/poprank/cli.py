@@ -110,6 +110,23 @@ def _prior(bundle: CorpusBundle, args) -> tuple[np.ndarray, RankResult | None]:
     return prior, page_result
 
 
+def _solve(args, restart_only: bool = False):
+    """(bundle, ppf, prior, page_result, transition, result) for the corpus.
+
+    With restart_only (epsilon 1) every step restarts, so the result is the prior.
+    """
+    bundle = _load(args)
+    ppf = _load_ppf(args.ppf, bundle)
+    prior, page_result = _prior(bundle, args)
+    transition = build_transition(bundle.graph, ppf)
+    if restart_only:
+        result = RankResult(prior, 0, 0.0, True)
+    else:
+        cfg = PopRankConfig(epsilon=args.epsilon, tol=args.tol, max_iter=args.max_iter)
+        result = poprank_from_transition(transition, prior, cfg)
+    return bundle, ppf, prior, page_result, transition, result
+
+
 def _base_meta(args, command: str) -> list[tuple[str, str]]:
     meta = [("command", command)]
     if args.timestamp:
@@ -155,7 +172,7 @@ def cmd_ingest(args) -> int:
             ("links", str(graph.num_links))]
     rows += [(f"objects[{name}]", str(count)) for name, count in sorted(by_type.items())]
     rows += [
-        (f"links[{rt.rel_name}]", str(len(graph.links.get(rt.rel_name, []))))
+        (f"links[{rt.rel_name}]", str(len(graph.links[rt.rel_name])))
         for rt in graph.relationship_types
     ]
     _write_report(args, _base_meta(args, "ingest"), rows)
@@ -170,11 +187,7 @@ def _ranked_objects(bundle: CorpusBundle, positions: np.ndarray) -> Iterator[tup
 
 
 def cmd_rank(args) -> int:
-    bundle = _load(args)
-    ppf = _load_ppf(args.ppf, bundle)
-    prior, page_result = _prior(bundle, args)
-    cfg = PopRankConfig(epsilon=args.epsilon, tol=args.tol, max_iter=args.max_iter)
-    result = poprank_from_transition(build_transition(bundle.graph, ppf), prior, cfg)
+    bundle, ppf, _, page_result, _, result = _solve(args)
 
     meta = _base_meta(args, "rank")
     meta += [("epsilon", repr(args.epsilon)), ("damping", repr(args.damping)),
@@ -222,16 +235,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    bundle = _load(args)
-    ppf = _load_ppf(args.ppf, bundle)
-    prior, page_result = _prior(bundle, args)
-    transition = build_transition(bundle.graph, ppf)
-    if args.epsilon == 1.0:
-        # every step restarts, so the stationary distribution is the prior
-        analytic = RankResult(prior, 0, 0.0, True)
-    else:
-        cfg = PopRankConfig(epsilon=args.epsilon, tol=args.tol, max_iter=args.max_iter)
-        analytic = poprank_from_transition(transition, prior, cfg)
+    bundle, _, prior, page_result, transition, analytic = _solve(args, args.epsilon == 1.0)
     hist = simulate(
         transition,
         prior,
@@ -257,11 +261,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    bundle = _load(args)
-    ppf = _load_ppf(args.ppf, bundle)
-    prior, page_result = _prior(bundle, args)
-    cfg = PopRankConfig(epsilon=args.epsilon, tol=args.tol, max_iter=args.max_iter)
-    result = poprank_from_transition(build_transition(bundle.graph, ppf), prior, cfg)
+    bundle, _, prior, page_result, _, result = _solve(args)
 
     object_positions = ranking_positions(result.scores)
     page_positions = ranking_positions(prior)

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import formats
 from .errors import FormatError, GraphError
 from .learning import PartialRanking
@@ -66,7 +68,6 @@ class CorpusBundle:
     page_index: dict[str, int]
     page_map: PageObjectMap
     diagnostics: list[str] = field(default_factory=list)
-    key_index: dict[tuple[str, KeyTuple], int] = field(default_factory=dict)
 
     def object_ref(self, object_id: int) -> str:
         obj = self.graph.objects[object_id]
@@ -74,7 +75,7 @@ class CorpusBundle:
         return formats.format_object_ref(obj.type_name, obj.key_tuple(schema))
 
     def resolve_ref(self, ref: formats.ObjectRef) -> int:
-        object_id = self.key_index.get(ref)
+        object_id = self.graph.key_index.get(ref)
         if object_id is None:
             raise GraphError(f"unknown object {formats.format_object_ref(*ref)!r}")
         return object_id
@@ -125,32 +126,23 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
         diagnostics.append(f"link-duplicates\tcount={report.duplicate_count}")
 
     page_rows = formats.read_pages(paths.pages)
-    page_index: dict[str, int] = {}
-    for page_id, _ in page_rows:
-        page_index[page_id] = len(page_index)
-    for _, targets in page_rows:
-        for target in targets:
-            if target not in page_index:
-                page_index[target] = len(page_index)
-    page_ids = list(page_index)
-    edges = [
-        (page_index[page_id], page_index[target])
-        for page_id, targets in page_rows
-        for target in targets
-    ]
-    page_graph = PageGraph.build(len(page_index), edges)
-    deduped = len(edges) - page_graph.num_edges
+    page_index = {page_id: row for row, (page_id, _) in enumerate(page_rows)}
+    # read_pages rejects repeated rows, so row i is page i; pages known only
+    # as link targets are numbered after the listed ones
+    tgt = np.fromiter(
+        (page_index.setdefault(t, len(page_index)) for _, targets in page_rows for t in targets),
+        np.int64,
+    )
+    src = np.repeat(np.arange(len(page_rows)), [len(targets) for _, targets in page_rows])
+    page_graph = PageGraph.build(len(page_index), np.column_stack((src, tgt)))
+    deduped = len(tgt) - page_graph.num_edges
     if deduped:
         diagnostics.append(f"hyperlink-duplicates\tcount={deduped}")
-
-    key_index: dict[tuple[str, KeyTuple], int] = {}
-    for obj in graph.objects:
-        key_index[(obj.type_name, obj.key_tuple(registry.get(obj.type_name)))] = obj.object_id
 
     entries: list[tuple[int, int, float | None]] = []
     for page_id, ref, weight in formats.read_page_map(paths.page_map):
         page = page_index.get(page_id)
-        obj = key_index.get(ref)
+        obj = graph.key_index.get(ref)
         if page is None or obj is None:
             what = f"page {page_id!r}" if page is None else f"object {formats.format_object_ref(*ref)!r}"
             message = f"map entry references unknown {what}"
@@ -166,11 +158,10 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
         registry=registry,
         graph=graph,
         page_graph=page_graph,
-        page_ids=page_ids,
+        page_ids=list(page_index),
         page_index=page_index,
         page_map=page_map,
         diagnostics=diagnostics,
-        key_index=key_index,
     )
 
 
@@ -183,17 +174,13 @@ def objects_to_records(graph: ObjectGraph) -> list[ObjectRecord]:
 
 
 def graph_to_raw_links(graph: ObjectGraph, registry: SchemaRegistry) -> list[RawLink]:
-    rels = {rt.rel_name: rt for rt in graph.relationship_types}
     keys: list[KeyTuple] = [
         obj.key_tuple(registry.get(obj.type_name)) for obj in graph.objects
     ]
     raw: list[RawLink] = []
     for rt in graph.relationship_types:
-        for src, tgt in graph.links.get(rt.rel_name, []):
-            raw.append(
-                RawLink(rels[rt.rel_name].source_type, keys[src], rt.rel_name,
-                        rels[rt.rel_name].target_type, keys[tgt])
-            )
+        for src, tgt in graph.links[rt.rel_name].tolist():
+            raw.append(RawLink(rt.source_type, keys[src], rt.rel_name, rt.target_type, keys[tgt]))
     return raw
 
 

@@ -97,6 +97,8 @@ class LearnConfig:
             raise ConfigError(f"refine_iters must be >= 0, got {self.refine_iters}")
         if not 0.0 < self.refine_step <= 1.0:
             raise ConfigError(f"refine_step must lie in (0, 1], got {self.refine_step}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     def grid_levels(self) -> np.ndarray:
         levels = np.linspace(0.0, 1.0, self.grid_resolution)

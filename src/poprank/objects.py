@@ -13,6 +13,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import _kernels
 from .errors import GraphError, RecordError, SchemaError
 
 KeyTuple = tuple[str, ...]
@@ -186,15 +189,18 @@ class GraphBuildReport:
 
 @dataclass
 class ObjectGraph:
-    """Immutable-after-build graph of typed objects and typed links.
+    """Graph of typed objects and typed links, not modified after build.
 
-    links maps rel_name -> list of (source object_id, target object_id);
-    single-writer during construction, safe for concurrent readers after.
+    links maps each declared rel_name to an (m, 2) int64 array of
+    (source object_id, target object_id) rows, deduplicated and in order
+    of first appearance; a relationship without links has an empty array.
+    key_index maps (type_name, key tuple) to object_id.
     """
 
     objects: list[WebObject]
     relationship_types: list[RelationshipType]
-    links: dict[str, list[tuple[int, int]]]
+    links: dict[str, np.ndarray]
+    key_index: dict[tuple[str, KeyTuple], int] = field(default_factory=dict)
 
     @property
     def num_objects(self) -> int:
@@ -202,10 +208,10 @@ class ObjectGraph:
 
     @property
     def num_links(self) -> int:
-        return sum(len(pairs) for pairs in self.links.values())
+        return sum(len(edges) for edges in self.links.values())
 
     def check(self, registry: SchemaRegistry | None = None) -> None:
-        """One-pass well-formedness check; raises GraphError on violation."""
+        """Well-formedness check; raises GraphError on violation."""
         n = len(self.objects)
         for i, obj in enumerate(self.objects):
             if obj.object_id != i:
@@ -215,27 +221,25 @@ class ObjectGraph:
             if rt.rel_name in rels:
                 raise GraphError(f"duplicate relationship type {rt.rel_name!r}")
             rels[rt.rel_name] = rt
-        for rel_name, pairs in self.links.items():
+        types = np.array([obj.type_name for obj in self.objects], dtype=str)
+        for rel_name, edges in self.links.items():
             rt = rels.get(rel_name)
             if rt is None:
                 raise GraphError(f"links declared for unknown relationship type {rel_name!r}")
-            seen: set[tuple[int, int]] = set()
-            for src, tgt in pairs:
-                if not (0 <= src < n and 0 <= tgt < n):
-                    raise GraphError(f"{rel_name}: link ({src}, {tgt}) points outside the graph")
-                if self.objects[src].type_name != rt.source_type:
-                    raise GraphError(
-                        f"{rel_name}: source object {src} has type "
-                        f"{self.objects[src].type_name!r}, expected {rt.source_type!r}"
-                    )
-                if self.objects[tgt].type_name != rt.target_type:
-                    raise GraphError(
-                        f"{rel_name}: target object {tgt} has type "
-                        f"{self.objects[tgt].type_name!r}, expected {rt.target_type!r}"
-                    )
-                if (src, tgt) in seen:
-                    raise GraphError(f"{rel_name}: duplicate link ({src}, {tgt})")
-                seen.add((src, tgt))
+            outside = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
+            if outside.size:
+                src, tgt = edges[outside[0]].tolist()
+                raise GraphError(f"{rel_name}: link ({src}, {tgt}) points outside the graph")
+            for column, side, expected in ((0, "source", rt.source_type),
+                                           (1, "target", rt.target_type)):
+                wrong = np.flatnonzero(types[edges[:, column]] != expected)
+                if wrong.size:
+                    obj = int(edges[wrong[0], column])
+                    raise GraphError(f"{rel_name}: {side} object {obj} has type "
+                                     f"{self.objects[obj].type_name!r}, expected {expected!r}")
+            _, dropped = _kernels.unique_edges(edges, n)
+            if dropped:
+                raise GraphError(f"{rel_name}: {dropped} duplicate link(s)")
         if registry is not None:
             keys: set[tuple[str, KeyTuple]] = set()
             for obj in self.objects:
@@ -276,8 +280,7 @@ def build_graph(
             raise GraphError(f"objects {index[k]} and {obj.object_id} share key {k}")
         index[k] = obj.object_id
 
-    links: dict[str, list[tuple[int, int]]] = {rt.rel_name: [] for rt in rel_types}
-    seen: set[tuple[int, int, str]] = set()
+    ids: dict[str, list[int]] = {rt.rel_name: [] for rt in rel_types}
     report = GraphBuildReport()
     for link in raw_links:
         rel = rels.get(link.rel_name)
@@ -298,11 +301,11 @@ def build_graph(
                 raise GraphError(msg)
             report.dropped.append(msg)
             continue
-        triple = (src, tgt, link.rel_name)
-        if triple in seen:
-            report.duplicate_count += 1
-            continue
-        seen.add(triple)
-        links[link.rel_name].append((src, tgt))
+        ids[link.rel_name] += (src, tgt)
 
-    return ObjectGraph(list(objects), list(rel_types), links), report
+    links = {}
+    for rel_name, flat in ids.items():
+        edges = np.array(flat, np.int64).reshape(-1, 2)
+        links[rel_name], dropped = _kernels.unique_edges(edges, len(objects))
+        report.duplicate_count += dropped
+    return ObjectGraph(list(objects), list(rel_types), links, index), report

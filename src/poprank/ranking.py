@@ -109,11 +109,10 @@ def build_transition(graph: ObjectGraph, ppf: PpfAssignment) -> TransitionStruct
     per_type: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
     for rt in graph.relationship_types:
         gamma = float(ppf.factors[rt.rel_name])
-        pairs = graph.links.get(rt.rel_name)
-        if gamma <= 0.0 or not pairs:
+        edges = graph.links[rt.rel_name]
+        if gamma <= 0.0 or not len(edges):
             continue
-        arr = np.asarray(pairs, np.int64)
-        src, tgt = arr[:, 0], arr[:, 1]
+        src, tgt = edges[:, 0], edges[:, 1]
         deg = np.bincount(src, minlength=n)
         z += np.where(deg > 0, gamma, 0.0)
         per_type.append((gamma, src, tgt, deg))
@@ -129,12 +128,7 @@ def build_transition(graph: ObjectGraph, ppf: PpfAssignment) -> TransitionStruct
     prob_all = np.concatenate(
         [(gamma / z[src]) / deg[src] for gamma, src, _, deg in per_type]
     )
-    order = np.argsort(src_all, kind="stable")
-    src_all, tgt_all, prob_all = src_all[order], tgt_all[order], prob_all[order]
-    counts = np.bincount(src_all, minlength=n)
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return TransitionStructure(n, indptr, tgt_all, prob_all, dangling)
+    return TransitionStructure(n, *_kernels.csr(n, src_all, tgt_all, prob_all), dangling)
 
 
 def _check_prior(prior: np.ndarray, num_objects: int) -> np.ndarray:

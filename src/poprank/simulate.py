@@ -30,6 +30,8 @@ class SimConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.burn_in < 0:
@@ -61,14 +63,13 @@ def simulate(
     The start object is drawn from the prior and not counted. Each step
     either restarts (probability epsilon, or always from a dangling
     object) by sampling the prior, or follows one out-link sampled from
-    the current object's transition row. All randomness is pre-drawn
-    from numpy's seeded generator, so runs are fully reproducible: one
-    uniform for the start, then a (restart, choice) pair per step.
+    the current object's transition row. All randomness comes from
+    numpy's seeded generator, so runs are fully reproducible: one uniform
+    for the start, then a (restart, choice) pair per step.
     """
     prior = _check_prior(prior, transition.num_objects)
     prior_cdf = np.cumsum(prior)
     link_cdf = transition.link_cdf()
-    uniforms = np.random.default_rng(cfg.rng_seed).random(1 + 2 * cfg.steps)
     counts = _kernels.random_walk(
         transition.indptr,
         transition.targets,
@@ -78,7 +79,7 @@ def simulate(
         float(cfg.epsilon),
         int(cfg.steps),
         int(cfg.burn_in),
-        uniforms,
+        np.random.default_rng(cfg.rng_seed),
     )
     return VisitHistogram(counts, cfg.steps, cfg.burn_in)
 

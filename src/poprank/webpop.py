@@ -32,46 +32,32 @@ class RankResult:
 class PageGraph:
     """Directed hyperlink graph over densely indexed pages.
 
-    Self-loops are allowed; duplicate edges are dropped at build time.
+    edges is an (m, 2) int64 array of (source, target) page ids,
+    deduplicated at build time and in order of first appearance.
+    Self-loops are allowed.
     """
 
     num_pages: int
-    edges: np.ndarray  # shape (m, 2), int64, deduplicated
+    edges: np.ndarray
 
     @classmethod
-    def build(cls, num_pages: int, edges: Iterable[tuple[int, int]]) -> "PageGraph":
+    def build(cls, num_pages: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "PageGraph":
         if num_pages < 0:
             raise GraphError("num_pages must be >= 0")
-        unique = list(dict.fromkeys((int(s), int(t)) for s, t in edges))
-        for s, t in unique:
-            if not (0 <= s < num_pages and 0 <= t < num_pages):
-                raise GraphError(f"hyperlink ({s}, {t}) points outside the page set")
-        arr = np.asarray(unique, dtype=np.int64).reshape(len(unique), 2)
-        return cls(num_pages, arr)
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), np.int64)
+        if arr.size == 0:
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise GraphError(f"hyperlinks must be (source, target) pairs, got shape {arr.shape}")
+        outside = np.flatnonzero(((arr < 0) | (arr >= num_pages)).any(axis=1))
+        if outside.size:
+            s, t = arr[outside[0]].tolist()
+            raise GraphError(f"hyperlink ({s}, {t}) points outside the page set")
+        return cls(num_pages, _kernels.unique_edges(arr, num_pages)[0])
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-
-def _page_csr(graph: PageGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = graph.num_pages
-    if graph.num_edges == 0:
-        return (
-            np.zeros(n + 1, np.int64),
-            np.empty(0, np.int64),
-            np.empty(0, np.float64),
-        )
-    src = graph.edges[:, 0]
-    tgt = graph.edges[:, 1]
-    order = np.argsort(src, kind="stable")
-    src = src[order]
-    tgt = tgt[order]
-    counts = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    probs = 1.0 / counts[src]
-    return indptr, tgt.astype(np.int64), probs
 
 
 def pagerank(
@@ -97,7 +83,8 @@ def pagerank(
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     n = graph.num_pages
-    indptr, targets, probs = _page_csr(graph)
+    src, tgt = graph.edges[:, 0], graph.edges[:, 1]
+    indptr, targets, probs = _kernels.csr(n, src, tgt, 1.0 / np.bincount(src, minlength=n)[src])
     dangling = np.diff(indptr) == 0
     v = np.full(n, 1.0 / n)
     r, iterations, residual = _kernels.power_iteration(

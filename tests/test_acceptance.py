@@ -207,7 +207,9 @@ def test_criterion_8_roundtrip_and_cli_determinism(tmp_path):
     rewritten = tmp_path / "rewritten"
     write_corpus(rewritten, bundle.registry, bundle.graph)
     reloaded = load_corpus(CorpusPaths.in_dir(rewritten))
-    assert reloaded.graph.links == bundle.graph.links
+    assert {k: v.tolist() for k, v in reloaded.graph.links.items()} == {
+        k: v.tolist() for k, v in bundle.graph.links.items()
+    }
     assert [(o.type_name, o.attribute_values) for o in reloaded.graph.objects] == [
         (o.type_name, o.attribute_values) for o in bundle.graph.objects
     ]

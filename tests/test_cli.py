@@ -204,6 +204,15 @@ class TestLearn:
         assert run_cli("learn", oracle_corpus, "--expert", expert) == 2
         assert "empty" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, oracle_corpus, tmp_path, capsys):
+        expert = tmp_path / "expert.tsv"
+        expert.write_text("paper:t0\npaper:t1\n")
+        # 101 levels over two types exceed the 10,000 cap, so the grid is sampled with the seed
+        code = run_cli("learn", oracle_corpus, "--expert", expert, "--seed", "-5",
+                       "--grid-resolution", "101")
+        assert code == 2
+        assert "error: rng_seed must be >= 0, got -5" in capsys.readouterr().err
+
     def test_single_type_warns_unidentifiable(self, symmetric_corpus, tmp_path, capsys):
         expert = tmp_path / "expert.tsv"
         expert.write_text("paper:A\npaper:B\n")
@@ -251,6 +260,13 @@ class TestSimulate:
             "--steps", "100", "--epsilon", "0.0",
         )
         assert code == 2
+
+
+    def test_negative_seed_exits_2(self, oracle_corpus, capsys):
+        code = run_cli("simulate", oracle_corpus, "--ppf", oracle_corpus / "gamma.tsv",
+                       "--steps", "100", "--seed", "-1")
+        assert code == 2
+        assert "error: rng_seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestCompare:

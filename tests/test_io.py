@@ -151,7 +151,9 @@ class TestRoundTrip:
         assert [
             (o.type_name, o.attribute_values) for o in reloaded.graph.objects
         ] == [(o.type_name, o.attribute_values) for o in bundle.graph.objects]
-        assert reloaded.graph.links == bundle.graph.links
+        assert {k: v.tolist() for k, v in reloaded.graph.links.items()} == {
+            k: v.tolist() for k, v in bundle.graph.links.items()
+        }
         assert [rt.rel_name for rt in reloaded.graph.relationship_types] == [
             rt.rel_name for rt in bundle.graph.relationship_types
         ]

@@ -29,9 +29,9 @@ def test_power_iteration_iteration_count_is_pinned():
 def test_random_walk_histogram_is_pinned():
     t, prior = _structure()
     steps = 20_000
-    uniforms = np.random.default_rng(7).random(1 + 2 * steps)
     counts = _kernels.random_walk(
-        t.indptr, t.targets, t.link_cdf(), t.dangling, np.cumsum(prior), 0.15, steps, 100, uniforms
+        t.indptr, t.targets, t.link_cdf(), t.dangling, np.cumsum(prior), 0.15, steps, 100,
+        np.random.default_rng(7),
     )
     assert counts.dtype == np.int64
     assert counts.tolist() == [1246, 4096, 1046, 1286, 2485, 1301, 2489, 1034, 772, 1805, 1647, 693]
@@ -39,3 +39,12 @@ def test_random_walk_histogram_is_pinned():
 
 def test_backend_is_numpy():
     assert _kernels.backend() == "numpy"
+
+
+def test_random_walk_chunks_draw_the_same_stream(monkeypatch):
+    t, prior = _structure()
+    args = (t.indptr, t.targets, t.link_cdf(), t.dangling, np.cumsum(prior), 0.15, 5_000, 10)
+    whole = _kernels.random_walk(*args, np.random.default_rng(7))
+    monkeypatch.setattr(_kernels, "WALK_CHUNK_STEPS", 7)
+    chunked = _kernels.random_walk(*args, np.random.default_rng(7))
+    assert chunked.tolist() == whole.tolist()

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from conftest import paper_registry, random_links, simple_graph
 from poprank import (
     GraphError,
+    ObjectGraph,
     ObjectRecord,
     ObjectTypeSchema,
+    PageGraph,
     RawLink,
     RecordError,
     RelationshipType,
@@ -160,7 +162,7 @@ def test_merge_permutation_invariance(records, seed):
 class TestBuildGraph:
     def test_single_link(self):
         graph = simple_graph(2, {"cites": [(0, 1)]})
-        assert graph.links["cites"] == [(0, 1)]
+        assert graph.links["cites"].tolist() == [[0, 1]]
         assert graph.num_links == 1
 
     def test_type_mismatch_always_fails(self):
@@ -199,7 +201,7 @@ class TestBuildGraph:
         graph, report = build_graph(objects, rels, raw, registry)
         assert report.duplicate_count == 2
         assert len(graph.links["cites"]) == 8
-        assert set(graph.links["cites"]) == set(pairs)  # set-dedup oracle
+        assert set(map(tuple, graph.links["cites"].tolist())) == set(pairs)  # set-dedup oracle
 
     def test_unresolved_endpoint_lenient_vs_strict(self):
         registry = paper_registry()
@@ -231,3 +233,73 @@ class TestBuildGraph:
                 },
             )
             graph.check(paper_registry())
+
+
+def _typed_graph(links: dict[str, list[tuple[int, int]]]) -> ObjectGraph:
+    """Objects 0 and 1 are papers, 2 is an author; 'by' runs paper -> author."""
+    registry = SchemaRegistry(
+        [
+            ObjectTypeSchema("paper", ("title",), ("title",)),
+            ObjectTypeSchema("author", ("name",), ("name",)),
+        ]
+    )
+    objects = merge_records(
+        [
+            ObjectRecord("a", "paper", {"title": "X"}),
+            ObjectRecord("b", "paper", {"title": "Y"}),
+            ObjectRecord("c", "author", {"name": "Z"}),
+        ],
+        registry,
+    )
+    edges = {name: np.array(pairs, np.int64).reshape(-1, 2) for name, pairs in links.items()}
+    return ObjectGraph(objects, [RelationshipType("by", "paper", "author")], edges)
+
+
+class TestGraphCheck:
+    def test_valid_graph_passes(self):
+        _typed_graph({"by": [(0, 2), (1, 2)]}).check()
+
+    def test_non_dense_ids_rejected(self):
+        graph = _typed_graph({"by": []})
+        graph.objects[1].object_id = 5
+        with pytest.raises(GraphError, match="not dense: position 1 holds id 5"):
+            graph.check()
+
+    @pytest.mark.parametrize(
+        "links, message",
+        [
+            ({"cites": [(0, 1)]}, "unknown relationship type 'cites'"),
+            ({"by": [(0, 2), (1, 3)]}, r"link \(1, 3\) points outside the graph"),
+            ({"by": [(-1, 2)]}, r"link \(-1, 2\) points outside the graph"),
+            ({"by": [(0, 2), (2, 2)]}, "source object 2 has type 'author', expected 'paper'"),
+            ({"by": [(0, 2), (1, 0)]}, "target object 0 has type 'paper', expected 'author'"),
+            ({"by": [(0, 2), (1, 2), (0, 2)]}, r"by: 1 duplicate link"),
+        ],
+        ids=["unknown-relationship", "out-of-range", "negative", "source-type", "target-type",
+             "duplicate"],
+    )
+    def test_bad_links_rejected(self, links, message):
+        with pytest.raises(GraphError, match=message):
+            _typed_graph(links).check()
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_dedup_keeps_first_appearances_in_order(data):
+    n = data.draw(st.integers(1, 6))
+    ends = st.integers(0, n - 1)
+    triples = data.draw(st.lists(st.tuples(st.sampled_from(["cites", "extends"]), ends, ends),
+                                 max_size=40))
+    registry = paper_registry()
+    objects = merge_records(
+        [ObjectRecord(f"r{i}", "paper", {"title": f"t{i}"}) for i in range(n)], registry
+    )
+    rels = [RelationshipType(name, "paper", "paper") for name in ("cites", "extends")]
+    raw = [RawLink("paper", (f"t{s}",), rel, "paper", (f"t{t}",)) for rel, s, t in triples]
+    graph, report = build_graph(objects, rels, raw, registry)
+    assert report.duplicate_count == len(triples) - len(set(triples))
+    for rel in ("cites", "extends"):
+        pairs = [(s, t) for name, s, t in triples if name == rel]
+        expected = [list(pair) for pair in dict.fromkeys(pairs)]
+        assert graph.links[rel].tolist() == expected
+        assert PageGraph.build(n, pairs).edges.tolist() == expected

@@ -113,6 +113,10 @@ class TestPageRank:
         with pytest.raises(GraphError):
             PageGraph.build(2, [(0, 2)])
 
+    def test_edges_that_are_not_pairs_rejected(self):
+        with pytest.raises(GraphError, match="pairs"):
+            PageGraph.build(4, np.zeros((2, 3), np.int64))
+
 
 class TestWebPopularity:
     def test_single_mapped_object_takes_everything(self):
