@@ -29,10 +29,12 @@ from .learning import (
 )
 from .objects import (
     GraphBuildReport,
+    LinkTable,
     ObjectGraph,
     ObjectRecord,
     ObjectTypeSchema,
     RawLink,
+    RecordTable,
     RelationshipType,
     SchemaRegistry,
     WebObject,
@@ -61,10 +63,12 @@ __all__ = [
     "RecordError",
     "SchemaError",
     "GraphBuildReport",
+    "LinkTable",
     "ObjectGraph",
     "ObjectRecord",
     "ObjectTypeSchema",
     "RawLink",
+    "RecordTable",
     "RelationshipType",
     "SchemaRegistry",
     "WebObject",

@@ -4,9 +4,11 @@ Aggregated object data lands in a warehouse of five TSV files (schemas,
 objects, links, pages, page-object map; see formats). Loading merges
 records into deduplicated objects, resolves links and containment
 entries against the key index, and collects structured diagnostics for
-everything lenient mode drops. Relationship types are declared by their
-first appearance in the links file; a later line disagreeing on endpoint
-types is an error.
+everything lenient mode drops. Records and links are read as columns
+(RecordTable, LinkTable), so no object is built per line. Relationship
+types are declared by their first appearance in the links file; a later
+line disagreeing on endpoint types is an error, as is a link naming an
+unregistered object type (reported first).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import FormatError, GraphError
 from .learning import PartialRanking
 from .objects import (
     KeyTuple,
+    LinkTable,
     ObjectGraph,
     ObjectRecord,
     RawLink,
@@ -81,18 +84,17 @@ class CorpusBundle:
         return object_id
 
 
-def _infer_relationship_types(
-    raw_links: list[RawLink], registry: SchemaRegistry
-) -> list[RelationshipType]:
+def _infer_relationship_types(links: LinkTable, registry: SchemaRegistry) -> list[RelationshipType]:
+    """One relationship type per rel_name, from its first line. Triples are
+    in order of first appearance, so the first offending line is named."""
     rels: dict[str, RelationshipType] = {}
-    for link in raw_links:
-        for type_name in (link.source_type, link.target_type):
+    for rel_name, source_type, target_type in links.triples:
+        for type_name in (source_type, target_type):
             if type_name not in registry:
                 raise GraphError(
-                    f"link of type {link.rel_name!r} names unregistered object type {type_name!r}"
+                    f"link of type {rel_name!r} names unregistered object type {type_name!r}"
                 )
-        if link.rel_name not in rels:
-            rels[link.rel_name] = RelationshipType(link.rel_name, link.source_type, link.target_type)
+        rels.setdefault(rel_name, RelationshipType(rel_name, source_type, target_type))
     return list(rels.values())
 
 
@@ -117,9 +119,9 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
         f"merge\trecords={len(records)}\tobjects={len(objects)}\tconflicts={conflicts}"
     )
 
-    raw_links = formats.read_links(paths.links)
-    rel_types = _infer_relationship_types(raw_links, registry)
-    graph, report = build_graph(objects, rel_types, raw_links, registry, strict=strict)
+    links = formats.read_links(paths.links)
+    rel_types = _infer_relationship_types(links, registry)
+    graph, report = build_graph(objects, rel_types, links, registry, strict=strict)
     for message in report.dropped:
         diagnostics.append(f"link-dropped\t{message}")
     if report.duplicate_count:

@@ -1,10 +1,11 @@
 """TSV file formats for corpora, factors, expert rankings, and reports.
 
-All files are UTF-8 with LF line endings. Blank lines and lines starting
-with ``#`` are skipped on input. Fields are TAB-separated; values must
-not contain TAB. Key tuples join their values with ``|``, so key values
-must not contain ``|`` either; object references are written
-``type_name:key1|key2|...``. Escaping is out of scope.
+All files are UTF-8 with LF line endings (CRLF and CR read as LF).
+Whitespace-only lines and lines whose first non-blank character is ``#``
+are skipped on input. Fields are TAB-separated; values must not contain
+TAB. Key tuples join their values with ``|``, so key values must not
+contain ``|`` either (``merge_records`` rejects them); object references
+are written ``type_name:key1|key2|...``. Escaping is out of scope.
 
 schemas    type_name <TAB> attr1,attr2,... <TAB> key1,key2,...
 objects    record_id <TAB> type_name <TAB> attr=value;attr=value;... [<TAB> source_page]
@@ -16,6 +17,10 @@ ppf        rel_name <TAB> gamma
 expert     either one object reference per line (full order, best first),
            or pair lines: object_ref <TAB> > <TAB> object_ref
 
+The two large files are read as columns, with no object per line:
+``read_objects`` returns a RecordTable and ``read_links`` a LinkTable of
+interned int64 ids (see objects). The other readers return lists.
+
 Reports are TSV rows preceded by a ``#``-prefixed metadata block of
 ``# key <TAB> value`` lines; scores are written with full round-trip
 precision so reports parse back losslessly.
@@ -24,22 +29,51 @@ precision so reports parse back losslessly.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import FormatError, PopRankError
-from .objects import KeyTuple, ObjectRecord, ObjectTypeSchema, RawLink
+from .objects import KeyTuple, LinkTable, ObjectRecord, ObjectTypeSchema, RawLink, RecordTable
 
 ObjectRef = tuple[str, KeyTuple]
 
 
-def _data_lines(path: Path) -> Iterable[tuple[int, str]]:
+def _line_blocks(path: Path, size: int = 1 << 20) -> Iterator[tuple[int, list[str]]]:
+    """(number of the first line, lines without their newline) for
+    consecutive blocks of about ``size`` characters; CRLF and CR line
+    endings read as LF."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
+        lineno, partial = 1, []  # pieces of a line that spans blocks
+        while block := fh.read(size):
+            lines = block.split("\n")
+            if len(lines) == 1:
+                partial.append(block)
                 continue
-            yield lineno, line
+            lines[0] = "".join(partial) + lines[0]
+            partial = [lines.pop()]
+            yield lineno, lines
+            lineno += len(lines)
+        if tail := "".join(partial):
+            yield lineno, [tail]
+
+
+def _is_data(line: str) -> bool:
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
+def _all_data(lines: list[str]) -> bool:
+    """True when no line is blank or starts with whitespace or ``#``, so
+    every line is data without a check per line."""
+    return all(lines) and not any(c.isspace() or c == "#" for c in set(map(itemgetter(0), lines)))
+
+
+def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
+    for first, lines in _line_blocks(path):
+        numbered = enumerate(lines, first)
+        yield from numbered if _all_data(lines) else (
+            (lineno, line) for lineno, line in numbered if _is_data(line))
 
 
 def _fail(path: Path, lineno: int, message: str):
@@ -88,8 +122,10 @@ def write_schemas(path: Path, schemas: Iterable[ObjectTypeSchema]) -> None:
             fh.write(f"{s.type_name}\t{','.join(s.attributes)}\t{','.join(s.key_attributes)}\n")
 
 
-def read_objects(path: Path) -> list[ObjectRecord]:
-    records = []
+def read_objects(path: Path) -> RecordTable:
+    """One RecordTable row per data line; the optional source page field
+    is checked for the field count but not kept."""
+    table = RecordTable()
     for lineno, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) not in (3, 4):
@@ -103,9 +139,10 @@ def read_objects(path: Path) -> list[ObjectRecord]:
                 if attr in values:
                     _fail(path, lineno, f"attribute {attr!r} given twice")
                 values[attr] = value
-        source_page = fields[3] if len(fields) == 4 and fields[3] else None
-        records.append(ObjectRecord(fields[0], fields[1], values, source_page))
-    return records
+        table.record_ids.append(fields[0])
+        table.type_names.append(fields[1])
+        table.attribute_values.append(values)
+    return table
 
 
 def write_objects(path: Path, records: Iterable[ObjectRecord]) -> None:
@@ -123,22 +160,25 @@ def write_objects(path: Path, records: Iterable[ObjectRecord]) -> None:
             fh.write(line + "\n")
 
 
-def read_links(path: Path) -> list[RawLink]:
-    links = []
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 5:
-            _fail(path, lineno, f"expected 5 fields, got {len(fields)}")
-        links.append(
-            RawLink(
-                source_type=fields[0],
-                source_key=tuple(fields[1].split("|")),
-                rel_name=fields[2],
-                target_type=fields[3],
-                target_key=tuple(fields[4].split("|")),
-            )
-        )
-    return links
+def _link_columns(path: Path) -> Iterator[tuple[list[str], ...]]:
+    """The five columns of each block of data lines of a links file."""
+    for first, lines in _line_blocks(path):
+        data = lines if _all_data(lines) else list(filter(_is_data, lines))
+        if not data:
+            continue
+        if set(map(str.count, data, repeat("\t"))) != {4}:
+            for lineno, line in enumerate(lines, first):
+                found = len(line.split("\t"))
+                if _is_data(line) and found != 5:
+                    _fail(path, lineno, f"expected 5 fields, got {found}")
+        fields = "\t".join(data).split("\t")
+        yield fields[0::5], fields[1::5], fields[2::5], fields[3::5], fields[4::5]
+
+
+def read_links(path: Path) -> LinkTable:
+    """The links file as a LinkTable, streamed block by block; no object
+    is built per line."""
+    return LinkTable.from_columns(_link_columns(path))
 
 
 def write_links(path: Path, links: Iterable[RawLink]) -> None:

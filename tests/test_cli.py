@@ -165,6 +165,20 @@ class TestRank:
 
 
 class TestIngest:
+    def test_pipe_in_key_exits_2(self, tmp_path, capsys):
+        d = write_corpus_dir(
+            tmp_path / "pipe",
+            schemas="paper\ttitle\ttitle\n",
+            objects="r1\tpaper\ttitle=a|b\nr2\tpaper\ttitle=c\n",
+            links="paper\ta|b\tcites\tpaper\tc\n",
+            pages="p1\n",
+            page_map="p1\tpaper\ta|b\n",
+        )
+        (d / "gamma.tsv").write_text("cites\t0.5\n")
+        assert run_cli("rank", d, "--ppf", d / "gamma.tsv") == 2
+        err = capsys.readouterr().err
+        assert "error: record 'r1': key attribute 'title' value 'a|b' contains '|'" in err
+
     def test_summary(self, oracle_corpus, capsys):
         assert run_cli("ingest", oracle_corpus) == 0
         output = capsys.readouterr().out

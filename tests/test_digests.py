@@ -6,7 +6,9 @@ targets and map entries naming unknown pages and objects. It is written
 from a fixed linear congruential generator, so it does not depend on any
 library's random streams. The digests were recorded before the edge sets
 became int64 arrays; any change to a report byte or to a ``diag`` line
-shows up here.
+shows up here. A second, hand-written corpus pins the readers' edge cases
+(``write_edge_corpus``); its digests were recorded before the loader
+became columnar.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import hashlib
 
 import pytest
 
+from poprank import objects
 from poprank.cli import main
+from poprank.corpus import CorpusPaths, load_corpus
 
 
 def _lcg(seed: int):
@@ -83,6 +87,65 @@ def write_dirty_corpus(d):
     return d
 
 
+def write_edge_corpus(d):
+    """Reader edge cases: a type keyed by two attributes (``k1|k2`` refs),
+    ``#`` and indented comment lines, blank, whitespace-only and tab-only
+    lines, CRLF line endings, a last line without a newline, keys with a
+    trailing or leading space, and unresolved sources and targets."""
+    d.mkdir()
+    (d / "schemas.tsv").write_bytes(
+        b"# type\tattributes\tkey\r\n"
+        b"paper\ttitle,year\ttitle\r\n"
+        b"\r\n"
+        b"event\tname,year,city\tname,year\r\n"
+        b"  # indented comment\r\n"
+    )
+    (d / "objects.tsv").write_text(
+        "# records\n"
+        "r1\tpaper\ttitle=a;year=2001\tpg1\n"
+        "   \n"
+        "r2\tpaper\ttitle=b\n"
+        "\t\n"
+        "r3\tpaper\ttitle=c;year=2003\tpg2\n"
+        "\t# tab-indented comment\n"
+        "e1\tevent\tname=KDD;year=2003;city=DC\tpg2\n"
+        "e2\tevent\tname=KDD;year=2004;city=Seattle\n"
+        "e3\tevent\tname=WWW;year=2003\n"
+        "e4\tevent\tname=KDD;year=2003;city=Boston\n"
+        "r4\tpaper\ttitle=b;year=2002\n"
+    )
+    (d / "links.tsv").write_bytes(
+        b"# source_type\tkey\trel\ttarget_type\tkey\r\n"
+        b"paper\ta\tcites\tpaper\tb\r\n"
+        b"paper\ta\tpresented\tevent\tKDD|2003\r\n"
+        b"paper\tb\tcites\tpaper\tmissing\r\n"
+        b"\t\t\r\n"
+        b"paper\tc \tcites\tpaper\ta\r\n"
+        b"  # indented\r\n"
+        b"paper\tb\tpresented\tevent\tKDD|2004\n"
+        b"paper\tc\tpresented\tevent\tKDD\n"
+        b"paper\tc\tpresented\tevent\tWWW|2003|x\n"
+        b"event\tKDD|2003\tfollows\tevent\tKDD|2004\n"
+        b"event\tICML|2003\tfollows\tevent\tWWW|2003\n"
+        b" \n"
+        b"paper\ta\tcites\tpaper\tb\n"
+        b"paper\t a\tcites\tpaper\tc\n"
+        b"paper\tc\tcites\tpaper\tb "
+    )
+    (d / "pages.tsv").write_bytes(b"pg1\tpg2,pg3\r\n# comment\r\npg2\tpg1\r\n\r\npg3")
+    (d / "page_object_map.tsv").write_text(
+        "pg1\tpaper\ta\t1.0\n"
+        "  # comment\n"
+        "pg2\tevent\tKDD|2003\t0.5\n"
+        "pg2\tpaper\tc\n"
+        "pg3\tevent\tWWW|2003\t2.0\n"
+        "pg3\tevent\tWWW\t1.0\n"
+    )
+    (d / "gamma.tsv").write_bytes(b"# factors\r\ncites\t0.7\r\npresented\t0.4\r\nfollows\t0.2")
+    (d / "expert.tsv").write_text("paper:a\nevent:KDD|2003\n\npaper:b\n")
+    return d
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -113,6 +176,23 @@ DIGESTS = {
 }
 
 
+# the same commands on write_edge_corpus; recorded before the columnar loader
+EDGE_DIGESTS = {
+    "compare": (0, "8307d97346f6245164a8d9b5d1cbb08ff467690a038d6b53488daec82cb6de1a",
+                "e8abb2be758b0b67a485a2d1ea8d2cb3b4a8c3a775ad10b0a6b8d68567924456"),
+    "ingest": (0, "8a51c894034d05a3b7888ed59baa15b7881130a353823bcce5d3618dbca188fc",
+               "e8abb2be758b0b67a485a2d1ea8d2cb3b4a8c3a775ad10b0a6b8d68567924456"),
+    "learn": (0, "21ea70bc57de026a25cb1beded35548e8bb2516df558e8417f1eac73a599f64f",
+              "e8abb2be758b0b67a485a2d1ea8d2cb3b4a8c3a775ad10b0a6b8d68567924456"),
+    "rank": (0, "3fcf58821b0122fac36cd89b2fbb2828fb3b7561260c34e6b50d17813e66dcc3",
+             "e8abb2be758b0b67a485a2d1ea8d2cb3b4a8c3a775ad10b0a6b8d68567924456"),
+    "rank-strict": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                    "f67c15c3b3401397ea150e7055a8d3424cf21e7538e2bd1d070caf3dbb51adf5"),
+    "simulate": (0, "ee82b406b42f6e47c7b57bd11248e1e336e593ce558733ceb6994ae0713ca47b",
+                 "e8abb2be758b0b67a485a2d1ea8d2cb3b4a8c3a775ad10b0a6b8d68567924456"),
+}
+
+
 def run_case(label: str, d, capsys) -> tuple[int, str, str]:
     command, *rest = CASES[label]
     code = main([command, str(d)] + [str(d / a) if a.endswith(".tsv") else a for a in rest])
@@ -127,3 +207,19 @@ def run_case(label: str, d, capsys) -> tuple[int, str, str]:
 def test_cli_output_digest(label, tmp_path, capsys):
     d = write_dirty_corpus(tmp_path / "dirty")
     assert run_case(label, d, capsys) == DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_edge_corpus_digest(label, tmp_path, capsys):
+    d = write_edge_corpus(tmp_path / "edge")
+    assert run_case(label, d, capsys) == EDGE_DIGESTS[label]
+
+
+def test_load_corpus_builds_no_raw_link_or_object_record(tmp_path, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built on the load path")
+
+    monkeypatch.setattr(objects.RawLink, "__init__", refuse)
+    monkeypatch.setattr(objects.ObjectRecord, "__init__", refuse)
+    bundle = load_corpus(CorpusPaths.in_dir(write_dirty_corpus(tmp_path / "dirty")))
+    assert bundle.graph.num_links > 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from poprank import FormatError, GraphError, PartialRanking
 from poprank import formats
@@ -90,6 +92,53 @@ class TestLoadCorpus:
         paths = write_minimal_corpus(tmp_path, links="movie\tA\tcites\tpaper\tB\n")
         with pytest.raises(GraphError, match="unregistered"):
             load_corpus(paths)
+
+    def test_unregistered_type_reported_before_mismatch(self, tmp_path):
+        schemas = "paper\ttitle\ttitle\nauthor\tname\tname\n"
+        objects = "r1\tpaper\ttitle=A\nr2\tauthor\tname=N\n"
+        links = ("paper\tA\tby\tauthor\tN\n"
+                 "author\tN\tby\tauthor\tN\n"  # mismatch on an earlier line
+                 "paper\tA\tcites\tmovie\tM\n")
+        paths = write_minimal_corpus(tmp_path, schemas=schemas, objects=objects, links=links)
+        with pytest.raises(GraphError, match="'cites' names unregistered object type 'movie'"):
+            load_corpus(paths)
+
+    def test_first_unregistered_line_wins(self, tmp_path):
+        links = ("paper\tA\tcites\tpaper\tB\n"
+                 "book\tA\tcites\tmovie\tB\n"
+                 "paper\tA\tcites\tmovie\tB\n"
+                 "film\tA\tcites\tpaper\tB\n")
+        paths = write_minimal_corpus(tmp_path, links=links)
+        with pytest.raises(GraphError, match="unregistered object type 'book'"):
+            load_corpus(paths)
+
+    def test_first_mismatching_line_wins(self, tmp_path):
+        schemas = "paper\ttitle\ttitle\nauthor\tname\tname\n"
+        objects = "r1\tpaper\ttitle=A\nr2\tauthor\tname=N\n"
+        links = ("paper\tA\tby\tauthor\tN\n"
+                 "paper\tA\tby\tpaper\tA\n"
+                 "author\tN\tby\tauthor\tN\n"
+                 "paper\tA\tby\tpaper\tA\n")
+        paths = write_minimal_corpus(tmp_path, schemas=schemas, objects=objects, links=links)
+        for strict in (False, True):
+            with pytest.raises(GraphError, match="link types 'paper'->'paper' do not match 'by'"):
+                load_corpus(paths, strict=strict)
+
+    @pytest.mark.parametrize("links, strict_error", [
+        ("paper\tA\tcites\tpaper\tZ\npaper\tA\tcites\tauthor\tN\n", "unresolved target 'Z'"),
+        ("paper\tZ\tcites\tpaper\tA\npaper\tA\tcites\tauthor\tN\n", "unresolved source 'Z'"),
+        ("paper\tA\tcites\tauthor\tN\npaper\tA\tcites\tpaper\tZ\n", "do not match"),
+        ("paper\tA\tcites\tauthor\tZ\n", "do not match"),  # one line, both faults
+    ], ids=["unresolved-target-first", "unresolved-source-first", "mismatch-first", "same-line"])
+    def test_strict_mode_names_the_first_bad_line(self, tmp_path, links, strict_error):
+        schemas = "paper\ttitle\ttitle\nauthor\tname\tname\n"
+        objects = "r1\tpaper\ttitle=A\nr2\tauthor\tname=N\n"
+        paths = write_minimal_corpus(tmp_path, schemas=schemas, objects=objects,
+                                     links="paper\tA\tcites\tpaper\tA\n" + links)
+        with pytest.raises(GraphError, match="do not match"):
+            load_corpus(paths)
+        with pytest.raises(GraphError, match=strict_error):
+            load_corpus(paths, strict=True)
 
     def test_map_unknown_object_lenient_then_strict(self, tmp_path):
         paths = write_minimal_corpus(tmp_path, page_map="p1\tpaper\tNope\t1.0\n")
@@ -260,3 +309,96 @@ class TestExpertFiles:
         expert_file = tmp_path / "expert.tsv"
         expert_file.write_text("")
         assert resolve_expert(bundle, expert_file) == PartialRanking(())
+
+
+# ---- properties of the readers and the loader ---------------------------------
+
+_ALPHABET = "ab|;=,:>#. \t\r0-9"
+_READERS = ["read_schemas", "read_objects", "read_links", "read_pages", "read_page_map",
+            "read_ppf", "read_expert"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reader=st.sampled_from(_READERS),
+       lines=st.lists(st.text(alphabet=_ALPHABET, max_size=24), min_size=1, max_size=4))
+def test_readers_parse_or_raise_format_error(tmp_path, reader, lines):
+    path = tmp_path / "fuzz.tsv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        getattr(formats, reader)(path)
+    except FormatError:
+        pass
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text(alphabet="ab#\t \r\n", max_size=40), size=st.integers(1, 9))
+def test_line_blocks_match_line_iteration(tmp_path, text, size):
+    path = tmp_path / "lines.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        expected = [(lineno, raw.rstrip("\n")) for lineno, raw in enumerate(fh, start=1)]
+    got = [(first + i, line) for first, lines in formats._line_blocks(path, size)
+           for i, line in enumerate(lines)]
+    assert got == expected
+
+
+def _reference_links(objects_lines, link_lines):
+    """Plain-Python loader for links: a dict over (type, key tuple) in order
+    of first appearance, then a first-appearance set of (rel, src, tgt)."""
+    index: dict[tuple[str, tuple[str, ...]], int] = {}
+    for type_name, key in objects_lines:
+        index.setdefault((type_name, key), len(index))
+    links: dict[str, list[list[int]]] = {}
+    dropped, seen, duplicates = [], set(), 0
+    for st_, sk, rel, tt, tk in link_lines:
+        links.setdefault(rel, [])
+        src, tgt = index.get((st_, tuple(sk.split("|")))), index.get((tt, tuple(tk.split("|"))))
+        if src is None or tgt is None:
+            side, key = ("source", sk) if src is None else ("target", tk)
+            dropped.append(f"link-dropped\t{rel}: unresolved {side} {key!r}")
+        elif (rel, src, tgt) in seen:
+            duplicates += 1
+        else:
+            seen.add((rel, src, tgt))
+            links[rel].append([src, tgt])
+    return links, dropped, duplicates
+
+
+_RELS = {"cites": ("paper", "paper"), "at": ("paper", "event"), "next": ("event", "event")}
+_PAPER_KEYS = ["a", "b", "c", "a ", "z"]
+_EVENT_KEYS = ["k|1", "k|2", "w|1", "k", "k|1|x", "q|9"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_corpus_matches_plain_python_reference(tmp_path, data):
+    papers = data.draw(st.lists(st.sampled_from(_PAPER_KEYS[:3]), max_size=6))
+    events = data.draw(st.lists(st.sampled_from(_EVENT_KEYS[:3]), max_size=6))
+    records = [("paper", (k,)) for k in papers] + [("event", tuple(k.split("|"))) for k in events]
+    records = data.draw(st.permutations(records))
+    keys = {"paper": _PAPER_KEYS, "event": _EVENT_KEYS}
+    link_lines = []
+    for _ in range(data.draw(st.integers(0, 30))):
+        rel = data.draw(st.sampled_from(sorted(_RELS)))
+        st_, tt = _RELS[rel]
+        link_lines.append((st_, data.draw(st.sampled_from(keys[st_])), rel, tt,
+                           data.draw(st.sampled_from(keys[tt]))))
+    filler = data.draw(st.lists(st.sampled_from(["", "  ", "\t", "# note", "  # note"]),
+                                min_size=len(link_lines) + 1, max_size=len(link_lines) + 1))
+
+    object_text = "".join(
+        f"r{i}\tpaper\ttitle={key[0]}\n" if type_name == "paper"
+        else f"r{i}\tevent\tname={key[0]};year={key[1]}\n"
+        for i, (type_name, key) in enumerate(records))
+    link_text = filler[0] + "\n" + "".join(
+        "\t".join(line) + "\n" + extra + "\n" for line, extra in zip(link_lines, filler[1:]))
+    paths = write_minimal_corpus(
+        tmp_path, schemas="paper\ttitle\ttitle\nevent\tname,year\tname,year\n",
+        objects=object_text, links=link_text, pages="", page_map="")
+    bundle = load_corpus(paths)
+
+    links, dropped, duplicates = _reference_links(records, link_lines)
+    assert [(rel, edges.tolist()) for rel, edges in bundle.graph.links.items()] == list(links.items())
+    assert [d for d in bundle.diagnostics if d.startswith("link-dropped")] == dropped
+    counted = [d for d in bundle.diagnostics if d.startswith("link-duplicates")]
+    assert counted == ([f"link-duplicates\tcount={duplicates}"] if duplicates else [])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -86,6 +87,16 @@ class TestMergeRecords:
         (obj,) = merge_records(records, registry)
         assert obj.attribute_values["venue"] == "WWW"
         assert obj.conflict_count == 0
+
+    def test_pipe_in_key_value_rejected(self):
+        registry = SchemaRegistry([ObjectTypeSchema("event", ("name", "year", "city"),
+                                                    ("name", "year"))])
+        merge_records([ObjectRecord("ok", "event", {"name": "K", "year": "1", "city": "a|b"})],
+                      registry)  # '|' is allowed outside the key
+        with pytest.raises(RecordError, match=r"record 'e2': key attribute 'year' value '2\|3' "
+                                              r"contains '\|'"):
+            merge_records([ObjectRecord("e1", "event", {"name": "K", "year": "1"}),
+                           ObjectRecord("e2", "event", {"name": "K", "year": "2|3"})], registry)
 
     def test_random_collapse_matches_grouping_oracle(self):
         rng = np.random.default_rng(42)
@@ -213,6 +224,17 @@ class TestBuildGraph:
         assert len(report.dropped) == 1
         with pytest.raises(GraphError, match="unresolved"):
             build_graph(objects, rels, raw, registry, strict=True)
+
+    @pytest.mark.parametrize("link", [
+        RawLink("paper", ("X|Y",), "cites", "paper", ("X",)),
+        RawLink("paper", ("X",), "cites", "pa\tper", ("X",)),
+        RawLink("paper", ("X",), "cites", "paper", ("X\t",)),
+    ], ids=["pipe-in-key", "tab-in-type", "tab-in-key"])
+    def test_raw_link_outside_the_file_format_rejected(self, link):
+        registry = paper_registry()
+        objects = merge_records([ObjectRecord("a", "paper", {"title": "X"})], registry)
+        with pytest.raises(GraphError, match=re.escape("contains TAB, or a key value '|'")):
+            build_graph(objects, [RelationshipType("cites", "paper", "paper")], [link], registry)
 
     def test_undeclared_relationship_rejected(self):
         registry = paper_registry()
