@@ -4,13 +4,12 @@
   and group edges by source into CSR arrays.
 * ``power_iteration`` -- one full power-iteration solve with restart and
   dangling-mass redistribution.
-* ``random_walk`` -- a sequential restart walk driven by a seeded
-  generator, tallying visits into an int64 histogram.
+* ``random_walk`` -- the restart walk driven by a seeded generator, its
+  restart segments advanced together with numpy, tallying visits into an
+  int64 histogram.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -66,39 +65,70 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
 
     ``rng`` (a numpy ``Generator``) supplies one uniform for the start
     object, then a (restart, choice) pair per step, drawn in chunks of
-    WALK_CHUNK_STEPS pairs. Objects and links are sampled by bisect-right
-    on the prior CDF and on the current row of the link CDF. The walk
-    runs over list copies of the arrays, which index faster than numpy
-    scalars in a Python loop.
-    """
-    ip = indptr.tolist()
-    tg = targets.tolist()
-    fc = cdf.tolist()
-    dg = dangling.tolist()
-    pc = prior_cdf.tolist()
-    n = len(pc)
-    counts = [0] * n
-    eps = float(epsilon)
+    WALK_CHUNK_STEPS pairs. A step restarts if its restart uniform is
+    below epsilon or the current object dangles, and then picks the object
+    by bisect-right of the choice uniform on the prior CDF; otherwise it
+    follows the link found by bisect-right on the current row of the link
+    CDF. Both picks are clamped to the last entry.
 
-    state = bisect_right(pc, rng.random())
-    if state >= n:
-        state = n - 1
-    t = 0
+    A restart forced by epsilon does not depend on the past, so each one
+    starts an independent segment of the chunk; the first segment goes on
+    from the state the previous chunk ended in. All segments of a chunk
+    advance together, one step per round of numpy operations, which gives
+    the visits of the step-by-step walk exactly.
+    """
+    n = len(prior_cdf)
+    counts = np.zeros(n, np.int64)
+    last_link = indptr[1:] - 1
+
+    def restart(u):
+        return np.minimum(np.searchsorted(prior_cdf, u, side="right"), n - 1)
+
+    def follow(s, u):
+        # bisect-right on row s clamped to its last link is the row start
+        # plus the number of the row's first deg - 1 CDF entries <= u
+        j = indptr[s]
+        hi = last_link[s]
+        step = 1 << int((hi - j).max(initial=0)).bit_length() >> 1
+        while step:
+            cand = j + step
+            j += step * ((cand <= hi) & (cdf[np.minimum(cand, hi) - 1] <= u))
+            step >>= 1
+        return targets[j]
+
+    state = int(restart(rng.random()))
+    buffer = np.empty(min(WALK_CHUNK_STEPS, steps), np.int64)
     for done in range(0, steps, WALK_CHUNK_STEPS):
-        pairs = iter(rng.random(2 * min(WALK_CHUNK_STEPS, steps - done)).tolist())
-        for u_restart, u_choice in zip(pairs, pairs):
-            t += 1
-            if dg[state] or u_restart < eps:
-                state = bisect_right(pc, u_choice)
-                if state >= n:
-                    state = n - 1
+        k = min(WALK_CHUNK_STEPS, steps - done)
+        u = rng.random(2 * k)
+        u_choice = u[1::2]
+        visited = buffer[:k]
+        starts = np.flatnonzero(u[0::2] < epsilon)
+        visited[starts] = restart(u_choice[starts])
+        # segment i walks left[i] steps from step first[i] on, starting at
+        # object cur[i]: segment 0 from the last chunk's end, the others
+        # from their restart
+        first = np.append(0, starts + 1)
+        left = np.append(starts, k) - first
+        cur = np.append(state, visited[starts])
+        order = np.argsort(-left)
+        first, cur, left = first[order], cur[order], left[order]
+        # round r advances the segments with more than r steps left, a prefix
+        for r, live in enumerate(np.searchsorted(-left, -np.arange(left[0])).tolist()):
+            pos = first[:live] + r
+            s = cur[:live]
+            uc = u_choice[pos]
+            dead_end = dangling[s]
+            if dead_end.any():
+                cur = np.empty(live, np.int64)
+                cur[dead_end] = restart(uc[dead_end])
+                linked = ~dead_end
+                cur[linked] = follow(s[linked], uc[linked])
             else:
-                lo = ip[state]
-                hi = ip[state + 1]
-                j = bisect_right(fc, u_choice, lo, hi)
-                if j >= hi:
-                    j = hi - 1
-                state = tg[j]
-            if t > burn_in:
-                counts[state] += 1
-    return np.array(counts, np.int64)
+                cur = follow(s, uc)
+            visited[pos] = cur
+        state = int(visited[-1])
+        skip = max(0, burn_in - done)
+        if skip < k:
+            counts += np.bincount(visited[skip:], minlength=n)
+    return counts

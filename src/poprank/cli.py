@@ -181,9 +181,11 @@ def cmd_ingest(args) -> int:
 
 def _ranked_objects(bundle: CorpusBundle, positions: np.ndarray) -> Iterator[tuple[int, str, str]]:
     """(object_id, type_name, key) for every object, in order of rank position."""
+    objects = bundle.graph.objects
+    schemas = {schema.type_name: schema for schema in bundle.registry}
     for object_id in np.argsort(positions).tolist():
-        obj = bundle.graph.objects[object_id]
-        yield object_id, obj.type_name, "|".join(obj.key_tuple(bundle.registry.get(obj.type_name)))
+        obj = objects[object_id]
+        yield object_id, obj.type_name, "|".join(obj.key_tuple(schemas[obj.type_name]))
 
 
 def cmd_rank(args) -> int:
@@ -196,8 +198,9 @@ def cmd_rank(args) -> int:
     meta += _convergence_meta("pagerank", page_result)
     meta += _convergence_meta("poprank", result)
     positions = ranking_positions(result.scores)
+    position, score = positions.tolist(), result.scores.tolist()
     rows = [
-        (str(int(positions[i]) + 1), type_name, key, repr(float(result.scores[i])))
+        (str(position[i] + 1), type_name, key, repr(score[i]))
         for i, type_name, key in _ranked_objects(bundle, positions)
     ]
     _write_report(args, meta, rows)
@@ -250,10 +253,10 @@ def cmd_simulate(args) -> int:
     meta += _convergence_meta("poprank", analytic)
 
     positions = ranking_positions(analytic.scores)
-    empirical = hist.empirical
+    position, score = positions.tolist(), analytic.scores.tolist()
+    empirical, counts = hist.empirical.tolist(), hist.counts.tolist()
     rows = [
-        (str(int(positions[i]) + 1), type_name, key, repr(float(analytic.scores[i])),
-         repr(float(empirical[i])), str(int(hist.counts[i])))
+        (str(position[i] + 1), type_name, key, repr(score[i]), repr(empirical[i]), str(counts[i]))
         for i, type_name, key in _ranked_objects(bundle, positions)
     ]
     _write_report(args, meta, rows)
@@ -272,9 +275,11 @@ def cmd_compare(args) -> int:
              ("damping", repr(args.damping))]
     meta += _convergence_meta("poprank", result)
 
+    position, score = object_positions.tolist(), result.scores.tolist()
+    page_position, prior_score = page_positions.tolist(), prior.tolist()
     rows = [
-        (type_name, key, repr(float(result.scores[i])), str(int(object_positions[i]) + 1),
-         repr(float(prior[i])), str(int(page_positions[i]) + 1))
+        (type_name, key, repr(score[i]), str(position[i] + 1),
+         repr(prior_score[i]), str(page_position[i] + 1))
         for i, type_name, key in _ranked_objects(bundle, object_positions)
     ]
     _write_report(args, meta, rows)

@@ -152,7 +152,11 @@ def poprank_from_transition(
     prior: np.ndarray,
     cfg: PopRankConfig = PopRankConfig(),
 ) -> RankResult:
-    """Power-iterate the restart walk on a prebuilt transition structure."""
+    """Power-iterate the restart walk on a prebuilt transition structure.
+
+    Raises ConfigError if the scores come out non-finite, so no command
+    reports NaN scores.
+    """
     prior = _check_prior(prior, transition.num_objects)
     alpha = 1.0 - cfg.epsilon
     r, iterations, residual = _kernels.power_iteration(
@@ -165,6 +169,9 @@ def poprank_from_transition(
         float(cfg.tol),
         int(cfg.max_iter),
     )
+    scores = r / r.sum()
+    if not np.all(np.isfinite(scores)):
+        raise ConfigError(f"poprank scores are not finite (residual {residual:.3e})")
     converged = residual < cfg.tol
     if not converged:
         warnings.warn(
@@ -172,7 +179,7 @@ def poprank_from_transition(
             NonConvergenceWarning,
             stacklevel=2,
         )
-    return RankResult(r / r.sum(), iterations, float(residual), converged)
+    return RankResult(scores, iterations, float(residual), converged)
 
 
 def poprank(

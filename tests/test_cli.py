@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import SRC, dense_poprank
-from poprank import PpfAssignment, build_transition, web_popularity
+from poprank import PpfAssignment, _kernels, build_transition, web_popularity
 from poprank.cli import main
 from poprank.corpus import CorpusPaths, load_corpus
 from poprank.formats import read_ppf, read_report
@@ -340,6 +341,43 @@ class TestCompare:
         meta, rows = read_report(out)
         assert float(meta["kendall-tau"]) == 1.0
         assert len(rows) == 1
+
+
+class TestNonFiniteScores:
+    """A solve that returns NaN stops rank, simulate and compare with exit 2."""
+
+    @pytest.mark.parametrize("command", [
+        ["rank"], ["compare"], ["simulate", "--steps", "1000"],
+    ], ids=["rank", "compare", "simulate"])
+    def test_nan_object_scores_exit_2(self, oracle_corpus, tmp_path, monkeypatch, capsys, command):
+        self._check(oracle_corpus, tmp_path, monkeypatch, capsys, command,
+                    4, "poprank scores are not finite")  # the corpus has 4 objects
+
+    @pytest.mark.parametrize("command", [
+        ["rank"], ["compare"], ["simulate", "--steps", "1000"],
+        ["simulate", "--steps", "1000", "--epsilon", "1.0"],
+    ], ids=["rank", "compare", "simulate", "simulate-restart-only"])
+    def test_nan_page_scores_exit_2(self, oracle_corpus, tmp_path, monkeypatch, capsys, command):
+        self._check(oracle_corpus, tmp_path, monkeypatch, capsys, command,
+                    3, "prior must be a probability distribution")  # and 3 pages
+
+    @staticmethod
+    def _check(corpus, tmp_path, monkeypatch, capsys, command, size, message):
+        """Run command with NaN in the solve over `size` nodes."""
+        real = _kernels.power_iteration
+
+        def solve(indptr, targets, probs, dangling, alpha, v, tol, max_iter):
+            r, iterations, residual = real(indptr, targets, probs, dangling, alpha, v, tol, max_iter)
+            if len(v) == size:
+                r = np.where(np.arange(size) == 0, np.nan, r)
+            return r, iterations, residual
+
+        monkeypatch.setattr(_kernels, "power_iteration", solve)
+        out = tmp_path / "report.tsv"
+        code = run_cli(command[0], corpus, "--ppf", corpus / "gamma.tsv", *command[1:], "--out", out)
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

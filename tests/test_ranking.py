@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_poprank, random_graph, random_prior, simple_graph
 from poprank import (
@@ -212,3 +214,70 @@ class TestRankingPositions:
         scores = np.array([0.2, 0.5, 0.2, 0.1])
         positions = ranking_positions(scores)
         assert positions.tolist() == [1, 0, 2, 3]
+
+
+@st.composite
+def corpora(draw):
+    """(links by type, factors, prior) for 1-8 objects and 1-3 relationship
+    types; factors may be 0 and links may repeat or loop."""
+    n = draw(st.integers(1, 8))
+    names = [f"rel{i}" for i in range(draw(st.integers(1, 3)))]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    links = {name: draw(st.lists(pair, max_size=3 * n)) for name in names}
+    factor = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    factors = {name: draw(factor) for name in names}
+    if not any(factors.values()):
+        factors[names[0]] = 1.0
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    prior = np.array(weights) + 0.01
+    return links, factors, prior / prior.sum()
+
+
+def _solve(links, factors, prior):
+    return poprank(simple_graph(len(prior), links), PpfAssignment(factors), prior,
+                   PopRankConfig(tol=1e-13))
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(corpora())
+    def test_rows_are_stochastic_or_empty_where_dangling(self, corpus):
+        links, factors, _ = corpus
+        n = len(corpus[2])
+        t = build_transition(simple_graph(n, links), PpfAssignment(factors))
+        for o in range(n):
+            row = t.probs[t.indptr[o]:t.indptr[o + 1]]
+            if t.dangling[o]:
+                assert row.size == 0
+            else:
+                assert row.size > 0 and (row > 0).all()
+                assert abs(row.sum() - 1.0) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(), st.floats(0.01, 1.0))
+    def test_scaling_every_factor_leaves_scores_unchanged(self, corpus, scale):
+        links, factors, prior = corpus
+        top = max(factors.values())
+        scaled = {name: gamma * scale / top for name, gamma in factors.items()}
+        np.testing.assert_allclose(
+            _solve(links, scaled, prior).scores, _solve(links, factors, prior).scores, atol=1e-12
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora())
+    def test_scores_are_finite_and_sum_to_one(self, corpus):
+        scores = _solve(*corpus).scores
+        assert np.isfinite(scores).all() and (scores >= 0).all()
+        assert abs(scores.sum() - 1.0) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(), st.randoms(use_true_random=False))
+    def test_relabelling_objects_permutes_scores(self, corpus, random):
+        links, factors, prior = corpus
+        perm = list(range(len(prior)))
+        random.shuffle(perm)
+        relabelled = {name: [(perm[s], perm[t]) for s, t in pairs] for name, pairs in links.items()}
+        moved = np.empty_like(prior)
+        moved[perm] = prior
+        scores = _solve(links, factors, prior).scores
+        np.testing.assert_allclose(_solve(relabelled, factors, moved).scores[perm], scores, atol=1e-12)
