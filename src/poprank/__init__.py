@@ -42,6 +42,7 @@ from .objects import (
     merge_records,
 )
 from .ranking import (
+    LinkStructure,
     PopRankConfig,
     PpfAssignment,
     TransitionStructure,
@@ -79,6 +80,7 @@ __all__ = [
     "RankResult",
     "pagerank",
     "web_popularity",
+    "LinkStructure",
     "PopRankConfig",
     "PpfAssignment",
     "TransitionStructure",

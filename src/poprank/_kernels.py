@@ -1,9 +1,9 @@
 """The two numeric inner loops, and the edge-array helpers that feed them.
 
-* ``unique_edges`` and ``csr`` -- deduplicate ``(m, 2)`` int64 edge arrays
+* ``unique_edges``, ``row_starts`` and ``csr`` -- deduplicate ``(m, 2)`` int64 edge arrays
   and group edges by source into CSR arrays.
 * ``power_iteration`` -- one full power-iteration solve with restart and
-  dangling-mass redistribution.
+  dangling-mass redistribution, from the prior or from a given start.
 * ``random_walk`` -- the restart walk driven by a seeded generator, its
   restart segments advanced together with numpy, tallying visits into an
   int64 histogram.
@@ -29,24 +29,30 @@ def unique_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return edges[first], len(edges) - len(first)
 
 
+def row_starts(n: int, src: np.ndarray) -> np.ndarray:
+    """CSR ``indptr`` (int64, length n + 1) of edges with sources ``src``."""
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr
+
+
 def csr(n: int, src: np.ndarray, tgt: np.ndarray, probs: np.ndarray):
     """CSR ``(indptr, targets, probs)``; edges keep their input order within a row."""
     order = np.argsort(src, kind="stable")
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, tgt[order], probs[order]
+    return row_starts(n, src), tgt[order], probs[order]
 
 
-def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter):
+def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter, r0=None):
     """Iterate r <- alpha * (pull(r) + dangling_mass * v) + (1 - alpha) * v
-    from r0 = v until the L1 change drops below tol.
+    from r0 (v when None) until the L1 change drops below tol.
 
     Returns (r, iterations, residual); r is unnormalized (its sum stays 1
-    up to float drift).
+    up to float drift). A start at the fixed point stops after one
+    iteration.
     """
     n = v.shape[0]
     sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    r = v.copy()
+    r = (v if r0 is None else r0).copy()
     it = 0
     delta = np.inf
     for it in range(1, max_iter + 1):

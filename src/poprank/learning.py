@@ -5,19 +5,31 @@ objective is the number of constraint pairs the induced popularity order
 gets wrong (ties count as wrong); it is piecewise constant in the
 factors, so the search is derivative-free: an exhaustive factor grid
 followed by coordinate-wise local refinement with a shrinking step.
+
+Each evaluation is one PopRank solve on the same graph. The graph's
+``LinkStructure`` is built once and reweighted per factor vector; each
+solve starts from the scores of the previous one (a warm start), and a
+factor vector seen before is not solved again. ``evaluations`` still
+counts every call of the objective.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, GraphError
 from .objects import ObjectGraph
-from .ranking import PopRankConfig, PpfAssignment, build_transition, poprank_from_transition
+from .ranking import (  # noqa: F401 -- perfbench/traced.py patches build_transition here
+    LinkStructure,
+    PopRankConfig,
+    PpfAssignment,
+    build_transition,
+    poprank_from_transition,
+)
 
 GRID_EVAL_CAP = 10_000
 
@@ -25,9 +37,14 @@ GRID_EVAL_CAP = 10_000
 @dataclass(frozen=True)
 class PartialRanking:
     """Strict ordering constraints: each pair (higher, lower) means the
-    expert ranks the first object strictly above the second."""
+    expert ranks the first object strictly above the second.
+
+    ``high`` and ``low`` hold the pairs' two sides as int64 arrays.
+    """
 
     pairs: tuple[tuple[int, int], ...]
+    high: np.ndarray = field(init=False, repr=False, compare=False)
+    low: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cleaned: list[tuple[int, int]] = []
@@ -43,6 +60,8 @@ class PartialRanking:
             seen.add(pair)
             cleaned.append(pair)
         object.__setattr__(self, "pairs", tuple(cleaned))
+        object.__setattr__(self, "high", np.array([p[0] for p in cleaned], np.int64))
+        object.__setattr__(self, "low", np.array([p[1] for p in cleaned], np.int64))
 
     @classmethod
     def from_order(cls, ordered_ids: Sequence[int]) -> "PartialRanking":
@@ -57,16 +76,16 @@ class PartialRanking:
 def rank_disagreement(scores: np.ndarray, expert: PartialRanking) -> tuple[int, int]:
     """Count expert pairs the scores get wrong. Ties count as violations.
 
-    Returns (violations, total constraint pairs).
+    Returns (violations, total constraint pairs). Raises ConfigError on
+    non-finite scores, which would otherwise count as agreeing.
     """
+    scores = np.asarray(scores, np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ConfigError("scores must be finite to compare with an expert ranking")
     if not expert.pairs:
         return 0, 0
-    scores = np.asarray(scores, np.float64)
-    n = scores.shape[0]
-    high = np.array([p[0] for p in expert.pairs], np.int64)
-    low = np.array([p[1] for p in expert.pairs], np.int64)
-    ids = np.concatenate([high, low])
-    if ids.min() < 0 or ids.max() >= n:
+    high, low = expert.high, expert.low
+    if min(high.min(), low.min()) < 0 or max(high.max(), low.max()) >= scores.shape[0]:
         raise GraphError("expert constraint references an unknown object")
     violations = int(np.count_nonzero(scores[high] <= scores[low]))
     return violations, len(expert.pairs)
@@ -100,9 +119,18 @@ class LearnConfig:
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
-    def grid_levels(self) -> np.ndarray:
-        levels = np.linspace(0.0, 1.0, self.grid_resolution)
-        levels[0] = 0.05  # gamma 0 would delete the type outright
+    def grid_levels(self, indices) -> np.ndarray:
+        """The factor levels at the given grid indices, without building the grid.
+
+        Level j is ``np.linspace(0, 1, grid_resolution)[j]``, computed as
+        linspace computes it, except that level 0 is 0.05: gamma 0 would
+        delete the type outright.
+        """
+        j = np.asarray(indices)
+        last = self.grid_resolution - 1
+        levels = j * (1.0 / last)
+        levels[j == 0] = 0.05
+        levels[j == last] = 1.0
         return levels
 
 
@@ -115,14 +143,15 @@ class LearnResult:
     grid_violations: int
 
 
-def _grid_combinations(levels: np.ndarray, k: int, rng_seed: int):
-    """All |levels|^k factor vectors, or a seeded uniform sample of 10,000
-    when the full grid is larger."""
-    if len(levels) ** k <= GRID_EVAL_CAP:
-        return itertools.product((float(g) for g in levels), repeat=k)
-    rng = np.random.default_rng(rng_seed)
-    picks = rng.integers(0, len(levels), size=(GRID_EVAL_CAP, k))
-    return (tuple(float(levels[j]) for j in row) for row in picks)
+def _grid_combinations(cfg: LearnConfig, k: int):
+    """All grid_resolution^k factor vectors, or a seeded uniform sample of
+    10,000 when the full grid is larger. Only the levels used are computed,
+    so memory does not grow with grid_resolution."""
+    res = cfg.grid_resolution
+    if res**k <= GRID_EVAL_CAP:
+        return itertools.product(cfg.grid_levels(np.arange(res)).tolist(), repeat=k)
+    picks = np.random.default_rng(cfg.rng_seed).integers(0, res, size=(GRID_EVAL_CAP, k))
+    return (tuple(row.tolist()) for row in cfg.grid_levels(picks))
 
 
 def learn_ppf(
@@ -148,18 +177,24 @@ def learn_ppf(
 
     names = [rt.rel_name for rt in graph.relationship_types]
     k = len(names)
-    levels = cfg.grid_levels()
+    links = LinkStructure.from_graph(graph)
     evaluations = 0
+    # violations per factor vector solved so far, and the latest scores
+    violations_of: dict[tuple[float, ...], int] = {}
+    start: np.ndarray | None = None
 
     def objective(vector: Sequence[float]) -> int:
-        nonlocal evaluations
+        nonlocal evaluations, start
         evaluations += 1
-        ppf = PpfAssignment(dict(zip(names, vector)))
-        result = poprank_from_transition(build_transition(graph, ppf), prior, cfg.poprank_cfg)
-        violations, _ = rank_disagreement(result.scores, expert)
-        return violations
+        vector = tuple(vector)
+        if vector not in violations_of:
+            ppf = PpfAssignment(dict(zip(names, vector)))
+            result = poprank_from_transition(links.reweight(ppf), prior, cfg.poprank_cfg, start)
+            start = result.scores
+            violations_of[vector], _ = rank_disagreement(result.scores, expert)
+        return violations_of[vector]
 
-    combos = _grid_combinations(levels, k, cfg.rng_seed)
+    combos = _grid_combinations(cfg, k)
     best_vec: tuple[float, ...] | None = None
     best_violations = -1
     for vec in combos:

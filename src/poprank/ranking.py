@@ -10,7 +10,18 @@ The fixed point of
 
     scores = epsilon * prior + (1 - epsilon) * (pulled_along_links + dangling_mass * prior)
 
-is the popularity vector, computed by power iteration from the prior.
+is the popularity vector, computed by power iteration from the prior
+(or from a given start vector: ``learn`` warm-starts each solve from the
+scores of the previous factor vector).
+
+A factor vector changes only one scale per relationship type and source
+object, so the transition is built in two steps. ``LinkStructure`` holds
+what does not depend on the factors: every link in CSR order, its type,
+its source's out-degree in that type, and per type the objects that have
+such links. It is built once per graph; ``LinkStructure.reweight`` then
+makes a factor vector's ``TransitionStructure`` with one pass per type
+and one vectorized expression, without sorting. ``build_transition`` is
+the two steps in one call.
 """
 
 from __future__ import annotations
@@ -68,7 +79,9 @@ class TransitionStructure:
     """Row-stochastic out-link structure in CSR form.
 
     Rows of dangling objects are empty; every other row sums to 1.
-    Immutable after build and shareable across rank/learn/simulate calls.
+    Immutable after build and shareable across rank/learn/simulate calls;
+    ``indptr`` and ``targets`` may be the arrays of the LinkStructure it
+    was reweighted from.
     """
 
     num_objects: int
@@ -91,6 +104,72 @@ class TransitionStructure:
         return flat - np.repeat(base, np.diff(self.indptr))
 
 
+@dataclass(frozen=True, eq=False)
+class LinkStructure:
+    """The factor-independent part of a graph's transition structure.
+
+    Every link of every relationship type in CSR order (grouped by
+    source; within a row by relationship type, then in graph order),
+    with its type and the out-degree of its source in that type, plus,
+    per type, the objects with at least one out-link of it. Built once
+    per graph by ``from_graph``; ``reweight`` gives the
+    TransitionStructure of one factor assignment.
+    """
+
+    num_objects: int
+    rel_names: tuple[str, ...]
+    indptr: np.ndarray  # int64, length num_objects + 1
+    targets: np.ndarray  # int64
+    types: np.ndarray  # unsigned int, index into rel_names
+    degrees: np.ndarray  # float64, out-degree of the link's source in its type
+    linked: tuple[np.ndarray, ...]  # per type, the objects with out-links of it
+
+    @classmethod
+    def from_graph(cls, graph: ObjectGraph) -> "LinkStructure":
+        n = graph.num_objects
+        rel_names = tuple(rt.rel_name for rt in graph.relationship_types)
+        edges = [graph.links[name] for name in rel_names]
+        out_degrees = [np.bincount(e[:, 0], minlength=n) for e in edges]
+        src = np.concatenate([np.empty(0, np.int64), *(e[:, 0] for e in edges)])
+        order = np.argsort(src, kind="stable")
+        indptr = _kernels.row_starts(n, src)
+        del src
+        # one column at a time, so that at most one unsorted copy is alive
+        degrees = np.concatenate(
+            [np.empty(0), *(d[e[:, 0]] for d, e in zip(out_degrees, edges))])[order]
+        targets = np.concatenate([np.empty(0, np.int64), *(e[:, 1] for e in edges)])[order]
+        type_ids = np.arange(len(edges), dtype=np.min_scalar_type(len(edges)))
+        types = np.repeat(type_ids, np.array([len(e) for e in edges], np.int64))[order]
+        linked = tuple(np.flatnonzero(d) for d in out_degrees)
+        return cls(n, rel_names, indptr, targets, types, degrees, linked)
+
+    def reweight(self, ppf: PpfAssignment) -> TransitionStructure:
+        """The transition structure of ``ppf``, as ``build_transition`` defines it.
+
+        Raises ConfigError when a relationship type of the graph has no factor.
+        """
+        for name in self.rel_names:
+            if name not in ppf.factors:
+                raise ConfigError(f"no propagation factor for relationship type {name!r}")
+        gammas = np.array([float(ppf.factors[name]) for name in self.rel_names], np.float64)
+        # z[o] sums the factors of o's followable types, added in type order
+        z = np.zeros(self.num_objects, np.float64)
+        for gamma, linked in zip(gammas.tolist(), self.linked):
+            if gamma > 0.0:
+                z[linked] += gamma
+        indptr, targets, types, degrees = self.indptr, self.targets, self.types, self.degrees
+        if not np.all(gammas > 0.0):
+            # a zero factor removes its type's links; the rest keep their order
+            keep = gammas[types] > 0.0
+            targets, types, degrees = targets[keep], types[keep], degrees[keep]
+            indptr = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])[indptr]
+        # (gamma_t / z[o]) / deg_t(o) per link, in place
+        probs = gammas[types]
+        probs /= np.repeat(z, np.diff(indptr))
+        probs /= degrees
+        return TransitionStructure(self.num_objects, indptr, targets, probs, z == 0.0)
+
+
 def build_transition(graph: ObjectGraph, ppf: PpfAssignment) -> TransitionStructure:
     """Turn typed links plus propagation factors into a stochastic structure.
 
@@ -99,43 +178,19 @@ def build_transition(graph: ObjectGraph, ppf: PpfAssignment) -> TransitionStruct
     (gamma_t / sum over T(o)) * (1 / out_degree_t(o)). Objects with
     empty T(o) are dangling. Raises ConfigError when a relationship type
     present in the graph has no factor.
+
+    This builds the graph's LinkStructure and reweights it. Code that
+    needs many factor vectors on one graph builds the LinkStructure once
+    and calls ``reweight`` per vector; the arrays are the same.
     """
-    n = graph.num_objects
-    for rt in graph.relationship_types:
-        if rt.rel_name not in ppf.factors:
-            raise ConfigError(f"no propagation factor for relationship type {rt.rel_name!r}")
-
-    z = np.zeros(n, np.float64)
-    per_type: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
-    for rt in graph.relationship_types:
-        gamma = float(ppf.factors[rt.rel_name])
-        edges = graph.links[rt.rel_name]
-        if gamma <= 0.0 or not len(edges):
-            continue
-        src, tgt = edges[:, 0], edges[:, 1]
-        deg = np.bincount(src, minlength=n)
-        z += np.where(deg > 0, gamma, 0.0)
-        per_type.append((gamma, src, tgt, deg))
-
-    dangling = z == 0.0
-    if not per_type:
-        return TransitionStructure(
-            n, np.zeros(n + 1, np.int64), np.empty(0, np.int64), np.empty(0, np.float64), dangling
-        )
-
-    src_all = np.concatenate([src for _, src, _, _ in per_type])
-    tgt_all = np.concatenate([tgt for _, _, tgt, _ in per_type])
-    prob_all = np.concatenate(
-        [(gamma / z[src]) / deg[src] for gamma, src, _, deg in per_type]
-    )
-    return TransitionStructure(n, *_kernels.csr(n, src_all, tgt_all, prob_all), dangling)
+    return LinkStructure.from_graph(graph).reweight(ppf)
 
 
-def _check_prior(prior: np.ndarray, num_objects: int) -> np.ndarray:
+def _check_prior(prior: np.ndarray, num_objects: int, name: str = "prior") -> np.ndarray:
     prior = np.asarray(prior, np.float64)
     if prior.shape != (num_objects,):
         raise ConfigError(
-            f"prior has {prior.shape[0] if prior.ndim == 1 else prior.shape} entries, "
+            f"{name} has {prior.shape[0] if prior.ndim == 1 else prior.shape} entries, "
             f"graph has {num_objects} objects"
         )
     if (
@@ -143,7 +198,7 @@ def _check_prior(prior: np.ndarray, num_objects: int) -> np.ndarray:
         or np.any(prior < 0.0)
         or abs(float(prior.sum()) - 1.0) > 1e-9
     ):
-        raise ConfigError("prior must be a probability distribution over the objects")
+        raise ConfigError(f"{name} must be a probability distribution over the objects")
     return prior
 
 
@@ -151,13 +206,18 @@ def poprank_from_transition(
     transition: TransitionStructure,
     prior: np.ndarray,
     cfg: PopRankConfig = PopRankConfig(),
+    start: np.ndarray | None = None,
 ) -> RankResult:
     """Power-iterate the restart walk on a prebuilt transition structure.
 
-    Raises ConfigError if the scores come out non-finite, so no command
-    reports NaN scores.
+    The iteration starts from the prior, or from ``start`` when given (a
+    probability distribution over the objects, such as the scores of a
+    nearby factor vector: a warm start needs fewer iterations to reach
+    the same tolerance). Raises ConfigError if the scores come out
+    non-finite, so no command reports NaN scores.
     """
     prior = _check_prior(prior, transition.num_objects)
+    warm = {} if start is None else {"r0": _check_prior(start, transition.num_objects, "start")}
     alpha = 1.0 - cfg.epsilon
     r, iterations, residual = _kernels.power_iteration(
         transition.indptr,
@@ -168,6 +228,7 @@ def poprank_from_transition(
         prior,
         float(cfg.tol),
         int(cfg.max_iter),
+        **warm,
     )
     scores = r / r.sum()
     if not np.all(np.isfinite(scores)):

@@ -3,6 +3,7 @@ and the segment-parallel walk gives the histogram of a step-by-step walk."""
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 from bisect import bisect_right
 from unittest import mock
@@ -32,6 +33,24 @@ def test_power_iteration_iteration_count_is_pinned():
     assert iterations == 26
     assert residual < 1e-12
     assert abs(r.sum() - 1.0) < 1e-12
+    # the bits of the cold-start solve, as computed before starts could be given
+    assert hashlib.sha256(r.tobytes()).hexdigest() == (
+        "0496ef6f9dce80e6e9686fc11340834e3faea8875886834dc0a6bf173b21ec5d")
+    assert residual == 7.686490333114193e-13
+
+
+def test_power_iteration_start_vector():
+    t, prior = _structure()
+    args = (t.indptr, t.targets, t.probs, t.dangling, 0.85, prior)
+    cold = _kernels.power_iteration(*args, 1e-12, 2000)
+    from_prior = _kernels.power_iteration(*args, 1e-12, 2000, r0=prior)
+    assert from_prior[0].tobytes() == cold[0].tobytes()
+    assert from_prior[1:] == cold[1:]
+    fixed_point = _kernels.power_iteration(*args, 1e-15, 2000)[0]
+    r, iterations, residual = _kernels.power_iteration(*args, 1e-10, 2000, r0=fixed_point)
+    assert iterations == 1
+    assert residual < 1e-10
+    np.testing.assert_allclose(r, fixed_point, atol=1e-15)
 
 
 def test_random_walk_histogram_is_pinned():

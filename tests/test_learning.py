@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,17 @@ from poprank import (
     ConfigError,
     GraphError,
     LearnConfig,
+    LinkStructure,
     PartialRanking,
     PopRankConfig,
     PpfAssignment,
     kendall_tau,
     learn_ppf,
     poprank,
+    poprank_from_transition,
     rank_disagreement,
 )
+from poprank import learning
 
 
 class TestPartialRanking:
@@ -40,6 +45,13 @@ class TestPartialRanking:
     def test_repeated_id_in_order_rejected(self):
         with pytest.raises(ConfigError):
             PartialRanking.from_order([1, 2, 1])
+
+    def test_pairs_as_index_arrays(self):
+        ranking = PartialRanking(((1, 2), (1, 2), (0, 2)))
+        assert ranking.high.dtype == ranking.low.dtype == np.int64
+        assert ranking.high.tolist() == [1, 0]
+        assert ranking.low.tolist() == [2, 2]
+        assert ranking == PartialRanking(((1, 2), (0, 2)))
 
 
 class TestRankDisagreement:
@@ -76,6 +88,14 @@ class TestRankDisagreement:
 
     def test_empty_ranking_counts_nothing(self):
         assert rank_disagreement(np.array([1.0]), PartialRanking(())) == (0, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN compares false, so it would count as agreeing with the expert
+        with pytest.raises(ConfigError, match="finite"):
+            rank_disagreement(np.array([bad, 0.5]), PartialRanking(((0, 1),)))
+        with pytest.raises(ConfigError, match="finite"):
+            rank_disagreement(np.array([0.5, 0.2, bad]), PartialRanking(((0, 1),)))
 
 
 def planted_corpus(seed: int, gamma_star: tuple[float, float]):
@@ -148,6 +168,45 @@ class TestLearnPpf:
         result = learn_ppf(graph, prior, expert, LearnConfig())
         assert result.violations <= result.grid_violations
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_warm_starts_give_the_cold_start_result(self, tol, monkeypatch):
+        cfg = LearnConfig(poprank_cfg=PopRankConfig(tol=tol))
+        corpora = [planted_corpus(seed, gamma_star) for seed, gamma_star in
+                   [(100, (0.8, 0.2)), (100, (0.6, 0.4)), (100, (0.9, 0.1)), (7, (0.8, 0.2)),
+                    (13, (0.9, 0.1))]]
+        # the planted corpora of release criterion 6
+        gamma_stars = [(0.8, 0.2), (0.6, 0.4), (0.9, 0.1)]
+        corpora += [planted_corpus(seed, gamma_stars[(seed - 1) % 3]) for seed in range(1, 11)]
+        # an expert order the factors cannot reach: refinement runs until its step vanishes
+        graph, prior, expert = planted_corpus(7, (0.8, 0.2))
+        corpora.append((graph, prior, PartialRanking(tuple((b, a) for a, b in expert.pairs))))
+        warm = [learn_ppf(graph, prior, expert, cfg) for graph, prior, expert in corpora]
+
+        def cold(transition, prior, cfg, start=None):
+            return poprank_from_transition(transition, prior, cfg)
+
+        monkeypatch.setattr(learning, "poprank_from_transition", cold)
+        for (graph, prior, expert), result in zip(corpora, warm):
+            assert learn_ppf(graph, prior, expert, cfg) == result
+        assert warm[-1].violations > 0 and warm[-1].evaluations > 100
+
+    def test_repeated_vectors_are_counted_but_solved_once(self, monkeypatch):
+        # the twins can never be separated, so refinement spends its whole
+        # budget; halving the step clamps to 0.01 twice
+        graph = simple_graph(4, {"cites": [(0, 1), (1, 0), (2, 3), (3, 2)]})
+        solved = []
+        reweight = LinkStructure.reweight
+
+        def spy(self, ppf):
+            solved.append(tuple(ppf.factors.values()))
+            return reweight(self, ppf)
+
+        monkeypatch.setattr(LinkStructure, "reweight", spy)
+        result = learn_ppf(graph, np.full(4, 0.25), PartialRanking(((0, 1),)),
+                           LearnConfig(refine_iters=20))
+        assert result.evaluations == 5 + 20
+        assert len(set(solved)) == len(solved) == result.evaluations - 1
+
     def test_empty_expert_rejected(self):
         graph = simple_graph(2, {"cites": [(0, 1)]})
         with pytest.raises(ConfigError):
@@ -160,8 +219,32 @@ class TestLearnPpf:
 
     def test_grid_levels_default(self):
         np.testing.assert_allclose(
-            LearnConfig().grid_levels(), [0.05, 0.25, 0.5, 0.75, 1.0]
+            LearnConfig().grid_levels(np.arange(5)), [0.05, 0.25, 0.5, 0.75, 1.0]
         )
+
+    def test_grid_levels_match_linspace(self):
+        for res in range(2, 300):
+            want = np.linspace(0.0, 1.0, res)
+            want[0] = 0.05
+            got = LearnConfig(grid_resolution=res).grid_levels(np.arange(res))
+            assert got.tobytes() == want.tobytes(), res
+
+    def test_huge_grid_resolution_does_not_allocate_the_grid(self):
+        from poprank.learning import GRID_EVAL_CAP, _grid_combinations
+
+        cfg = LearnConfig(grid_resolution=10**7)
+        next(iter(_grid_combinations(cfg, 3)))  # lazy set-up inside numpy is not the grid's
+        tracemalloc.start()
+        try:
+            drawn = 0
+            for vec in _grid_combinations(cfg, 3):
+                assert len(vec) == 3 and all(0.0 < g <= 1.0 for g in vec)
+                drawn += 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert drawn == GRID_EVAL_CAP
+        assert peak < 1_000_000
 
     def test_grid_resolution_validation(self):
         with pytest.raises(ConfigError):
@@ -170,23 +253,22 @@ class TestLearnPpf:
     def test_oversized_grid_is_sampled_with_seed(self):
         from poprank.learning import GRID_EVAL_CAP, _grid_combinations
 
-        levels = LearnConfig().grid_levels()
+        levels = LearnConfig().grid_levels(np.arange(5))
         # 5^6 = 15625 > 10000 triggers the sampled path
-        sampled = list(_grid_combinations(levels, 6, rng_seed=3))
+        sampled = list(_grid_combinations(LearnConfig(rng_seed=3), 6))
         assert len(sampled) == GRID_EVAL_CAP
         assert all(len(vec) == 6 for vec in sampled)
         level_set = set(float(g) for g in levels)
         assert set(sampled[0]) <= level_set
-        again = list(_grid_combinations(levels, 6, rng_seed=3))
+        again = list(_grid_combinations(LearnConfig(rng_seed=3), 6))
         assert sampled == again
-        other = list(_grid_combinations(levels, 6, rng_seed=4))
+        other = list(_grid_combinations(LearnConfig(rng_seed=4), 6))
         assert sampled != other
 
     def test_small_grid_is_exhaustive(self):
         from poprank.learning import _grid_combinations
 
-        levels = np.array([0.05, 1.0])
-        combos = list(_grid_combinations(levels, 2, rng_seed=0))
+        combos = list(_grid_combinations(LearnConfig(grid_resolution=2), 2))
         assert combos == [(0.05, 0.05), (0.05, 1.0), (1.0, 0.05), (1.0, 1.0)]
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import dense_poprank, random_graph, random_prior, simple_graph
 from poprank import (
     ConfigError,
+    LinkStructure,
     NonConvergenceWarning,
     PageGraph,
     PopRankConfig,
@@ -17,6 +18,8 @@ from poprank import (
     build_transition,
     pagerank,
     poprank,
+    TransitionStructure,
+    _kernels,
     poprank_from_transition,
     ranking_positions,
 )
@@ -76,6 +79,83 @@ class TestBuildTransition:
         assert t.row(0) == [(1, 1.0)]
         assert t.row(1) == []
         assert t.dangling[1]
+
+
+def reference_transition(graph, ppf) -> TransitionStructure:
+    """The transition built anew for one factor vector: the kept
+    types' links concatenated in type order, weighted, then sorted by
+    source. LinkStructure.reweight must give these arrays bit for bit."""
+    n = graph.num_objects
+    z = np.zeros(n, np.float64)
+    per_type = []
+    for rt in graph.relationship_types:
+        gamma = float(ppf.factors[rt.rel_name])
+        edges = graph.links[rt.rel_name]
+        if gamma <= 0.0 or not len(edges):
+            continue
+        src, tgt = edges[:, 0], edges[:, 1]
+        deg = np.bincount(src, minlength=n)
+        z += np.where(deg > 0, gamma, 0.0)
+        per_type.append((gamma, src, tgt, deg))
+    dangling = z == 0.0
+    if not per_type:
+        return TransitionStructure(
+            n, np.zeros(n + 1, np.int64), np.empty(0, np.int64), np.empty(0, np.float64), dangling
+        )
+    src_all = np.concatenate([src for _, src, _, _ in per_type])
+    tgt_all = np.concatenate([tgt for _, _, tgt, _ in per_type])
+    prob_all = np.concatenate([(gamma / z[src]) / deg[src] for gamma, src, _, deg in per_type])
+    return TransitionStructure(n, *_kernels.csr(n, src_all, tgt_all, prob_all), dangling)
+
+
+@st.composite
+def reweight_cases(draw):
+    """(objects, links by type, factor vectors) for 1-10 objects and 0-4
+    relationship types. Types may have no links, and the whole graph may
+    have none; factors may be 0, and the vectors name at least one type."""
+    n = draw(st.integers(1, 10))
+    names = [f"rel{i}" for i in range(draw(st.integers(0, 4)))]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    max_links = draw(st.sampled_from([0, 3 * n]))
+    links = {name: draw(st.lists(pair, max_size=max_links)) for name in names}
+    factor = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.01, 1.0))
+    vectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = {name: draw(factor) for name in names or ["rel0"]}
+        if not any(factors.values()):
+            factors[draw(st.sampled_from(sorted(factors)))] = draw(st.floats(0.01, 1.0))
+        vectors.append(factors)
+    return n, links, vectors
+
+
+class TestLinkStructure:
+    @settings(max_examples=300, deadline=None)
+    @given(reweight_cases())
+    def test_reweight_matches_the_reference_bit_for_bit(self, case):
+        n, links, vectors = case
+        graph = simple_graph(n, links)
+        structure = LinkStructure.from_graph(graph)
+        for factors in vectors:
+            ppf = PpfAssignment(factors)
+            want = reference_transition(graph, ppf)
+            for got in (structure.reweight(ppf), build_transition(graph, ppf)):
+                assert got.num_objects == n
+                for name in ("indptr", "targets", "probs", "dangling"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert a.tobytes() == b.tobytes(), name
+
+    def test_zero_factor_drops_links_instead_of_weighting_them_zero(self):
+        graph = simple_graph(3, {"cites": [(0, 1)], "extends": [(0, 2), (1, 2)]})
+        t = LinkStructure.from_graph(graph).reweight(PpfAssignment({"cites": 1.0, "extends": 0.0}))
+        assert t.indptr.tolist() == [0, 1, 1, 1]
+        assert t.targets.tolist() == [1]
+        assert t.dangling.tolist() == [False, True, True]
+
+    def test_missing_factor_rejected(self):
+        structure = LinkStructure.from_graph(simple_graph(2, {"cites": [(0, 1)]}))
+        with pytest.raises(ConfigError, match="cites"):
+            structure.reweight(PpfAssignment({"extends": 0.5}))
 
 
 class TestPopRank:
@@ -188,6 +268,24 @@ class TestPopRank:
         graph = simple_graph(2, {"cites": [(0, 1)]})
         with pytest.raises(ConfigError):
             poprank(graph, PpfAssignment({"cites": 1.0}), np.array([0.9, 0.3]))
+
+    def test_start_must_be_distribution(self):
+        t = build_transition(simple_graph(2, {"cites": [(0, 1)]}), PpfAssignment({"cites": 1.0}))
+        prior = np.array([0.5, 0.5])
+        for start in (np.array([np.nan, 1.0]), np.array([0.9, 0.3]), np.array([1.0])):
+            with pytest.raises(ConfigError, match="start"):
+                poprank_from_transition(t, prior, start=start)
+
+    def test_warm_start_reaches_the_same_fixed_point(self):
+        rng = np.random.default_rng(67)
+        graph, ppf = random_graph(rng, 15, 3, 25)
+        prior = random_prior(rng, 15)
+        cfg = PopRankConfig(tol=1e-13)
+        t = build_transition(graph, ppf)
+        cold = poprank_from_transition(t, prior, cfg)
+        warm = poprank_from_transition(t, prior, cfg, start=cold.scores)
+        assert warm.iterations == 1
+        np.testing.assert_allclose(warm.scores, cold.scores, atol=1e-13)
 
     def test_nan_prior_rejected(self):
         graph = simple_graph(2, {"cites": [(0, 1)]})
