@@ -31,9 +31,7 @@ from .objects import (
     GraphBuildReport,
     LinkTable,
     ObjectGraph,
-    ObjectRecord,
     ObjectTypeSchema,
-    RawLink,
     RecordTable,
     RelationshipType,
     SchemaRegistry,
@@ -66,9 +64,7 @@ __all__ = [
     "GraphBuildReport",
     "LinkTable",
     "ObjectGraph",
-    "ObjectRecord",
     "ObjectTypeSchema",
-    "RawLink",
     "RecordTable",
     "RelationshipType",
     "SchemaRegistry",

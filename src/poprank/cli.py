@@ -179,13 +179,12 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _ranked_objects(bundle: CorpusBundle, positions: np.ndarray) -> Iterator[tuple[int, str, str]]:
-    """(object_id, type_name, key) for every object, in order of rank position."""
+def _ranked_objects(bundle: CorpusBundle, positions: np.ndarray) -> Iterator[tuple[int, str]]:
+    """(object_id, ref) for every object, in order of rank position. A ref
+    is ``type_name<TAB>key``, so it fills a report's type and key columns."""
     objects = bundle.graph.objects
-    schemas = {schema.type_name: schema for schema in bundle.registry}
     for object_id in np.argsort(positions).tolist():
-        obj = objects[object_id]
-        yield object_id, obj.type_name, "|".join(obj.key_tuple(schemas[obj.type_name]))
+        yield object_id, objects[object_id].ref
 
 
 def cmd_rank(args) -> int:
@@ -200,8 +199,8 @@ def cmd_rank(args) -> int:
     positions = ranking_positions(result.scores)
     position, score = positions.tolist(), result.scores.tolist()
     rows = [
-        (str(position[i] + 1), type_name, key, repr(score[i]))
-        for i, type_name, key in _ranked_objects(bundle, positions)
+        (str(position[i] + 1), ref, repr(score[i]))
+        for i, ref in _ranked_objects(bundle, positions)
     ]
     _write_report(args, meta, rows)
     return _check_convergence(args, page_result, result)
@@ -256,8 +255,8 @@ def cmd_simulate(args) -> int:
     position, score = positions.tolist(), analytic.scores.tolist()
     empirical, counts = hist.empirical.tolist(), hist.counts.tolist()
     rows = [
-        (str(position[i] + 1), type_name, key, repr(score[i]), repr(empirical[i]), str(counts[i]))
-        for i, type_name, key in _ranked_objects(bundle, positions)
+        (str(position[i] + 1), ref, repr(score[i]), repr(empirical[i]), str(counts[i]))
+        for i, ref in _ranked_objects(bundle, positions)
     ]
     _write_report(args, meta, rows)
     return _check_convergence(args, page_result, analytic)
@@ -278,9 +277,9 @@ def cmd_compare(args) -> int:
     position, score = object_positions.tolist(), result.scores.tolist()
     page_position, prior_score = page_positions.tolist(), prior.tolist()
     rows = [
-        (type_name, key, repr(score[i]), str(position[i] + 1),
+        (ref, repr(score[i]), str(position[i] + 1),
          repr(prior_score[i]), str(page_position[i] + 1))
-        for i, type_name, key in _ranked_objects(bundle, object_positions)
+        for i, ref in _ranked_objects(bundle, object_positions)
     ]
     _write_report(args, meta, rows)
     return _check_convergence(args, page_result, result)

@@ -2,13 +2,14 @@
 
 Aggregated object data lands in a warehouse of five TSV files (schemas,
 objects, links, pages, page-object map; see formats). Loading merges
-records into deduplicated objects, resolves links and containment
-entries against the key index, and collects structured diagnostics for
-everything lenient mode drops. Records and links are read as columns
-(RecordTable, LinkTable), so no object is built per line. Relationship
-types are declared by their first appearance in the links file; a later
-line disagreeing on endpoint types is an error, as is a link naming an
-unregistered object type (reported first).
+records into deduplicated objects, resolves links, containment entries
+and expert rankings against the one key index (object reference ->
+object id), and collects structured diagnostics for everything lenient
+mode drops. Records and links are read as columns (RecordTable,
+LinkTable), so no object is built per line, and written back from the
+same tables. Relationship types are declared by their first appearance
+in the links file; a later line disagreeing on endpoint types is an
+error, as is a link naming an unregistered object type (reported first).
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from . import formats
 from .errors import FormatError, GraphError
 from .learning import PartialRanking
 from .objects import (
-    KeyTuple,
     LinkTable,
     ObjectGraph,
-    ObjectRecord,
-    RawLink,
+    RecordTable,
     RelationshipType,
     SchemaRegistry,
     build_graph,
@@ -72,15 +71,10 @@ class CorpusBundle:
     page_map: PageObjectMap
     diagnostics: list[str] = field(default_factory=list)
 
-    def object_ref(self, object_id: int) -> str:
-        obj = self.graph.objects[object_id]
-        schema = self.registry.get(obj.type_name)
-        return formats.format_object_ref(obj.type_name, obj.key_tuple(schema))
-
-    def resolve_ref(self, ref: formats.ObjectRef) -> int:
+    def resolve_ref(self, ref: str) -> int:
         object_id = self.graph.key_index.get(ref)
         if object_id is None:
-            raise GraphError(f"unknown object {formats.format_object_ref(*ref)!r}")
+            raise GraphError(f"unknown object {formats.format_object_ref(ref)!r}")
         return object_id
 
 
@@ -121,7 +115,7 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
 
     links = formats.read_links(paths.links)
     rel_types = _infer_relationship_types(links, registry)
-    graph, report = build_graph(objects, rel_types, links, registry, strict=strict)
+    graph, report = build_graph(objects, rel_types, links, strict=strict)
     for message in report.dropped:
         diagnostics.append(f"link-dropped\t{message}")
     if report.duplicate_count:
@@ -146,7 +140,7 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
         page = page_index.get(page_id)
         obj = graph.key_index.get(ref)
         if page is None or obj is None:
-            what = f"page {page_id!r}" if page is None else f"object {formats.format_object_ref(*ref)!r}"
+            what = f"page {page_id!r}" if page is None else f"object {formats.format_object_ref(ref)!r}"
             message = f"map entry references unknown {what}"
             if strict:
                 raise GraphError(message)
@@ -167,38 +161,28 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
     )
 
 
-def objects_to_records(graph: ObjectGraph) -> list[ObjectRecord]:
-    """One synthetic record per object, for serializing a graph back to disk."""
-    return [
-        ObjectRecord(f"r{obj.object_id}", obj.type_name, dict(obj.attribute_values))
-        for obj in graph.objects
-    ]
-
-
-def graph_to_raw_links(graph: ObjectGraph, registry: SchemaRegistry) -> list[RawLink]:
-    keys: list[KeyTuple] = [
-        obj.key_tuple(registry.get(obj.type_name)) for obj in graph.objects
-    ]
-    raw: list[RawLink] = []
-    for rt in graph.relationship_types:
-        for src, tgt in graph.links[rt.rel_name].tolist():
-            raw.append(RawLink(rt.source_type, keys[src], rt.rel_name, rt.target_type, keys[tgt]))
-    return raw
-
-
 def write_corpus(
     directory: Path | str,
     registry: SchemaRegistry,
     graph: ObjectGraph,
     page_rows: list[tuple[str, list[str]]] | None = None,
-    map_entries: list[tuple[str, formats.ObjectRef, float | None]] | None = None,
+    map_entries: list[tuple[str, str, float | None]] | None = None,
 ) -> CorpusPaths:
-    """Serialize a graph (plus optional page data) as a corpus directory."""
+    """Serialize a graph (plus optional page data and (page_id, object ref,
+    weight) map entries) as a corpus directory; object i is record ``r<i>``."""
     paths = CorpusPaths.in_dir(directory)
     Path(directory).mkdir(parents=True, exist_ok=True)
+    objects, rels = graph.objects, graph.relationship_types
+    edges = [graph.links[rt.rel_name] for rt in rels]
+    pairs = np.concatenate([np.empty((0, 2), np.int64), *edges])
     formats.write_schemas(paths.schemas, list(registry))
-    formats.write_objects(paths.objects, objects_to_records(graph))
-    formats.write_links(paths.links, graph_to_raw_links(graph, registry))
+    formats.write_objects(paths.objects, RecordTable(
+        [f"r{obj.object_id}" for obj in objects], [obj.type_name for obj in objects],
+        [obj.attribute_values for obj in objects]))
+    formats.write_links(paths.links, LinkTable(
+        [(rt.rel_name, rt.source_type, rt.target_type) for rt in rels],
+        np.repeat(np.arange(len(rels)), [len(e) for e in edges]),
+        [obj.ref for obj in objects], pairs[:, 0], pairs[:, 1]))
     formats.write_pages(paths.pages, page_rows or [])
     formats.write_page_map(paths.page_map, map_entries or [])
     return paths

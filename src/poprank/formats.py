@@ -4,8 +4,10 @@ All files are UTF-8 with LF line endings (CRLF and CR read as LF).
 Whitespace-only lines and lines whose first non-blank character is ``#``
 are skipped on input. Fields are TAB-separated; values must not contain
 TAB. Key tuples join their values with ``|``, so key values must not
-contain ``|`` either (``merge_records`` rejects them); object references
-are written ``type_name:key1|key2|...``. Escaping is out of scope.
+contain ``|`` either (``merge_records`` rejects them). In memory an
+object reference is the pair of columns links.tsv and the page map carry,
+``type_name<TAB>key1|key2|...`` (see objects); expert files and messages
+write it ``type_name:key1|key2|...``. Escaping is out of scope.
 
 schemas    type_name <TAB> attr1,attr2,... <TAB> key1,key2,...
 objects    record_id <TAB> type_name <TAB> attr=value;attr=value;... [<TAB> source_page]
@@ -19,7 +21,8 @@ expert     either one object reference per line (full order, best first),
 
 The two large files are read as columns, with no object per line:
 ``read_objects`` returns a RecordTable and ``read_links`` a LinkTable of
-interned int64 ids (see objects). The other readers return lists.
+interned int64 ids (see objects). The other readers return lists. The
+writers take what the readers return.
 
 Reports are TSV rows preceded by a ``#``-prefixed metadata block of
 ``# key <TAB> value`` lines; scores are written with full round-trip
@@ -35,9 +38,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import FormatError, PopRankError
-from .objects import KeyTuple, LinkTable, ObjectRecord, ObjectTypeSchema, RawLink, RecordTable
-
-ObjectRef = tuple[str, KeyTuple]
+from .objects import LinkTable, ObjectTypeSchema, RecordTable
 
 
 def _line_blocks(path: Path, size: int = 1 << 20) -> Iterator[tuple[int, list[str]]]:
@@ -84,23 +85,17 @@ def _split_csv(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def parse_object_ref(text: str) -> ObjectRef:
-    """Parse ``type_name:key1|key2`` into (type_name, key tuple)."""
+def parse_object_ref(text: str) -> str:
+    """Parse ``type_name:key1|key2`` into the reference ``type_name<TAB>key1|key2``."""
     type_name, sep, keys = text.partition(":")
     if not sep or not type_name or not keys:
         raise FormatError(f"bad object reference {text!r}, expected type:key1|key2")
-    return type_name, tuple(keys.split("|"))
+    return f"{type_name}\t{keys}"
 
 
-def format_object_ref(type_name: str, key: KeyTuple) -> str:
-    _check_key_values(key)
-    return f"{type_name}:{'|'.join(key)}"
-
-
-def _check_key_values(key: KeyTuple) -> None:
-    for value in key:
-        if "|" in value or "\t" in value:
-            raise FormatError(f"key value {value!r} contains '|' or TAB")
+def format_object_ref(ref: str) -> str:
+    """The reference ``type_name<TAB>key text`` written ``type_name:key text``."""
+    return ref.replace("\t", ":", 1)
 
 
 def read_schemas(path: Path) -> list[ObjectTypeSchema]:
@@ -145,19 +140,18 @@ def read_objects(path: Path) -> RecordTable:
     return table
 
 
-def write_objects(path: Path, records: Iterable[ObjectRecord]) -> None:
+def write_objects(path: Path, records: RecordTable) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            for attr, value in r.attribute_values.items():
+        for record_id, type_name, values in zip(
+            records.record_ids, records.type_names, records.attribute_values
+        ):
+            for attr, value in values.items():
                 if "\t" in value or ";" in value:
                     raise FormatError(
-                        f"record {r.record_id!r}: value for {attr!r} contains TAB or ';'"
+                        f"record {record_id!r}: value for {attr!r} contains TAB or ';'"
                     )
-            attrs = ";".join(f"{a}={v}" for a, v in r.attribute_values.items())
-            line = f"{r.record_id}\t{r.type_name}\t{attrs}"
-            if r.source_page:
-                line += f"\t{r.source_page}"
-            fh.write(line + "\n")
+            attrs = ";".join(f"{a}={v}" for a, v in values.items())
+            fh.write(f"{record_id}\t{type_name}\t{attrs}\n")
 
 
 def _link_columns(path: Path) -> Iterator[tuple[list[str], ...]]:
@@ -181,15 +175,13 @@ def read_links(path: Path) -> LinkTable:
     return LinkTable.from_columns(_link_columns(path))
 
 
-def write_links(path: Path, links: Iterable[RawLink]) -> None:
+def write_links(path: Path, links: LinkTable) -> None:
+    """One line ``refs[src] TAB rel_name TAB refs[tgt]`` per row; a ref is
+    already the type and key columns."""
+    refs, rel_names = links.refs, [rel_name for rel_name, _, _ in links.triples]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for link in links:
-            _check_key_values(link.source_key)
-            _check_key_values(link.target_key)
-            fh.write(
-                f"{link.source_type}\t{'|'.join(link.source_key)}\t{link.rel_name}"
-                f"\t{link.target_type}\t{'|'.join(link.target_key)}\n"
-            )
+        for code, src, tgt in zip(links.codes.tolist(), links.src.tolist(), links.tgt.tolist()):
+            fh.write(f"{refs[src]}\t{rel_names[code]}\t{refs[tgt]}\n")
 
 
 def read_pages(path: Path) -> list[tuple[str, list[str]]]:
@@ -221,7 +213,8 @@ def write_pages(path: Path, rows: Iterable[tuple[str, Sequence[str]]]) -> None:
                 fh.write(f"{page_id}\n")
 
 
-def read_page_map(path: Path) -> list[tuple[str, ObjectRef, float | None]]:
+def read_page_map(path: Path) -> list[tuple[str, str, float | None]]:
+    """(page_id, object ref, block weight or None) per data line."""
     entries = []
     for lineno, line in _data_lines(path):
         fields = line.split("\t")
@@ -237,14 +230,14 @@ def read_page_map(path: Path) -> list[tuple[str, ObjectRef, float | None]]:
                 _fail(path, lineno, f"block weight must be finite and non-negative, got {weight}")
         if not fields[1] or not fields[2]:
             _fail(path, lineno, "empty object type or key")
-        entries.append((fields[0], (fields[1], tuple(fields[2].split("|"))), weight))
+        entries.append((fields[0], f"{fields[1]}\t{fields[2]}", weight))
     return entries
 
 
-def write_page_map(path: Path, entries: Iterable[tuple[str, ObjectRef, float | None]]) -> None:
+def write_page_map(path: Path, entries: Iterable[tuple[str, str, float | None]]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for page_id, (type_name, key), weight in entries:
-            line = f"{page_id}\t{type_name}\t{'|'.join(key)}"
+        for page_id, ref, weight in entries:
+            line = f"{page_id}\t{ref}"
             if weight is not None:
                 line += f"\t{weight!r}"
             fh.write(line + "\n")
@@ -285,8 +278,8 @@ def read_expert(path: Path) -> tuple[str, list]:
     forms cannot be mixed in one file.
     """
     mode: str | None = None
-    order: list[ObjectRef] = []
-    pairs: list[tuple[ObjectRef, ObjectRef]] = []
+    order: list[str] = []
+    pairs: list[tuple[str, str]] = []
     for lineno, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) == 1:

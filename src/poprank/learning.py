@@ -247,26 +247,26 @@ def learn_ppf(
     )
 
 
-def _merge_count(seq: list[int]) -> tuple[list[int], int]:
-    if len(seq) < 2:
-        return seq, 0
-    mid = len(seq) // 2
-    left, inv_left = _merge_count(seq[:mid])
-    right, inv_right = _merge_count(seq[mid:])
-    merged: list[int] = []
-    inversions = inv_left + inv_right
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            inversions += len(left) - i
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, inversions
+def _inversions(seq: np.ndarray) -> int:
+    """Pairs i < j with seq[i] > seq[j], by a bottom-up merge sort: at each
+    level the runs of one width are sorted, and every item of a right run
+    counts the larger items of its left run by binary search."""
+    n = len(seq)
+    values = np.unique(seq, return_inverse=True)[1].astype(np.int64)  # in [0, n)
+    at = np.arange(n)
+    inversions, width = 0, 1
+    while width < n:
+        # each pair of runs is offset by its index * n, so all left runs
+        # form one sorted array and a level is one sort and one searchsorted pair
+        offset = at // (2 * width) * n
+        keys = values + offset
+        right = at // width % 2 == 1
+        left = keys[~right]
+        inversions += int((np.searchsorted(left, offset[right] + n)
+                           - np.searchsorted(left, keys[right], "right")).sum())
+        values = np.sort(keys, kind="stable") - offset
+        width *= 2
+    return inversions
 
 
 def kendall_tau(ranks_a: np.ndarray, ranks_b: np.ndarray) -> float:
@@ -282,6 +282,5 @@ def kendall_tau(ranks_a: np.ndarray, ranks_b: np.ndarray) -> float:
     n = ranks_a.shape[0]
     if n < 2:
         return 1.0
-    sequence = [int(x) for x in ranks_b[np.argsort(ranks_a, kind="stable")]]
-    _, inversions = _merge_count(sequence)
+    inversions = _inversions(ranks_b[np.argsort(ranks_a, kind="stable")])
     return 1.0 - 4.0 * inversions / (n * (n - 1))

@@ -2,30 +2,29 @@
 
 Records harvested from different pages routinely describe the same
 real-world entity, and copies may disagree. Records collapse into one
-object per exact (type, key-attribute tuple); the first record to mention
-a contested attribute wins, and every later disagreement is counted so
-the merge stays auditable. Object ids are dense integers so the numeric
-modules can index score vectors directly.
+object per reference ``type_name<TAB>key text`` (key values joined by
+``|``), the form links.tsv and page_object_map.tsv carry; the first
+record to mention a contested attribute wins, and every later
+disagreement is counted so the merge stays auditable. Object ids are
+dense integers so the numeric modules can index score vectors directly.
 
 The loader hands over columns, not an object per line: a RecordTable of
 records for merge_records and a LinkTable of interned link lines for
-build_graph. ObjectRecord and RawLink lists are converted to those
-tables, so there is one merge and one resolution path.
+build_graph. Each object keeps its reference, and ObjectGraph.key_index
+maps references to ids for links, map entries and expert rankings alike.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, repeat
 
 import numpy as np
 
 from . import _kernels
 from .errors import GraphError, RecordError, SchemaError
-
-KeyTuple = tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,8 @@ class ObjectTypeSchema:
         object.__setattr__(self, "key_attributes", tuple(self.key_attributes))
         if not self.type_name:
             raise SchemaError("schema requires a non-empty type_name")
+        if "\t" in self.type_name:
+            raise SchemaError(f"type name {self.type_name!r} contains TAB")
         if len(set(self.attributes)) != len(self.attributes):
             raise SchemaError(f"{self.type_name}: duplicate attribute names")
         if not self.key_attributes:
@@ -85,16 +86,6 @@ class SchemaRegistry:
         return len(self._schemas)
 
 
-@dataclass(frozen=True)
-class ObjectRecord:
-    """One source-local description of an object, as extracted from a page."""
-
-    record_id: str
-    type_name: str
-    attribute_values: Mapping[str, str]
-    source_page: str | None = None
-
-
 @dataclass
 class RecordTable:
     """Records as columns, one row per record: record ids, type names and
@@ -107,57 +98,49 @@ class RecordTable:
     def __len__(self) -> int:
         return len(self.record_ids)
 
-    @classmethod
-    def from_records(cls, records: Iterable[ObjectRecord]) -> "RecordTable":
-        records = list(records)
-        return cls([r.record_id for r in records], [r.type_name for r in records],
-                   [dict(r.attribute_values) for r in records])
-
 
 @dataclass
 class WebObject:
-    """A deduplicated object: all records for one (type, key tuple) merged."""
+    """A deduplicated object: all records for one reference merged.
+
+    ref is ``type_name<TAB>key text``, the object's one key.
+    """
 
     object_id: int
     type_name: str
+    ref: str
     attribute_values: dict[str, str]
     merged_record_count: int = 1
     conflict_count: int = 0
-
-    def key_tuple(self, schema: ObjectTypeSchema) -> KeyTuple:
-        return tuple(self.attribute_values[a] for a in schema.key_attributes)
 
 
 def _reject_key(record_id: str, key_attributes: Sequence[str], key: Sequence[str]) -> None:
     for attr, value in zip(key_attributes, key):
         if value == "":
             raise RecordError(f"record {record_id!r}: key attribute {attr!r} is missing or empty")
-        if "|" in value:
-            raise RecordError(f"record {record_id!r}: key attribute {attr!r} value {value!r} "
-                              "contains '|'")
+        for sep, name in (("|", "'|'"), ("\t", "TAB")):
+            if sep in value:
+                raise RecordError(f"record {record_id!r}: key attribute {attr!r} value {value!r} "
+                                  f"contains {name}")
 
 
-def merge_records(
-    records: RecordTable | Iterable[ObjectRecord], registry: SchemaRegistry
-) -> list[WebObject]:
-    """Collapse records that share a (type, key tuple) into one WebObject each.
+def merge_records(records: RecordTable, registry: SchemaRegistry) -> list[WebObject]:
+    """Collapse records that share a reference into one WebObject each.
 
     The first record for a key fixes the object's id (dense, in first
     appearance order) and any contested attribute values. Later records
     fill in attributes the object does not have yet; when they disagree
     with a stored value, the stored value stays and conflict_count grows
     by one per disagreeing attribute. Empty-string values are treated as
-    absent. ObjectRecords are converted to a RecordTable first.
+    absent.
 
     Raises RecordError for an unregistered type, an attribute not in the
     type's schema, or a key attribute that is missing, empty or contains
-    ``|`` (the separator of key texts in references).
+    ``|`` or TAB (the separators of references).
     """
-    if not isinstance(records, RecordTable):
-        records = RecordTable.from_records(records)
     schemas = {s.type_name: (frozenset(s.attributes), s.key_attributes) for s in registry}
     objects: list[WebObject] = []
-    index: dict[tuple[str, KeyTuple], int] = {}
+    index: dict[str, int] = {}
     for record_id, type_name, values in zip(
         records.record_ids, records.type_names, records.attribute_values
     ):
@@ -169,13 +152,15 @@ def merge_records(
             raise RecordError(
                 f"record {record_id!r}: attributes {unknown} not in schema {type_name!r}"
             )
-        key = tuple([values.get(a, "") for a in key_attributes])
-        if "" in key or "|" in "".join(key):
+        key = [values.get(a, "") for a in key_attributes]
+        text = "|".join(key)
+        if "" in key or text.count("|") >= len(key) or "\t" in text:
             _reject_key(record_id, key_attributes, key)
-        slot = index.get((type_name, key))
+        ref = f"{type_name}\t{text}"
+        slot = index.get(ref)
         if slot is None:
-            index[(type_name, key)] = len(objects)
-            objects.append(WebObject(len(objects), type_name,
+            index[ref] = len(objects)
+            objects.append(WebObject(len(objects), type_name, ref,
                                      {a: v for a, v in values.items() if v != ""}))
         else:
             obj = objects[slot]
@@ -201,26 +186,14 @@ class RelationshipType:
 
 
 @dataclass(frozen=True)
-class RawLink:
-    """An unresolved link as it appears in source data: endpoint key tuples
-    plus the endpoint types the source claims."""
-
-    source_type: str
-    source_key: KeyTuple
-    rel_name: str
-    target_type: str
-    target_key: KeyTuple
-
-
-@dataclass(frozen=True)
 class LinkTable:
     """Link lines as interned int64 columns, one row per line.
 
     triples holds each distinct (rel_name, source_type, target_type) in
     order of first appearance, and codes[i] is the index of line i's
-    triple. refs holds each distinct endpoint reference as
-    ``type_name<TAB>key text`` (key values joined by ``|``), in order of
-    first appearance; src[i] and tgt[i] index refs.
+    triple. refs holds distinct endpoint references (WebObject.ref), in
+    order of first appearance when read from a file; src[i] and tgt[i]
+    index refs.
     """
 
     triples: list[tuple[str, str, str]]
@@ -252,19 +225,6 @@ class LinkTable:
         return cls(list(triples), np.concatenate(codes), list(refs),
                    np.concatenate(src), np.concatenate(tgt))
 
-    @classmethod
-    def from_raw_links(cls, raw_links: Iterable[RawLink]) -> "LinkTable":
-        """The table of RawLinks, whose types and key values obey the links
-        file format: no TAB anywhere, no ``|`` in a key value."""
-        rows = []
-        for link in raw_links:
-            keys = "".join(link.source_key + link.target_key)
-            if "\t" in link.source_type + link.target_type + keys or "|" in keys:
-                raise GraphError(f"{link!r}: a type or key value contains TAB, or a key value '|'")
-            rows.append((link.source_type, "|".join(link.source_key), link.rel_name,
-                         link.target_type, "|".join(link.target_key)))
-        return cls.from_columns([tuple(zip(*rows))] if rows else [])
-
 
 @dataclass
 class GraphBuildReport:
@@ -281,13 +241,13 @@ class ObjectGraph:
     links maps each declared rel_name to an (m, 2) int64 array of
     (source object_id, target object_id) rows, deduplicated and in order
     of first appearance; a relationship without links has an empty array.
-    key_index maps (type_name, key tuple) to object_id.
+    key_index maps each object's ref to its object_id.
     """
 
     objects: list[WebObject]
     relationship_types: list[RelationshipType]
     links: dict[str, np.ndarray]
-    key_index: dict[tuple[str, KeyTuple], int] = field(default_factory=dict)
+    key_index: dict[str, int] = field(default_factory=dict)
 
     @property
     def num_objects(self) -> int:
@@ -297,12 +257,10 @@ class ObjectGraph:
     def num_links(self) -> int:
         return sum(len(edges) for edges in self.links.values())
 
-    def check(self, registry: SchemaRegistry | None = None) -> None:
+    def check(self) -> None:
         """Well-formedness check; raises GraphError on violation."""
         n = len(self.objects)
-        for i, obj in enumerate(self.objects):
-            if obj.object_id != i:
-                raise GraphError(f"object ids are not dense: position {i} holds id {obj.object_id}")
+        _key_index(self.objects)
         rels = {}
         for rt in self.relationship_types:
             if rt.rel_name in rels:
@@ -327,25 +285,23 @@ class ObjectGraph:
             _, dropped = _kernels.unique_edges(edges, n)
             if dropped:
                 raise GraphError(f"{rel_name}: {dropped} duplicate link(s)")
-        if registry is not None:
-            keys: set[tuple[str, KeyTuple]] = set()
-            for obj in self.objects:
-                k = (obj.type_name, obj.key_tuple(registry.get(obj.type_name)))
-                if k in keys:
-                    raise GraphError(f"two objects of type {k[0]!r} share key {k[1]!r}")
-                keys.add(k)
 
 
-def _ref_key(ref: str) -> tuple[str, KeyTuple]:
-    type_name, _, key = ref.partition("\t")
-    return type_name, tuple(key.split("|"))
+def _key_index(objects: Sequence[WebObject]) -> dict[str, int]:
+    """ref -> object_id; raises GraphError unless ids are dense and refs distinct."""
+    index: dict[str, int] = {}
+    for pos, obj in enumerate(objects):
+        if obj.object_id != pos:
+            raise GraphError(f"object ids are not dense: position {pos} holds id {obj.object_id}")
+        if index.setdefault(obj.ref, pos) != pos:
+            raise GraphError(f"objects {index[obj.ref]} and {pos} share key {obj.ref!r}")
+    return index
 
 
 def build_graph(
     objects: Sequence[WebObject],
     rel_types: Sequence[RelationshipType],
-    links: LinkTable | Iterable[RawLink],
-    registry: SchemaRegistry,
+    links: LinkTable,
     *,
     strict: bool = False,
 ) -> tuple[ObjectGraph, GraphBuildReport]:
@@ -356,26 +312,16 @@ def build_graph(
     dropped with a diagnostic (web data is dirty), or raised in strict
     mode. Exact duplicate (source, target, rel) triples are dropped and
     counted. The first offending line decides which error is raised.
-    RawLinks are converted to a LinkTable first; each distinct triple is
-    checked once and each distinct reference is looked up once.
+    Each distinct triple is checked once and each distinct reference is
+    looked up once.
     """
-    if not isinstance(links, LinkTable):
-        links = LinkTable.from_raw_links(links)
     rels: dict[str, RelationshipType] = {}
     for rt in rel_types:
         if rt.rel_name in rels:
             raise SchemaError(f"duplicate relationship type {rt.rel_name!r}")
         rels[rt.rel_name] = rt
 
-    index: dict[tuple[str, KeyTuple], int] = {}
-    for pos, obj in enumerate(objects):
-        if obj.object_id != pos:
-            raise GraphError(f"object ids are not dense: position {pos} holds id {obj.object_id}")
-        k = (obj.type_name, obj.key_tuple(registry.get(obj.type_name)))
-        if k in index:
-            raise GraphError(f"objects {index[k]} and {obj.object_id} share key {k}")
-        index[k] = obj.object_id
-
+    index = _key_index(objects)
     position = {rt.rel_name: i for i, rt in enumerate(rel_types)}
     problems: list[str | None] = []
     for rel_name, source_type, target_type in links.triples:
@@ -389,8 +335,7 @@ def build_graph(
             )
         else:
             problems.append(None)
-    ref_ids = np.fromiter((index.get(_ref_key(ref), -1) for ref in links.refs), np.int64,
-                          len(links.refs))
+    ref_ids = np.fromiter(map(index.get, links.refs, repeat(-1)), np.int64, len(links.refs))
     src, tgt = ref_ids[links.src], ref_ids[links.tgt]
     unresolved = (src < 0) | (tgt < 0)
     bad = np.flatnonzero(np.array([p is not None for p in problems], bool)[links.codes])

@@ -90,10 +90,6 @@ class TransitionStructure:
     probs: np.ndarray  # float64
     dangling: np.ndarray  # bool
 
-    def row(self, object_id: int) -> list[tuple[int, float]]:
-        lo, hi = self.indptr[object_id], self.indptr[object_id + 1]
-        return [(int(t), float(p)) for t, p in zip(self.targets[lo:hi], self.probs[lo:hi])]
-
     def link_cdf(self) -> np.ndarray:
         """Per-row cumulative link probabilities, for inverse-CDF sampling."""
         if self.probs.size == 0:

@@ -12,11 +12,11 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from poprank import (  # noqa: E402
+    LinkTable,
     ObjectGraph,
-    ObjectRecord,
     ObjectTypeSchema,
     PpfAssignment,
-    RawLink,
+    RecordTable,
     RelationshipType,
     SchemaRegistry,
     build_graph,
@@ -49,9 +49,8 @@ def dense_poprank(transition, prior: np.ndarray, epsilon: float) -> np.ndarray:
     (I - (1 - eps) * (M^T + prior d^T)) r = eps * prior."""
     n = transition.num_objects
     M = np.zeros((n, n))
-    for o in range(n):
-        for target, p in transition.row(o):
-            M[o, target] += p
+    sources = np.repeat(np.arange(n), np.diff(transition.indptr))
+    np.add.at(M, (sources, transition.targets), transition.probs)
     d = transition.dangling.astype(float)
     A = np.eye(n) - (1.0 - epsilon) * (M.T + np.outer(prior, d))
     r = np.linalg.solve(A, epsilon * np.asarray(prior, float))
@@ -64,20 +63,33 @@ def paper_registry() -> SchemaRegistry:
     )
 
 
+def record_table(rows) -> RecordTable:
+    """The RecordTable of (record_id, type_name, attribute values) rows."""
+    rows = list(rows)
+    return RecordTable([r[0] for r in rows], [r[1] for r in rows], [dict(r[2]) for r in rows])
+
+
+def link_table(rows) -> LinkTable:
+    """The LinkTable of (source_type, source_key, rel_name, target_type,
+    target_key) rows, as read_links would intern them."""
+    rows = list(rows)
+    return LinkTable.from_columns([tuple(zip(*rows))] if rows else [])
+
+
 def simple_graph(num_objects: int, links_by_type: dict[str, list[tuple[int, int]]]) -> ObjectGraph:
     """Single-type object graph with explicit integer links; ids are 't0'..'tN'."""
     registry = paper_registry()
-    records = [
-        ObjectRecord(f"r{i}", "paper", {"title": f"t{i}"}) for i in range(num_objects)
-    ]
+    records = record_table(
+        (f"r{i}", "paper", {"title": f"t{i}"}) for i in range(num_objects)
+    )
     objects = merge_records(records, registry)
     rel_types = [RelationshipType(name, "paper", "paper") for name in links_by_type]
-    raw = [
-        RawLink("paper", (f"t{s}",), name, "paper", (f"t{t}",))
+    links = link_table(
+        ("paper", f"t{s}", name, "paper", f"t{t}")
         for name, pairs in links_by_type.items()
         for s, t in pairs
-    ]
-    graph, report = build_graph(objects, rel_types, raw, registry)
+    )
+    graph, report = build_graph(objects, rel_types, links)
     assert not report.dropped
     return graph
 

@@ -16,10 +16,10 @@ from conftest import (
     paper_registry,
     random_graph,
     random_prior,
+    record_table,
 )
 from poprank import (
     LearnConfig,
-    ObjectRecord,
     PageGraph,
     PopRankConfig,
     PpfAssignment,
@@ -165,10 +165,8 @@ def test_criterion_7_dedup_determinism():
     records = []
     for i in range(100):
         title = f"t{i}" if i < 40 else f"t{int(rng.integers(0, 40))}"
-        records.append(
-            ObjectRecord(f"r{i}", "paper", {"title": title, "year": str(2000 + i % 4)})
-        )
-    objects = merge_records(records, registry)
+        records.append((f"r{i}", "paper", {"title": title, "year": str(2000 + i % 4)}))
+    objects = merge_records(record_table(records), registry)
     assert len(objects) == 40
     assert sum(o.merged_record_count for o in objects) == 100
 
@@ -179,7 +177,7 @@ def test_criterion_7_dedup_determinism():
     for perm_seed in range(3):
         shuffled = list(records)
         np.random.default_rng(perm_seed).shuffle(shuffled)
-        assert signature(merge_records(shuffled, registry)) == base
+        assert signature(merge_records(record_table(shuffled), registry)) == base
     report("7 (dedup determinism)", "100 records -> 40 objects, permutation invariant")
 
 

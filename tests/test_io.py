@@ -183,9 +183,7 @@ class TestRoundTrip:
 
         out = tmp_path / "rewritten"
         map_entries = [
-            (bundle.page_ids[p], (bundle.graph.objects[o].type_name,
-                                  bundle.graph.objects[o].key_tuple(
-                                      bundle.registry.get(bundle.graph.objects[o].type_name))), w)
+            (bundle.page_ids[p], bundle.graph.objects[o].ref, w)
             for p, o, w in bundle.page_map.entries
         ]
         page_rows = []
@@ -257,7 +255,7 @@ class TestFormatValidation:
         assert bundle.graph.num_links == 1
 
     def test_object_ref_parse(self):
-        assert formats.parse_object_ref("paper:A|2004") == ("paper", ("A", "2004"))
+        assert formats.parse_object_ref("paper:A|2004") == "paper\tA|2004"
         with pytest.raises(FormatError):
             formats.parse_object_ref("no-colon")
 

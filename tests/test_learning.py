@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_prior, simple_graph
 from poprank import (
@@ -302,3 +304,15 @@ class TestKendallTau:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             kendall_tau(np.array([0, 1]), np.array([0, 1, 2]))
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_tied_ranks_match_strict_inversion_count(self, data):
+        n = data.draw(st.integers(0, 40))
+        ranks = st.lists(st.integers(0, 5), min_size=n, max_size=n)
+        a, b = data.draw(ranks), data.draw(ranks)
+        # items in order of (a, index); a pair counts when b strictly falls
+        inversions = sum(1 for i in range(n) for j in range(n)
+                         if (a[i], i) < (a[j], j) and b[i] > b[j])
+        expected = 1.0 - 4.0 * inversions / (n * (n - 1)) if n >= 2 else 1.0
+        assert kendall_tau(np.array(a), np.array(b)) == expected

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 
 import numpy as np
@@ -10,14 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import paper_registry, random_links, simple_graph
+from conftest import link_table, paper_registry, random_links, record_table, simple_graph
 from poprank import (
     GraphError,
     ObjectGraph,
-    ObjectRecord,
     ObjectTypeSchema,
     PageGraph,
-    RawLink,
     RecordError,
     RelationshipType,
     SchemaError,
@@ -52,6 +49,11 @@ class TestSchemaRegistry:
         with pytest.raises(SchemaError):
             ObjectTypeSchema("paper", ("title", "title"), ("title",))
 
+    def test_tab_in_type_name_rejected(self):
+        # a reference is type<TAB>key, so a TAB in the type would make two refs collide
+        with pytest.raises(SchemaError, match=r"type name 'pa\\tper' contains TAB"):
+            ObjectTypeSchema("pa\tper", ("title",), ("title",))
+
     def test_unknown_type_lookup(self):
         with pytest.raises(SchemaError):
             SchemaRegistry().get("paper")
@@ -60,10 +62,10 @@ class TestSchemaRegistry:
 class TestMergeRecords:
     def test_conflicting_year_first_seen_wins(self):
         registry = paper_registry()
-        records = [
-            ObjectRecord("a", "paper", {"title": "X", "year": "2004"}),
-            ObjectRecord("b", "paper", {"title": "X", "year": "2005"}),
-        ]
+        records = record_table([
+            ("a", "paper", {"title": "X", "year": "2004"}),
+            ("b", "paper", {"title": "X", "year": "2005"}),
+        ])
         (obj,) = merge_records(records, registry)
         assert obj.merged_record_count == 2
         assert obj.conflict_count == 1
@@ -71,19 +73,19 @@ class TestMergeRecords:
 
     def test_distinct_titles_stay_apart(self):
         registry = paper_registry()
-        records = [
-            ObjectRecord(f"r{i}", "paper", {"title": t}) for i, t in enumerate("ABC")
-        ]
+        records = record_table(
+            (f"r{i}", "paper", {"title": t}) for i, t in enumerate("ABC")
+        )
         objects = merge_records(records, registry)
         assert len(objects) == 3
         assert [o.object_id for o in objects] == [0, 1, 2]
 
     def test_later_record_fills_missing_attribute(self):
         registry = paper_registry()
-        records = [
-            ObjectRecord("a", "paper", {"title": "X"}),
-            ObjectRecord("b", "paper", {"title": "X", "venue": "WWW"}),
-        ]
+        records = record_table([
+            ("a", "paper", {"title": "X"}),
+            ("b", "paper", {"title": "X", "venue": "WWW"}),
+        ])
         (obj,) = merge_records(records, registry)
         assert obj.attribute_values["venue"] == "WWW"
         assert obj.conflict_count == 0
@@ -91,12 +93,23 @@ class TestMergeRecords:
     def test_pipe_in_key_value_rejected(self):
         registry = SchemaRegistry([ObjectTypeSchema("event", ("name", "year", "city"),
                                                     ("name", "year"))])
-        merge_records([ObjectRecord("ok", "event", {"name": "K", "year": "1", "city": "a|b"})],
+        merge_records(record_table([("ok", "event", {"name": "K", "year": "1", "city": "a|b"})]),
                       registry)  # '|' is allowed outside the key
         with pytest.raises(RecordError, match=r"record 'e2': key attribute 'year' value '2\|3' "
                                               r"contains '\|'"):
-            merge_records([ObjectRecord("e1", "event", {"name": "K", "year": "1"}),
-                           ObjectRecord("e2", "event", {"name": "K", "year": "2|3"})], registry)
+            merge_records(record_table([("e1", "event", {"name": "K", "year": "1"}),
+                                        ("e2", "event", {"name": "K", "year": "2|3"})]), registry)
+
+    def test_tab_in_key_value_rejected(self):
+        # without this check ("a\tb", "c") and ("a", "b\tc") would share one reference
+        registry = SchemaRegistry([ObjectTypeSchema("event", ("name", "year", "city"),
+                                                    ("name", "year"))])
+        merge_records(record_table([("ok", "event", {"name": "K", "year": "1", "city": "a\tb"})]),
+                      registry)  # TAB is allowed outside the key
+        with pytest.raises(RecordError, match=r"record 'e2': key attribute 'name' value 'K\\tL' "
+                                              r"contains TAB"):
+            merge_records(record_table([("e1", "event", {"name": "K", "year": "1"}),
+                                        ("e2", "event", {"name": "K\tL", "year": "2"})]), registry)
 
     def test_random_collapse_matches_grouping_oracle(self):
         rng = np.random.default_rng(42)
@@ -107,11 +120,11 @@ class TestMergeRecords:
             # first 40 records cover every key so exactly 40 tuples appear
             title = keys[i] if i < 40 else keys[int(rng.integers(0, 40))]
             records.append(
-                ObjectRecord(f"r{i}", "paper", {"title": title, "year": str(rng.integers(2000, 2006))})
+                (f"r{i}", "paper", {"title": title, "year": str(rng.integers(2000, 2006))})
             )
-        expected = Counter(r.attribute_values["title"] for r in records)
+        expected = Counter(values["title"] for _, _, values in records)
 
-        objects = merge_records(records, registry)
+        objects = merge_records(record_table(records), registry)
         assert len(objects) == 40
         assert sum(o.merged_record_count for o in objects) == 100
         got = {o.attribute_values["title"]: o.merged_record_count for o in objects}
@@ -119,20 +132,21 @@ class TestMergeRecords:
 
     def test_unregistered_type_rejected(self):
         with pytest.raises(RecordError):
-            merge_records([ObjectRecord("a", "movie", {"title": "X"})], paper_registry())
+            merge_records(record_table([("a", "movie", {"title": "X"})]), paper_registry())
 
     def test_missing_key_rejected(self):
         with pytest.raises(RecordError):
-            merge_records([ObjectRecord("a", "paper", {"year": "2004"})], paper_registry())
+            merge_records(record_table([("a", "paper", {"year": "2004"})]), paper_registry())
 
     def test_unknown_attribute_rejected(self):
         with pytest.raises(RecordError):
-            merge_records([ObjectRecord("a", "paper", {"title": "X", "isbn": "1"})], paper_registry())
+            merge_records(record_table([("a", "paper", {"title": "X", "isbn": "1"})]),
+                          paper_registry())
 
 
 records_strategy = st.lists(
     st.builds(
-        lambda rid, title, year: ObjectRecord(str(rid), "paper", {"title": title, "year": year}),
+        lambda rid, title, year: (str(rid), "paper", {"title": title, "year": year}),
         st.integers(0, 10_000),
         st.sampled_from(["a", "b", "c", "d", "e"]),
         st.sampled_from(["2003", "2004", "2005", ""]),
@@ -145,9 +159,9 @@ records_strategy = st.lists(
 @given(records=records_strategy)
 def test_merge_is_idempotent(records):
     registry = paper_registry()
-    objects = merge_records(records, registry)
+    objects = merge_records(record_table(records), registry)
     again = merge_records(
-        [ObjectRecord(f"x{o.object_id}", o.type_name, dict(o.attribute_values)) for o in objects],
+        record_table((f"x{o.object_id}", o.type_name, o.attribute_values) for o in objects),
         registry,
     )
     assert [(o.type_name, o.attribute_values) for o in objects] == [
@@ -159,10 +173,10 @@ def test_merge_is_idempotent(records):
 @given(records=records_strategy, seed=st.integers(0, 2**32 - 1))
 def test_merge_permutation_invariance(records, seed):
     registry = paper_registry()
-    baseline = merge_records(records, registry)
+    baseline = merge_records(record_table(records), registry)
     shuffled = list(records)
     np.random.default_rng(seed).shuffle(shuffled)
-    permuted = merge_records(shuffled, registry)
+    permuted = merge_records(record_table(shuffled), registry)
 
     def key_counts(objects):
         return {(o.type_name, o.attribute_values["title"]): o.merged_record_count for o in objects}
@@ -184,64 +198,51 @@ class TestBuildGraph:
             ]
         )
         objects = merge_records(
-            [
-                ObjectRecord("a", "paper", {"title": "X"}),
-                ObjectRecord("b", "author", {"name": "Knuth"}),
-            ],
+            record_table([
+                ("a", "paper", {"title": "X"}),
+                ("b", "author", {"name": "Knuth"}),
+            ]),
             registry,
         )
         rels = [RelationshipType("cites", "paper", "paper")]
-        bad = [RawLink("author", ("Knuth",), "cites", "paper", ("X",))]
+        bad = link_table([("author", "Knuth", "cites", "paper", "X")])
         with pytest.raises(GraphError, match="do not match"):
-            build_graph(objects, rels, bad, registry)
+            build_graph(objects, rels, bad)
 
     def test_duplicates_dropped_and_counted(self):
         registry = paper_registry()
         objects = merge_records(
-            [ObjectRecord(f"r{i}", "paper", {"title": f"t{i}"}) for i in range(5)], registry
+            record_table((f"r{i}", "paper", {"title": f"t{i}"}) for i in range(5)), registry
         )
         rels = [RelationshipType("cites", "paper", "paper")]
         pairs = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (2, 4)]
-        raw = [
-            RawLink("paper", (f"t{s}",), "cites", "paper", (f"t{t}",)) for s, t in pairs
-        ]
-        raw.insert(3, raw[0])  # duplicate of (0, 1)
-        raw.append(raw[5])  # duplicate of another link
-        assert len(raw) == 10
+        rows = [("paper", f"t{s}", "cites", "paper", f"t{t}") for s, t in pairs]
+        rows.insert(3, rows[0])  # duplicate of (0, 1)
+        rows.append(rows[5])  # duplicate of another link
+        assert len(rows) == 10
 
-        graph, report = build_graph(objects, rels, raw, registry)
+        graph, report = build_graph(objects, rels, link_table(rows))
         assert report.duplicate_count == 2
         assert len(graph.links["cites"]) == 8
         assert set(map(tuple, graph.links["cites"].tolist())) == set(pairs)  # set-dedup oracle
 
     def test_unresolved_endpoint_lenient_vs_strict(self):
         registry = paper_registry()
-        objects = merge_records([ObjectRecord("a", "paper", {"title": "X"})], registry)
+        objects = merge_records(record_table([("a", "paper", {"title": "X"})]), registry)
         rels = [RelationshipType("cites", "paper", "paper")]
-        raw = [RawLink("paper", ("X",), "cites", "paper", ("missing",))]
-        graph, report = build_graph(objects, rels, raw, registry)
+        links = link_table([("paper", "X", "cites", "paper", "missing")])
+        graph, report = build_graph(objects, rels, links)
         assert graph.num_links == 0
         assert len(report.dropped) == 1
         with pytest.raises(GraphError, match="unresolved"):
-            build_graph(objects, rels, raw, registry, strict=True)
-
-    @pytest.mark.parametrize("link", [
-        RawLink("paper", ("X|Y",), "cites", "paper", ("X",)),
-        RawLink("paper", ("X",), "cites", "pa\tper", ("X",)),
-        RawLink("paper", ("X",), "cites", "paper", ("X\t",)),
-    ], ids=["pipe-in-key", "tab-in-type", "tab-in-key"])
-    def test_raw_link_outside_the_file_format_rejected(self, link):
-        registry = paper_registry()
-        objects = merge_records([ObjectRecord("a", "paper", {"title": "X"})], registry)
-        with pytest.raises(GraphError, match=re.escape("contains TAB, or a key value '|'")):
-            build_graph(objects, [RelationshipType("cites", "paper", "paper")], [link], registry)
+            build_graph(objects, rels, links, strict=True)
 
     def test_undeclared_relationship_rejected(self):
         registry = paper_registry()
-        objects = merge_records([ObjectRecord("a", "paper", {"title": "X"})], registry)
-        raw = [RawLink("paper", ("X",), "cites", "paper", ("X",))]
+        objects = merge_records(record_table([("a", "paper", {"title": "X"})]), registry)
+        links = link_table([("paper", "X", "cites", "paper", "X")])
         with pytest.raises(GraphError, match="undeclared"):
-            build_graph(objects, [], raw, registry)
+            build_graph(objects, [], links)
 
     def test_build_output_passes_one_pass_check(self):
         rng = np.random.default_rng(0)
@@ -254,7 +255,7 @@ class TestBuildGraph:
                     "extends": random_links(rng, n, int(rng.integers(1, n))),
                 },
             )
-            graph.check(paper_registry())
+            graph.check()
 
 
 def _typed_graph(links: dict[str, list[tuple[int, int]]]) -> ObjectGraph:
@@ -266,11 +267,11 @@ def _typed_graph(links: dict[str, list[tuple[int, int]]]) -> ObjectGraph:
         ]
     )
     objects = merge_records(
-        [
-            ObjectRecord("a", "paper", {"title": "X"}),
-            ObjectRecord("b", "paper", {"title": "Y"}),
-            ObjectRecord("c", "author", {"name": "Z"}),
-        ],
+        record_table([
+            ("a", "paper", {"title": "X"}),
+            ("b", "paper", {"title": "Y"}),
+            ("c", "author", {"name": "Z"}),
+        ]),
         registry,
     )
     edges = {name: np.array(pairs, np.int64).reshape(-1, 2) for name, pairs in links.items()}
@@ -285,6 +286,12 @@ class TestGraphCheck:
         graph = _typed_graph({"by": []})
         graph.objects[1].object_id = 5
         with pytest.raises(GraphError, match="not dense: position 1 holds id 5"):
+            graph.check()
+
+    def test_shared_key_rejected(self):
+        graph = _typed_graph({"by": []})
+        graph.objects[1].ref = graph.objects[0].ref
+        with pytest.raises(GraphError, match=r"objects 0 and 1 share key 'paper\\tX'"):
             graph.check()
 
     @pytest.mark.parametrize(
@@ -314,11 +321,11 @@ def test_dedup_keeps_first_appearances_in_order(data):
                                  max_size=40))
     registry = paper_registry()
     objects = merge_records(
-        [ObjectRecord(f"r{i}", "paper", {"title": f"t{i}"}) for i in range(n)], registry
+        record_table((f"r{i}", "paper", {"title": f"t{i}"}) for i in range(n)), registry
     )
     rels = [RelationshipType(name, "paper", "paper") for name in ("cites", "extends")]
-    raw = [RawLink("paper", (f"t{s}",), rel, "paper", (f"t{t}",)) for rel, s, t in triples]
-    graph, report = build_graph(objects, rels, raw, registry)
+    links = link_table(("paper", f"t{s}", rel, "paper", f"t{t}") for rel, s, t in triples)
+    graph, report = build_graph(objects, rels, links)
     assert report.duplicate_count == len(triples) - len(set(triples))
     for rel in ("cites", "extends"):
         pairs = [(s, t) for name, s, t in triples if name == rel]

@@ -41,11 +41,17 @@ class TestPpfAssignment:
             PpfAssignment({})
 
 
+def _row(t: TransitionStructure, object_id: int) -> list[tuple[int, float]]:
+    """(target, probability) pairs of one CSR row."""
+    lo, hi = t.indptr[object_id], t.indptr[object_id + 1]
+    return list(zip(t.targets[lo:hi].tolist(), t.probs[lo:hi].tolist()))
+
+
 class TestBuildTransition:
     def test_single_type_splits_uniformly(self):
         graph = simple_graph(3, {"cites": [(0, 1), (0, 2)]})
         t = build_transition(graph, PpfAssignment({"cites": 0.7}))
-        assert t.row(0) == [(1, 0.5), (2, 0.5)]
+        assert _row(t, 0) == [(1, 0.5), (2, 0.5)]
         assert not t.dangling[0]
         assert t.dangling[1] and t.dangling[2]
 
@@ -54,7 +60,7 @@ class TestBuildTransition:
             3, {"cites": [(0, 1)], "authored-by": [(0, 2)]}
         )
         t = build_transition(graph, PpfAssignment({"cites": 0.8, "authored-by": 0.2}))
-        assert dict(t.row(0)) == {1: 0.8, 2: 0.2}
+        assert dict(_row(t, 0)) == {1: 0.8, 2: 0.2}
 
     def test_rows_sum_to_one_on_random_graphs(self):
         rng = np.random.default_rng(17)
@@ -76,8 +82,8 @@ class TestBuildTransition:
     def test_zero_factor_removes_type(self):
         graph = simple_graph(2, {"cites": [(0, 1)], "extends": [(1, 0)]})
         t = build_transition(graph, PpfAssignment({"cites": 1.0, "extends": 0.0}))
-        assert t.row(0) == [(1, 1.0)]
-        assert t.row(1) == []
+        assert _row(t, 0) == [(1, 1.0)]
+        assert _row(t, 1) == []
         assert t.dangling[1]
 
 
@@ -246,7 +252,7 @@ class TestPopRank:
         r = result.scores
         pulled = np.zeros(10)
         for o in range(10):
-            for target, p in t.row(o):
+            for target, p in _row(t, o):
                 pulled[target] += r[o] * p
         d_mass = r[t.dangling].sum()
         step = 0.15 * prior + 0.85 * (pulled + d_mass * prior)
