@@ -31,11 +31,11 @@ from .objects import (
     GraphBuildReport,
     LinkTable,
     ObjectGraph,
+    ObjectTable,
     ObjectTypeSchema,
     RecordTable,
     RelationshipType,
     SchemaRegistry,
-    WebObject,
     build_graph,
     merge_records,
 )
@@ -64,11 +64,11 @@ __all__ = [
     "GraphBuildReport",
     "LinkTable",
     "ObjectGraph",
+    "ObjectTable",
     "ObjectTypeSchema",
     "RecordTable",
     "RelationshipType",
     "SchemaRegistry",
-    "WebObject",
     "build_graph",
     "merge_records",
     "PageGraph",

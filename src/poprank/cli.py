@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from collections.abc import Iterator
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,37 +42,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("corpus", help="corpus directory (schemas.tsv, objects.tsv, links.tsv, pages.tsv, page_object_map.tsv)")
-    common.add_argument("--epsilon", type=float, default=0.15, help="restart probability (default 0.15)")
-    common.add_argument("--damping", type=float, default=0.85, help="page-level damping factor (default 0.85)")
-    common.add_argument("--tol", type=float, default=1e-10, help="L1 convergence tolerance (default 1e-10)")
-    common.add_argument("--max-iter", type=int, default=1000, help="iteration cap (default 1000)")
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument("--strict", action="store_true", help="treat unresolved references as errors")
     common.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
-    common.add_argument("--fail-on-nonconverge", action="store_true",
-                        help="exit 3 if any power iteration fails to converge")
     common.add_argument("--timestamp", action="store_true",
                         help="stamp the report with wall-clock time (breaks byte-identical reruns)")
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("--epsilon", type=float, default=0.15, help="restart probability (default 0.15)")
+    solve.add_argument("--damping", type=float, default=0.85, help="page-level damping factor (default 0.85)")
+    solve.add_argument("--tol", type=float, default=1e-10, help="L1 convergence tolerance (default 1e-10)")
+    solve.add_argument("--max-iter", type=int, default=1000, help="iteration cap (default 1000)")
+    solve.add_argument("--fail-on-nonconverge", action="store_true", help="exit 3 if any power iteration fails to converge")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("ingest", parents=[common], help="validate a corpus and print a summary")
 
-    p_rank = sub.add_parser("rank", parents=[common], help="compute object popularity scores")
+    p_rank = sub.add_parser("rank", parents=[common, solve], help="compute object popularity scores")
     p_rank.add_argument("--ppf", type=Path, required=True, help="propagation factor file")
 
-    p_learn = sub.add_parser("learn", parents=[common], help="learn propagation factors from an expert ranking")
+    p_learn = sub.add_parser("learn", parents=[common, solve, seeded], help="learn propagation factors from an expert ranking")
     p_learn.add_argument("--expert", type=Path, required=True, help="expert ranking file")
     p_learn.add_argument("--grid-resolution", type=int, default=5, help="grid levels per factor (default 5)")
     p_learn.add_argument("--refine-iters", type=int, default=200, help="refinement evaluation budget (default 200)")
     p_learn.add_argument("--refine-step", type=float, default=0.1, help="initial refinement step (default 0.1)")
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="run the random object finder")
+    p_sim = sub.add_parser("simulate", parents=[common, solve, seeded], help="run the random object finder")
     p_sim.add_argument("--ppf", type=Path, required=True, help="propagation factor file")
     p_sim.add_argument("--steps", type=int, default=1_000_000, help="walk steps (default 1000000)")
     p_sim.add_argument("--burn-in", type=int, default=0, help="steps to discard before counting (default 0)")
 
-    p_cmp = sub.add_parser("compare", parents=[common], help="object-level vs page-level ordering")
+    p_cmp = sub.add_parser("compare", parents=[common, solve], help="object-level vs page-level ordering")
     p_cmp.add_argument("--ppf", type=Path, required=True, help="propagation factor file")
 
     return parser
@@ -163,14 +165,11 @@ def _write_report(args, meta, rows) -> None:
 def cmd_ingest(args) -> int:
     bundle = _load(args)
     graph = bundle.graph
-    by_type: dict[str, int] = {}
-    for obj in graph.objects:
-        by_type[obj.type_name] = by_type.get(obj.type_name, 0) + 1
     rows = [("objects", str(graph.num_objects)), ("pages", str(bundle.page_graph.num_pages)),
             ("hyperlinks", str(bundle.page_graph.num_edges)),
             ("map-entries", str(len(bundle.page_map.entries))),
             ("links", str(graph.num_links))]
-    rows += [(f"objects[{name}]", str(count)) for name, count in sorted(by_type.items())]
+    rows += [(f"objects[{name}]", str(count)) for name, count in sorted(Counter(graph.objects.type_names).items())]
     rows += [
         (f"links[{rt.rel_name}]", str(len(graph.links[rt.rel_name])))
         for rt in graph.relationship_types
@@ -182,9 +181,9 @@ def cmd_ingest(args) -> int:
 def _ranked_objects(bundle: CorpusBundle, positions: np.ndarray) -> Iterator[tuple[int, str]]:
     """(object_id, ref) for every object, in order of rank position. A ref
     is ``type_name<TAB>key``, so it fills a report's type and key columns."""
-    objects = bundle.graph.objects
+    refs = list(bundle.graph.key_index)  # keys are in row (object id) order
     for object_id in np.argsort(positions).tolist():
-        yield object_id, objects[object_id].ref
+        yield object_id, refs[object_id]
 
 
 def cmd_rank(args) -> int:

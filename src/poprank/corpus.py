@@ -5,11 +5,11 @@ objects, links, pages, page-object map; see formats). Loading merges
 records into deduplicated objects, resolves links, containment entries
 and expert rankings against the one key index (object reference ->
 object id), and collects structured diagnostics for everything lenient
-mode drops. Records and links are read as columns (RecordTable,
-LinkTable), so no object is built per line, and written back from the
-same tables. Relationship types are declared by their first appearance
-in the links file; a later line disagreeing on endpoint types is an
-error, as is a link naming an unregistered object type (reported first).
+mode drops. Records, objects and links are columns (RecordTable,
+ObjectTable, LinkTable), and a graph is written back from the same
+tables. Relationship types are declared by their first appearance in
+the links file; a later line disagreeing on endpoint types is an error,
+as is a link naming an unregistered object type (reported first).
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class CorpusBundle:
     registry: SchemaRegistry
     graph: ObjectGraph
     page_graph: PageGraph
-    page_ids: list[str]
     page_index: dict[str, int]
     page_map: PageObjectMap
     diagnostics: list[str] = field(default_factory=list)
@@ -108,10 +107,8 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
 
     records = formats.read_objects(paths.objects)
     objects = merge_records(records, registry)
-    conflicts = sum(o.conflict_count for o in objects)
-    diagnostics.append(
-        f"merge\trecords={len(records)}\tobjects={len(objects)}\tconflicts={conflicts}"
-    )
+    diagnostics.append(f"merge\trecords={len(records)}\tobjects={len(objects)}"
+                       f"\tconflicts={sum(objects.conflict_counts)}")
 
     links = formats.read_links(paths.links)
     rel_types = _infer_relationship_types(links, registry)
@@ -154,7 +151,6 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
         registry=registry,
         graph=graph,
         page_graph=page_graph,
-        page_ids=list(page_index),
         page_index=page_index,
         page_map=page_map,
         diagnostics=diagnostics,
@@ -177,12 +173,11 @@ def write_corpus(
     pairs = np.concatenate([np.empty((0, 2), np.int64), *edges])
     formats.write_schemas(paths.schemas, list(registry))
     formats.write_objects(paths.objects, RecordTable(
-        [f"r{obj.object_id}" for obj in objects], [obj.type_name for obj in objects],
-        [obj.attribute_values for obj in objects]))
+        [f"r{i}" for i in range(len(objects))], objects.type_names, objects.attribute_values))
     formats.write_links(paths.links, LinkTable(
         [(rt.rel_name, rt.source_type, rt.target_type) for rt in rels],
         np.repeat(np.arange(len(rels)), [len(e) for e in edges]),
-        [obj.ref for obj in objects], pairs[:, 0], pairs[:, 1]))
+        list(objects.index), pairs[:, 0], pairs[:, 1]))
     formats.write_pages(paths.pages, page_rows or [])
     formats.write_page_map(paths.page_map, map_entries or [])
     return paths

@@ -8,10 +8,10 @@ record to mention a contested attribute wins, and every later
 disagreement is counted so the merge stays auditable. Object ids are
 dense integers so the numeric modules can index score vectors directly.
 
-The loader hands over columns, not an object per line: a RecordTable of
-records for merge_records and a LinkTable of interned link lines for
-build_graph. Each object keeps its reference, and ObjectGraph.key_index
-maps references to ids for links, map entries and expert rankings alike.
+Tables are columns, not an object per line: merge_records turns a
+RecordTable of records into an ObjectTable whose row i is object i, and
+build_graph resolves a LinkTable of interned link lines against that
+table's index, the one key index (ObjectGraph.key_index).
 """
 
 from __future__ import annotations
@@ -100,18 +100,20 @@ class RecordTable:
 
 
 @dataclass
-class WebObject:
-    """A deduplicated object: all records for one reference merged.
+class ObjectTable:
+    """Merged objects as columns; row i is object i. index maps each
+    object's reference ``type_name<TAB>key text`` to its row, keys in row
+    order; the other columns hold one entry per row (attribute_values
+    without empty values)."""
 
-    ref is ``type_name<TAB>key text``, the object's one key.
-    """
+    index: dict[str, int] = field(default_factory=dict)
+    type_names: list[str] = field(default_factory=list)
+    attribute_values: list[dict[str, str]] = field(default_factory=list)
+    merged_record_counts: list[int] = field(default_factory=list)
+    conflict_counts: list[int] = field(default_factory=list)
 
-    object_id: int
-    type_name: str
-    ref: str
-    attribute_values: dict[str, str]
-    merged_record_count: int = 1
-    conflict_count: int = 0
+    def __len__(self) -> int:
+        return len(self.type_names)
 
 
 def _reject_key(record_id: str, key_attributes: Sequence[str], key: Sequence[str]) -> None:
@@ -124,23 +126,24 @@ def _reject_key(record_id: str, key_attributes: Sequence[str], key: Sequence[str
                                   f"contains {name}")
 
 
-def merge_records(records: RecordTable, registry: SchemaRegistry) -> list[WebObject]:
-    """Collapse records that share a reference into one WebObject each.
+def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable:
+    """Collapse records that share a reference into one ObjectTable row each.
 
-    The first record for a key fixes the object's id (dense, in first
+    The first record for a key fixes the object's row (dense, in first
     appearance order) and any contested attribute values. Later records
     fill in attributes the object does not have yet; when they disagree
-    with a stored value, the stored value stays and conflict_count grows
-    by one per disagreeing attribute. Empty-string values are treated as
-    absent.
+    with a stored value, the stored value stays and the row's conflict
+    count grows by one per disagreeing attribute. Empty-string values are
+    treated as absent.
 
     Raises RecordError for an unregistered type, an attribute not in the
     type's schema, or a key attribute that is missing, empty or contains
     ``|`` or TAB (the separators of references).
     """
     schemas = {s.type_name: (frozenset(s.attributes), s.key_attributes) for s in registry}
-    objects: list[WebObject] = []
-    index: dict[str, int] = {}
+    table = ObjectTable()
+    index, stored_values = table.index, table.attribute_values
+    merged, conflicts = table.merged_record_counts, table.conflict_counts
     for record_id, type_name, values in zip(
         records.record_ids, records.type_names, records.attribute_values
     ):
@@ -157,23 +160,25 @@ def merge_records(records: RecordTable, registry: SchemaRegistry) -> list[WebObj
         if "" in key or text.count("|") >= len(key) or "\t" in text:
             _reject_key(record_id, key_attributes, key)
         ref = f"{type_name}\t{text}"
-        slot = index.get(ref)
-        if slot is None:
-            index[ref] = len(objects)
-            objects.append(WebObject(len(objects), type_name, ref,
-                                     {a: v for a, v in values.items() if v != ""}))
+        row = index.get(ref)
+        if row is None:
+            index[ref] = len(stored_values)
+            table.type_names.append(type_name)
+            stored_values.append({a: v for a, v in values.items() if v != ""})
+            merged.append(1)
+            conflicts.append(0)
         else:
-            obj = objects[slot]
-            obj.merged_record_count += 1
+            merged[row] += 1
+            stored = stored_values[row]
             for attr, value in values.items():
                 if value == "":
                     continue
-                seen = obj.attribute_values.get(attr)
+                seen = stored.get(attr)
                 if seen is None:
-                    obj.attribute_values[attr] = value
+                    stored[attr] = value
                 elif seen != value:
-                    obj.conflict_count += 1
-    return objects
+                    conflicts[row] += 1
+    return table
 
 
 @dataclass(frozen=True)
@@ -191,7 +196,7 @@ class LinkTable:
 
     triples holds each distinct (rel_name, source_type, target_type) in
     order of first appearance, and codes[i] is the index of line i's
-    triple. refs holds distinct endpoint references (WebObject.ref), in
+    triple. refs holds distinct endpoint references (type<TAB>key text), in
     order of first appearance when read from a file; src[i] and tgt[i]
     index refs.
     """
@@ -241,13 +246,16 @@ class ObjectGraph:
     links maps each declared rel_name to an (m, 2) int64 array of
     (source object_id, target object_id) rows, deduplicated and in order
     of first appearance; a relationship without links has an empty array.
-    key_index maps each object's ref to its object_id.
     """
 
-    objects: list[WebObject]
+    objects: ObjectTable
     relationship_types: list[RelationshipType]
     links: dict[str, np.ndarray]
-    key_index: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def key_index(self) -> dict[str, int]:
+        """Each object's reference -> its object_id (the table's own index)."""
+        return self.objects.index
 
     @property
     def num_objects(self) -> int:
@@ -260,13 +268,14 @@ class ObjectGraph:
     def check(self) -> None:
         """Well-formedness check; raises GraphError on violation."""
         n = len(self.objects)
-        _key_index(self.objects)
+        if list(self.objects.index.values()) != list(range(n)):
+            raise GraphError(f"object keys do not map to rows 0..{n - 1} in row order")
         rels = {}
         for rt in self.relationship_types:
             if rt.rel_name in rels:
                 raise GraphError(f"duplicate relationship type {rt.rel_name!r}")
             rels[rt.rel_name] = rt
-        types = np.array([obj.type_name for obj in self.objects], dtype=str)
+        types = np.array(self.objects.type_names, dtype=str)
         for rel_name, edges in self.links.items():
             rt = rels.get(rel_name)
             if rt is None:
@@ -281,25 +290,14 @@ class ObjectGraph:
                 if wrong.size:
                     obj = int(edges[wrong[0], column])
                     raise GraphError(f"{rel_name}: {side} object {obj} has type "
-                                     f"{self.objects[obj].type_name!r}, expected {expected!r}")
+                                     f"{self.objects.type_names[obj]!r}, expected {expected!r}")
             _, dropped = _kernels.unique_edges(edges, n)
             if dropped:
                 raise GraphError(f"{rel_name}: {dropped} duplicate link(s)")
 
 
-def _key_index(objects: Sequence[WebObject]) -> dict[str, int]:
-    """ref -> object_id; raises GraphError unless ids are dense and refs distinct."""
-    index: dict[str, int] = {}
-    for pos, obj in enumerate(objects):
-        if obj.object_id != pos:
-            raise GraphError(f"object ids are not dense: position {pos} holds id {obj.object_id}")
-        if index.setdefault(obj.ref, pos) != pos:
-            raise GraphError(f"objects {index[obj.ref]} and {pos} share key {obj.ref!r}")
-    return index
-
-
 def build_graph(
-    objects: Sequence[WebObject],
+    objects: ObjectTable,
     rel_types: Sequence[RelationshipType],
     links: LinkTable,
     *,
@@ -321,7 +319,6 @@ def build_graph(
             raise SchemaError(f"duplicate relationship type {rt.rel_name!r}")
         rels[rt.rel_name] = rt
 
-    index = _key_index(objects)
     position = {rt.rel_name: i for i, rt in enumerate(rel_types)}
     problems: list[str | None] = []
     for rel_name, source_type, target_type in links.triples:
@@ -335,7 +332,7 @@ def build_graph(
             )
         else:
             problems.append(None)
-    ref_ids = np.fromiter(map(index.get, links.refs, repeat(-1)), np.int64, len(links.refs))
+    ref_ids = np.fromiter(map(objects.index.get, links.refs, repeat(-1)), np.int64, len(links.refs))
     src, tgt = ref_ids[links.src], ref_ids[links.tgt]
     unresolved = (src < 0) | (tgt < 0)
     bad = np.flatnonzero(np.array([p is not None for p in problems], bool)[links.codes])
@@ -361,4 +358,4 @@ def build_graph(
         edges = np.column_stack((src[keep], tgt[keep]))
         edges_by_rel[rt.rel_name], dropped = _kernels.unique_edges(edges, len(objects))
         report.duplicate_count += dropped
-    return ObjectGraph(list(objects), list(rel_types), edges_by_rel, index), report
+    return ObjectGraph(objects, list(rel_types), edges_by_rel), report

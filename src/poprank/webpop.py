@@ -44,16 +44,18 @@ class PageGraph:
     def build(cls, num_pages: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "PageGraph":
         if num_pages < 0:
             raise GraphError("num_pages must be >= 0")
-        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), np.int64)
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if arr.size == 0:
-            arr = arr.reshape(0, 2)
+            arr = np.empty((0, 2), np.int64)
+        if arr.dtype.kind not in "iu":
+            raise GraphError(f"hyperlink page ids must be integers, got dtype {arr.dtype}")
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise GraphError(f"hyperlinks must be (source, target) pairs, got shape {arr.shape}")
         outside = np.flatnonzero(((arr < 0) | (arr >= num_pages)).any(axis=1))
         if outside.size:
             s, t = arr[outside[0]].tolist()
             raise GraphError(f"hyperlink ({s}, {t}) points outside the page set")
-        return cls(num_pages, _kernels.unique_edges(arr, num_pages)[0])
+        return cls(num_pages, _kernels.unique_edges(arr.astype(np.int64, copy=False), num_pages)[0])
 
     @property
     def num_edges(self) -> int:
@@ -128,6 +130,8 @@ class PageObjectMap:
                 raise GraphError(f"block weight must be finite and non-negative, got {w}")
             else:
                 weights[i] = float(w)
+        if pages.min() < 0:
+            raise GraphError("page-object map references an unknown page")
         page_sums = np.bincount(pages, weights=weights, minlength=int(pages.max()) + 1)
         page_counts = np.bincount(pages, minlength=int(pages.max()) + 1)
         sums = page_sums[pages]
@@ -147,15 +151,19 @@ def web_popularity(
     Each object's raw score accumulates page_score * block_weight over
     its containment entries; objects on no page get 0. The raw vector is
     normalized to sum to 1; if nothing is covered at all, the prior is
-    uniform over all objects.
+    uniform over all objects. Raises ConfigError for page scores that are
+    not finite and non-negative.
     """
     if num_objects < 1:
         raise GraphError("web_popularity needs at least one object")
     page_scores = np.asarray(page_scores, np.float64)
+    if not np.all(np.isfinite(page_scores)) or np.any(page_scores < 0.0):
+        raise ConfigError("prior must be a probability distribution over the objects: "
+                          "page scores must be finite and non-negative")
     pages, objs, weights = page_map.resolved()
     raw = np.zeros(num_objects, np.float64)
     if pages.size:
-        if pages.min() < 0 or pages.max() >= page_scores.shape[0]:
+        if pages.max() >= page_scores.shape[0]:
             raise GraphError("page-object map references an unknown page")
         if objs.min() < 0 or objs.max() >= num_objects:
             raise GraphError("page-object map references an unknown object")

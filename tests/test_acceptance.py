@@ -168,10 +168,11 @@ def test_criterion_7_dedup_determinism():
         records.append((f"r{i}", "paper", {"title": title, "year": str(2000 + i % 4)}))
     objects = merge_records(record_table(records), registry)
     assert len(objects) == 40
-    assert sum(o.merged_record_count for o in objects) == 100
+    assert sum(objects.merged_record_counts) == 100
 
     def signature(objs):
-        return sorted((o.attribute_values["title"], o.merged_record_count) for o in objs)
+        return sorted((values["title"], merged) for values, merged
+                      in zip(objs.attribute_values, objs.merged_record_counts))
 
     base = signature(objects)
     for perm_seed in range(3):
@@ -208,9 +209,9 @@ def test_criterion_8_roundtrip_and_cli_determinism(tmp_path):
     assert {k: v.tolist() for k, v in reloaded.graph.links.items()} == {
         k: v.tolist() for k, v in bundle.graph.links.items()
     }
-    assert [(o.type_name, o.attribute_values) for o in reloaded.graph.objects] == [
-        (o.type_name, o.attribute_values) for o in bundle.graph.objects
-    ]
+    objects, again = bundle.graph.objects, reloaded.graph.objects
+    assert (again.type_names, again.attribute_values) == (
+        objects.type_names, objects.attribute_values)
 
     # byte-identical rank and simulate reports across two process runs
     env = dict(os.environ)

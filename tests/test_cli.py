@@ -195,6 +195,21 @@ class TestIngest:
         assert run_cli("ingest", symmetric_corpus, "--strict") == 2
 
 
+class TestOptions:
+    @pytest.mark.parametrize("command, extra", [
+        ("ingest", ["--epsilon", "0.2"]),
+        ("ingest", ["--fail-on-nonconverge"]),
+        ("rank", ["--seed", "1"]),
+        ("compare", ["--seed", "1"]),
+    ])
+    def test_option_the_command_does_not_read_exits_2(self, oracle_corpus, capsys, command, extra):
+        ppf = [] if command == "ingest" else ["--ppf", oracle_corpus / "gamma.tsv"]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, oracle_corpus, *ppf, *extra)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
 class TestLearn:
     def test_planted_corpus_reaches_zero_violations(self, oracle_corpus, tmp_path, capsys):
         # expert order = induced order of the gamma file the corpus ships with

@@ -67,7 +67,7 @@ class TestLoadCorpus:
         )
         bundle = load_corpus(paths)
         assert bundle.graph.num_objects == 40
-        assert sum(o.merged_record_count for o in bundle.graph.objects) == 100
+        assert sum(bundle.graph.objects.merged_record_counts) == 100
 
     def test_unresolved_link_lenient_then_strict(self, tmp_path):
         paths = write_minimal_corpus(
@@ -182,22 +182,20 @@ class TestRoundTrip:
         bundle = load_corpus(paths)
 
         out = tmp_path / "rewritten"
-        map_entries = [
-            (bundle.page_ids[p], bundle.graph.objects[o].ref, w)
-            for p, o, w in bundle.page_map.entries
-        ]
+        page_ids, refs = list(bundle.page_index), list(bundle.graph.key_index)
+        map_entries = [(page_ids[p], refs[o], w) for p, o, w in bundle.page_map.entries]
         page_rows = []
         adjacency: dict[int, list[int]] = {}
         for s, t in bundle.page_graph.edges:
             adjacency.setdefault(int(s), []).append(int(t))
-        for idx, page_id in enumerate(bundle.page_ids):
-            page_rows.append((page_id, [bundle.page_ids[t] for t in adjacency.get(idx, [])]))
+        for idx, page_id in enumerate(page_ids):
+            page_rows.append((page_id, [page_ids[t] for t in adjacency.get(idx, [])]))
         write_corpus(out, bundle.registry, bundle.graph, page_rows, map_entries)
 
         reloaded = load_corpus(CorpusPaths.in_dir(out))
-        assert [
-            (o.type_name, o.attribute_values) for o in reloaded.graph.objects
-        ] == [(o.type_name, o.attribute_values) for o in bundle.graph.objects]
+        objects, again = bundle.graph.objects, reloaded.graph.objects
+        assert (again.type_names, again.attribute_values) == (
+            objects.type_names, objects.attribute_values)
         assert {k: v.tolist() for k, v in reloaded.graph.links.items()} == {
             k: v.tolist() for k, v in bundle.graph.links.items()
         }

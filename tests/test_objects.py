@@ -66,10 +66,11 @@ class TestMergeRecords:
             ("a", "paper", {"title": "X", "year": "2004"}),
             ("b", "paper", {"title": "X", "year": "2005"}),
         ])
-        (obj,) = merge_records(records, registry)
-        assert obj.merged_record_count == 2
-        assert obj.conflict_count == 1
-        assert obj.attribute_values["year"] == "2004"
+        objects = merge_records(records, registry)
+        assert len(objects) == 1
+        assert objects.merged_record_counts == [2]
+        assert objects.conflict_counts == [1]
+        assert objects.attribute_values[0]["year"] == "2004"
 
     def test_distinct_titles_stay_apart(self):
         registry = paper_registry()
@@ -78,7 +79,7 @@ class TestMergeRecords:
         )
         objects = merge_records(records, registry)
         assert len(objects) == 3
-        assert [o.object_id for o in objects] == [0, 1, 2]
+        assert objects.index == {"paper\tA": 0, "paper\tB": 1, "paper\tC": 2}
 
     def test_later_record_fills_missing_attribute(self):
         registry = paper_registry()
@@ -86,9 +87,10 @@ class TestMergeRecords:
             ("a", "paper", {"title": "X"}),
             ("b", "paper", {"title": "X", "venue": "WWW"}),
         ])
-        (obj,) = merge_records(records, registry)
-        assert obj.attribute_values["venue"] == "WWW"
-        assert obj.conflict_count == 0
+        objects = merge_records(records, registry)
+        assert len(objects) == 1
+        assert objects.attribute_values[0]["venue"] == "WWW"
+        assert objects.conflict_counts == [0]
 
     def test_pipe_in_key_value_rejected(self):
         registry = SchemaRegistry([ObjectTypeSchema("event", ("name", "year", "city"),
@@ -126,8 +128,9 @@ class TestMergeRecords:
 
         objects = merge_records(record_table(records), registry)
         assert len(objects) == 40
-        assert sum(o.merged_record_count for o in objects) == 100
-        got = {o.attribute_values["title"]: o.merged_record_count for o in objects}
+        assert sum(objects.merged_record_counts) == 100
+        got = {values["title"]: merged for values, merged
+               in zip(objects.attribute_values, objects.merged_record_counts)}
         assert got == dict(expected)
 
     def test_unregistered_type_rejected(self):
@@ -160,13 +163,9 @@ records_strategy = st.lists(
 def test_merge_is_idempotent(records):
     registry = paper_registry()
     objects = merge_records(record_table(records), registry)
-    again = merge_records(
-        record_table((f"x{o.object_id}", o.type_name, o.attribute_values) for o in objects),
-        registry,
-    )
-    assert [(o.type_name, o.attribute_values) for o in objects] == [
-        (o.type_name, o.attribute_values) for o in again
-    ]
+    rows = list(zip(objects.type_names, objects.attribute_values))
+    again = merge_records(record_table((f"x{i}", *row) for i, row in enumerate(rows)), registry)
+    assert list(zip(again.type_names, again.attribute_values)) == rows
 
 
 @settings(max_examples=100)
@@ -179,7 +178,8 @@ def test_merge_permutation_invariance(records, seed):
     permuted = merge_records(record_table(shuffled), registry)
 
     def key_counts(objects):
-        return {(o.type_name, o.attribute_values["title"]): o.merged_record_count for o in objects}
+        return {(type_name, values["title"]): merged for type_name, values, merged in zip(
+            objects.type_names, objects.attribute_values, objects.merged_record_counts)}
 
     assert key_counts(baseline) == key_counts(permuted)
 
@@ -237,6 +237,12 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="unresolved"):
             build_graph(objects, rels, links, strict=True)
 
+    def test_key_index_is_merge_index(self):
+        objects = merge_records(record_table([("a", "paper", {"title": "X"})]), paper_registry())
+        graph, _ = build_graph(objects, [], link_table([]))
+        assert graph.objects is objects
+        assert graph.key_index is objects.index
+
     def test_undeclared_relationship_rejected(self):
         registry = paper_registry()
         objects = merge_records(record_table([("a", "paper", {"title": "X"})]), registry)
@@ -284,14 +290,15 @@ class TestGraphCheck:
 
     def test_non_dense_ids_rejected(self):
         graph = _typed_graph({"by": []})
-        graph.objects[1].object_id = 5
-        with pytest.raises(GraphError, match="not dense: position 1 holds id 5"):
+        graph.objects.index["paper\tY"] = 5
+        with pytest.raises(GraphError, match=r"object keys do not map to rows 0\.\.2 in row order"):
             graph.check()
 
     def test_shared_key_rejected(self):
+        # a dict holds a key once, so two rows sharing a key leave one row without a key
         graph = _typed_graph({"by": []})
-        graph.objects[1].ref = graph.objects[0].ref
-        with pytest.raises(GraphError, match=r"objects 0 and 1 share key 'paper\\tX'"):
+        del graph.objects.index["paper\tY"]
+        with pytest.raises(GraphError, match=r"object keys do not map to rows 0\.\.2 in row order"):
             graph.check()
 
     @pytest.mark.parametrize(

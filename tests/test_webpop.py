@@ -117,6 +117,13 @@ class TestPageRank:
         with pytest.raises(GraphError, match="pairs"):
             PageGraph.build(4, np.zeros((2, 3), np.int64))
 
+    @pytest.mark.parametrize("edges", [[(0, 1.5)], np.array([[0.0, 1.0]])],
+                             ids=["list", "float-array"])
+    def test_non_integer_page_ids_rejected(self, edges):
+        # casting to int64 would silently keep (0, 1.5) as the edge (0, 1)
+        with pytest.raises(GraphError, match="page ids must be integers"):
+            PageGraph.build(2, edges)
+
 
 class TestWebPopularity:
     def test_single_mapped_object_takes_everything(self):
@@ -163,6 +170,16 @@ class TestWebPopularity:
     def test_unknown_page_rejected(self):
         with pytest.raises(GraphError):
             web_popularity(2, np.array([1.0]), PageObjectMap([(3, 0, 1.0)]))
+
+    def test_negative_page_rejected(self):
+        with pytest.raises(GraphError, match="unknown page"):
+            web_popularity(2, np.array([1.0]), PageObjectMap([(-1, 0, 1.0)]))
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -0.5])
+    def test_bad_page_scores_rejected(self, score):
+        # page 0 maps to no object, so its score would not even reach the prior
+        with pytest.raises(ConfigError, match="page scores must be finite and non-negative"):
+            web_popularity(2, np.array([score, 1.0]), PageObjectMap([(1, 0, None)]))
 
     def test_unknown_object_rejected(self):
         with pytest.raises(GraphError):
