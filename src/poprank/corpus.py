@@ -10,6 +10,12 @@ ObjectTable, LinkTable), and a graph is written back from the same
 tables. Relationship types are declared by their first appearance in
 the links file; a later line disagreeing on endpoint types is an error,
 as is a link naming an unregistered object type (reported first).
+
+All files but the schemas are parsed in two forked worker processes
+(see load_corpus). The worker tasks are module-level functions that look
+the readers up on ``formats`` when they run: a reader replaced there
+before the call, which may be a closure that cannot be pickled, is
+inherited by the workers and used.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .learning import PartialRanking
 from .objects import (
     LinkTable,
     ObjectGraph,
+    ObjectTable,
     RecordTable,
     RelationshipType,
     SchemaRegistry,
@@ -91,34 +98,23 @@ def _infer_relationship_types(links: LinkTable, registry: SchemaRegistry) -> lis
     return list(rels.values())
 
 
-def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
-    """Parse and cross-resolve the five corpus files.
+def _merged_objects(path: Path, registry: SchemaRegistry) -> tuple[int, ObjectTable]:
+    """Worker task: the record count of the objects file and its merged table."""
+    records = formats.read_objects(path)
+    return len(records), merge_records(records, registry)
 
-    Unresolvable links and map entries are dropped with a diagnostic in
-    lenient mode and raised in strict mode; malformed lines and type
-    mismatches are always errors.
-    """
-    for p in (paths.schemas, paths.objects, paths.links, paths.pages, paths.page_map):
-        if not Path(p).is_file():
-            raise FormatError(f"missing corpus file: {p}")
 
-    diagnostics: list[str] = []
-    registry = SchemaRegistry(formats.read_schemas(paths.schemas))
+def _link_table(path: Path) -> LinkTable:
+    """Worker task: the links file as a LinkTable."""
+    return formats.read_links(path)
 
-    records = formats.read_objects(paths.objects)
-    objects = merge_records(records, registry)
-    diagnostics.append(f"merge\trecords={len(records)}\tobjects={len(objects)}"
-                       f"\tconflicts={sum(objects.conflict_counts)}")
 
-    links = formats.read_links(paths.links)
-    rel_types = _infer_relationship_types(links, registry)
-    graph, report = build_graph(objects, rel_types, links, strict=strict)
-    for message in report.dropped:
-        diagnostics.append(f"link-dropped\t{message}")
-    if report.duplicate_count:
-        diagnostics.append(f"link-duplicates\tcount={report.duplicate_count}")
-
-    page_rows = formats.read_pages(paths.pages)
+def _page_data(
+    pages_path: Path, map_path: Path
+) -> tuple[dict[str, int], np.ndarray, list[tuple[str, str, float | None]]]:
+    """Worker task: the page index, the (m, 2) hyperlink array before
+    deduplication, and the page map's rows."""
+    page_rows = formats.read_pages(pages_path)
     page_index = {page_id: row for row, (page_id, _) in enumerate(page_rows)}
     # read_pages rejects repeated rows, so row i is page i; pages known only
     # as link targets are numbered after the listed ones
@@ -127,13 +123,60 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
         np.int64,
     )
     src = np.repeat(np.arange(len(page_rows)), [len(targets) for _, targets in page_rows])
-    page_graph = PageGraph.build(len(page_index), np.column_stack((src, tgt)))
-    deduped = len(tgt) - page_graph.num_edges
+    return page_index, np.column_stack((src, tgt)), formats.read_page_map(map_path)
+
+
+def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
+    """Parse and cross-resolve the five corpus files.
+
+    Unresolvable links and map entries are dropped with a diagnostic in
+    lenient mode and raised in strict mode; malformed lines and type
+    mismatches are always errors.
+
+    The schemas are read here; the other files are parsed by two forked
+    worker processes, and their results are taken in file order (objects,
+    links, pages and map), so the first error and the diagnostics are
+    those of a load that reads one file after the other. An error stops
+    the workers without waiting for them; none outlives the call.
+    """
+    # imported here: at module level it would slow every command's start-up
+    import multiprocessing
+
+    for p in (paths.schemas, paths.objects, paths.links, paths.pages, paths.page_map):
+        if not Path(p).is_file():
+            raise FormatError(f"missing corpus file: {p}")
+
+    diagnostics: list[str] = []
+    registry = SchemaRegistry(formats.read_schemas(paths.schemas))
+
+    # fork, not spawn: the workers start with numpy and the package already
+    # imported. Leaving the block terminates them, also when a result raises.
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        links_job = pool.apply_async(_link_table, (paths.links,))  # the longest parse first
+        objects_job = pool.apply_async(_merged_objects, (paths.objects, registry))
+        pages_job = pool.apply_async(_page_data, (paths.pages, paths.page_map))
+
+        num_records, objects = objects_job.get()
+        diagnostics.append(f"merge\trecords={num_records}\tobjects={len(objects)}"
+                           f"\tconflicts={sum(objects.conflict_counts)}")
+
+        links = links_job.get()
+        rel_types = _infer_relationship_types(links, registry)
+        graph, report = build_graph(objects, rel_types, links, strict=strict)
+        for message in report.dropped:
+            diagnostics.append(f"link-dropped\t{message}")
+        if report.duplicate_count:
+            diagnostics.append(f"link-duplicates\tcount={report.duplicate_count}")
+
+        page_index, hyperlinks, map_rows = pages_job.get()
+
+    page_graph = PageGraph.build(len(page_index), hyperlinks)
+    deduped = len(hyperlinks) - page_graph.num_edges
     if deduped:
         diagnostics.append(f"hyperlink-duplicates\tcount={deduped}")
 
     entries: list[tuple[int, int, float | None]] = []
-    for page_id, ref, weight in formats.read_page_map(paths.page_map):
+    for page_id, ref, weight in map_rows:
         page = page_index.get(page_id)
         obj = graph.key_index.get(ref)
         if page is None or obj is None:

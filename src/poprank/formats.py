@@ -36,19 +36,39 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
+from sys import intern
 
 from .errors import FormatError, PopRankError
 from .objects import LinkTable, ObjectTypeSchema, RecordTable
 
 
+def _undecodable(block: str) -> int | None:
+    """The number of newlines before the first byte of ``block`` that was
+    not UTF-8, or None. Such bytes are read as lone surrogates, which no
+    UTF-8 text decodes to."""
+    if block.isascii():
+        return None
+    try:
+        block.encode("utf-8")
+    except UnicodeEncodeError as err:
+        return block.count("\n", 0, err.start)
+    return None
+
+
 def _line_blocks(path: Path, size: int = 1 << 20) -> Iterator[tuple[int, list[str]]]:
     """(number of the first line, lines without their newline) for
     consecutive blocks of about ``size`` characters; CRLF and CR line
-    endings read as LF."""
-    with open(path, encoding="utf-8") as fh:
+    endings read as LF. A line that is not UTF-8 raises FormatError after
+    the lines before it have been yielded."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lineno, partial = 1, []  # pieces of a line that spans blocks
         while block := fh.read(size):
             lines = block.split("\n")
+            if (bad := _undecodable(block)) is not None:
+                lines[0] = "".join(partial) + lines[0]
+                if bad:
+                    yield lineno, lines[:bad]
+                _fail(path, lineno + bad, "not valid UTF-8")
             if len(lines) == 1:
                 partial.append(block)
                 continue
@@ -119,7 +139,8 @@ def write_schemas(path: Path, schemas: Iterable[ObjectTypeSchema]) -> None:
 
 def read_objects(path: Path) -> RecordTable:
     """One RecordTable row per data line; the optional source page field
-    is checked for the field count but not kept."""
+    is checked for the field count but not kept. Type and attribute names
+    are interned, so each name is held once however many rows use it."""
     table = RecordTable()
     for lineno, line in _data_lines(path):
         fields = line.split("\t")
@@ -133,9 +154,9 @@ def read_objects(path: Path) -> RecordTable:
                     _fail(path, lineno, f"bad attribute segment {segment!r}")
                 if attr in values:
                     _fail(path, lineno, f"attribute {attr!r} given twice")
-                values[attr] = value
+                values[intern(attr)] = value
         table.record_ids.append(fields[0])
-        table.type_names.append(fields[1])
+        table.type_names.append(intern(fields[1]))
         table.attribute_values.append(values)
     return table
 

@@ -8,9 +8,12 @@ followed by coordinate-wise local refinement with a shrinking step.
 
 Each evaluation is one PopRank solve on the same graph. The graph's
 ``LinkStructure`` is built once and reweighted per factor vector; each
-solve starts from the scores of the previous one (a warm start), and a
-factor vector seen before is not solved again. ``evaluations`` still
-counts every call of the objective.
+solve starts from the scores of the previous one (a warm start). A
+factor vector seen before is not solved again, nor is one whose
+transition is bit-identical to one already solved: only the ratios of
+the factors among an object's followable types matter, so the factor of
+a type that no object follows together with another type does not change
+the walk. ``evaluations`` still counts every call of the objective.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .ranking import (  # noqa: F401 -- perfbench/traced.py patches build_transi
     LinkStructure,
     PopRankConfig,
     PpfAssignment,
+    TransitionStructure,
     build_transition,
     poprank_from_transition,
 )
@@ -154,6 +158,18 @@ def _grid_combinations(cfg: LearnConfig, k: int):
     return (tuple(row.tolist()) for row in cfg.grid_levels(picks))
 
 
+def _digest(transition: TransitionStructure) -> bytes:
+    """A digest of the transition's arrays; equal digests mean the same
+    walk, so the same fixed point."""
+    # imported here: at module level it adds about 4 ms to every command's start-up
+    import hashlib
+
+    h = hashlib.sha256()
+    for array in (transition.indptr, transition.targets, transition.probs, transition.dangling):
+        h.update(array)
+    return h.digest()
+
+
 def learn_ppf(
     graph: ObjectGraph,
     prior: np.ndarray,
@@ -179,8 +195,10 @@ def learn_ppf(
     k = len(names)
     links = LinkStructure.from_graph(graph)
     evaluations = 0
-    # violations per factor vector solved so far, and the latest scores
+    # violations per factor vector seen and per digest of a transition
+    # solved so far, and the latest scores
     violations_of: dict[tuple[float, ...], int] = {}
+    violations_of_transition: dict[bytes, int] = {}
     start: np.ndarray | None = None
 
     def objective(vector: Sequence[float]) -> int:
@@ -188,10 +206,13 @@ def learn_ppf(
         evaluations += 1
         vector = tuple(vector)
         if vector not in violations_of:
-            ppf = PpfAssignment(dict(zip(names, vector)))
-            result = poprank_from_transition(links.reweight(ppf), prior, cfg.poprank_cfg, start)
-            start = result.scores
-            violations_of[vector], _ = rank_disagreement(result.scores, expert)
+            transition = links.reweight(PpfAssignment(dict(zip(names, vector))))
+            digest = _digest(transition)
+            if digest not in violations_of_transition:
+                result = poprank_from_transition(transition, prior, cfg.poprank_cfg, start)
+                start = result.scores
+                violations_of_transition[digest], _ = rank_disagreement(result.scores, expert)
+            violations_of[vector] = violations_of_transition[digest]
         return violations_of[vector]
 
     combos = _grid_combinations(cfg, k)

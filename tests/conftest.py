@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
@@ -22,6 +24,13 @@ from poprank import (  # noqa: E402
     build_graph,
     merge_records,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """load_corpus parses in worker processes; none may outlive a test."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def dense_pagerank(num_pages: int, edges, damping: float) -> np.ndarray:

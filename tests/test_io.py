@@ -338,6 +338,29 @@ def test_line_blocks_match_line_iteration(tmp_path, text, size):
     assert got == expected
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pieces=st.lists(st.sampled_from([b"a", b"#", b"\t", b"\n", b"\r", b"\xc3", b"\xa9", b"\xff"]),
+                       max_size=40),
+       size=st.integers(1, 9))
+def test_line_blocks_stop_at_the_first_line_that_is_not_utf8(tmp_path, pieces, size):
+    """The lines before the first invalid byte are yielded, then FormatError
+    names that byte's line, counting CRLF and CR as line ends."""
+    data = b"".join(pieces)
+    path = tmp_path / "lines.tsv"
+    path.write_bytes(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        before = data[:err.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    else:
+        return  # test_line_blocks_match_line_iteration covers valid text
+    got = []
+    with pytest.raises(FormatError, match=rf"lines\.tsv:{len(before)}: not valid UTF-8$"):
+        for _, lines in formats._line_blocks(path, size):
+            got.extend(lines)
+    assert got == before[:-1]
+
+
 def _reference_links(objects_lines, link_lines):
     """Plain-Python loader for links: a dict over (type, key tuple) in order
     of first appearance, then a first-appearance set of (rel, src, tgt)."""

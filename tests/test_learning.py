@@ -209,6 +209,21 @@ class TestLearnPpf:
         assert result.evaluations == 5 + 20
         assert len(set(solved)) == len(solved) == result.evaluations - 1
 
+    def test_vectors_with_the_same_transition_are_solved_once(self, monkeypatch):
+        # with one relationship type every positive factor gives the same walk
+        graph = simple_graph(4, {"cites": [(0, 1), (1, 0), (2, 3), (3, 2)]})
+        solves = []
+
+        def spy(transition, prior, cfg, start=None):
+            solves.append(start)
+            return poprank_from_transition(transition, prior, cfg, start)
+
+        monkeypatch.setattr(learning, "poprank_from_transition", spy)
+        result = learn_ppf(graph, np.full(4, 0.25), PartialRanking(((0, 1),)),
+                           LearnConfig(refine_iters=20))
+        assert result.evaluations == 5 + 20
+        assert solves == [None]
+
     def test_empty_expert_rejected(self):
         graph = simple_graph(2, {"cites": [(0, 1)]})
         with pytest.raises(ConfigError):
