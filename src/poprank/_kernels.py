@@ -2,18 +2,22 @@
 
 * ``unique_edges``, ``row_starts`` and ``csr`` -- deduplicate ``(m, 2)`` int64 edge arrays
   and group edges by source into CSR arrays.
-* ``power_iteration`` -- one full power-iteration solve with restart and
-  dangling-mass redistribution, from the prior or from a given start.
+* ``power_iteration`` -- one power-iteration solve with restart and
+  dangling-mass redistribution, from the prior or from a given start, to
+  a tolerance or until the order of given pairs of entries is settled.
 * ``random_walk`` -- the restart walk driven by a seeded generator, its
-  restart segments advanced together with numpy, tallying visits into an
-  int64 histogram.
+  restart segments advanced together with numpy in chunks sized from the
+  restart probability, tallying visits into an int64 histogram.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-WALK_CHUNK_STEPS = 65_536  # steps whose uniforms are drawn at once; bounds the walk's memory
+# steps whose uniforms are drawn at once; at small epsilon up to 16 times
+# as many (see _walk_chunk), which bounds the walk's memory
+WALK_CHUNK_STEPS = 65_536
+EPS = 2.0**-52  # float64 machine epsilon
 
 
 def backend() -> str:
@@ -42,17 +46,33 @@ def csr(n: int, src: np.ndarray, tgt: np.ndarray, probs: np.ndarray):
     return row_starts(n, src), tgt[order], probs[order]
 
 
-def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter, r0=None):
+def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter, r0=None,
+                    pairs=None):
     """Iterate r <- alpha * (pull(r) + dangling_mass * v) + (1 - alpha) * v
     from r0 (v when None) until the L1 change drops below tol.
 
     Returns (r, iterations, residual); r is unnormalized (its sum stays 1
     up to float drift). A start at the fixed point stops after one
     iteration.
+
+    ``pairs``, two index arrays (high, low), adds a second stop: after an
+    iteration with L1 change delta, stop once every |r[high] - r[low]|
+    exceeds c * (delta + tol) + margin, c = alpha / (1 - alpha) up to
+    rounding (see ``_settle_rule``). The map is a contraction in L1, so
+    the iterate lies within c * delta of the fixed point, and every
+    iterate a run to tol can end on, from any start, lies within c * tol
+    of it; the margin covers rounding. Each pair then has the sign, and
+    the strict order after normalizing, of any iterate a run without
+    ``pairs`` ends on. The stop is off when such a run is not certain to
+    end within max_iter iterations, so the iteration then ends where it
+    does without ``pairs``.
     """
     n = v.shape[0]
     sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     r = (v if r0 is None else r0).copy()
+    rule = None if pairs is None else _settle_rule(indptr, targets, alpha, v, tol, max_iter)
+    if rule is not None:
+        (high, low), (c, margin) = pairs, rule
     it = 0
     delta = np.inf
     for it in range(1, max_iter + 1):
@@ -63,7 +83,41 @@ def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter, r
         r = r_new
         if delta < tol:
             break
+        if rule is not None and np.all(np.abs(r[high] - r[low]) > c * (delta + tol) + margin):
+            break
     return r, it, delta
+
+
+def _settle_rule(indptr, targets, alpha, v, tol, max_iter):
+    """The terms (c, margin) of ``power_iteration``'s pair stop, or None
+    when the stop must stay off.
+
+    One iteration is a contraction in L1 by lam: alpha times the larger of
+    v's mass and a row's probability sum, both 1 up to rounding. On scores
+    of mass about 1, rounding adds at most eta to an iteration's L1 error:
+    EPS times the longest sum it forms (a target's in-links in
+    ``bincount``, or one of numpy's pairwise sums). An iterate with L1
+    change delta then lies within (lam * delta + eta) / (1 - lam) of the
+    fixed point, and one with change below tol within (lam * tol + eta) /
+    (1 - lam), so the two are at most c * (delta + tol) + rounding apart,
+    with c = lam / (1 - lam) and rounding = 2 * eta / (1 - lam). The
+    margin is twice that rounding, the second half for the rounding of
+    delta and of the normalization that follows.
+
+    After k iterations a run's change is below 2 * lam^(k - 1) + rounding.
+    Only when that bound, with rounding counted twice, falls below tol at
+    k = max_iter is a run certain to stop at tol, so that an earlier stop
+    drops no warning; otherwise, and when lam >= 1, the stop is off.
+    """
+    row_len = int(np.diff(indptr).max(initial=0))
+    lam = alpha * max(float(v.sum()), 1.0 + EPS * (row_len + 2))
+    if not lam < 1.0:
+        return None
+    longest = int(np.bincount(targets, minlength=len(v)).max(initial=0)) + len(v).bit_length() + 32
+    rounding = 2.0 * EPS * longest / (1.0 - lam)
+    if not 2.0 * lam ** (max_iter - 1) + 2.0 * rounding < tol:
+        return None
+    return lam / (1.0 - lam), 2.0 * rounding
 
 
 def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_in, rng):
@@ -71,7 +125,7 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
 
     ``rng`` (a numpy ``Generator``) supplies one uniform for the start
     object, then a (restart, choice) pair per step, drawn in chunks of
-    WALK_CHUNK_STEPS pairs. A step restarts if its restart uniform is
+    ``_walk_chunk(epsilon)`` pairs. A step restarts if its restart uniform is
     below epsilon or the current object dangles, and then picks the object
     by bisect-right of the choice uniform on the prior CDF; otherwise it
     follows the link found by bisect-right on the current row of the link
@@ -81,7 +135,8 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
     starts an independent segment of the chunk; the first segment goes on
     from the state the previous chunk ended in. All segments of a chunk
     advance together, one step per round of numpy operations, which gives
-    the visits of the step-by-step walk exactly.
+    the visits of the step-by-step walk exactly. The draws are sequential,
+    so the chunk size changes neither the stream nor the histogram.
     """
     n = len(prior_cdf)
     counts = np.zeros(n, np.int64)
@@ -103,9 +158,10 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
         return targets[j]
 
     state = int(restart(rng.random()))
-    buffer = np.empty(min(WALK_CHUNK_STEPS, steps), np.int64)
-    for done in range(0, steps, WALK_CHUNK_STEPS):
-        k = min(WALK_CHUNK_STEPS, steps - done)
+    chunk = _walk_chunk(epsilon)
+    buffer = np.empty(min(chunk, steps), np.int64)
+    for done in range(0, steps, chunk):
+        k = min(chunk, steps - done)
         u = rng.random(2 * k)
         u_choice = u[1::2]
         visited = buffer[:k]
@@ -137,4 +193,22 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
         skip = max(0, burn_in - done)
         if skip < k:
             counts += np.bincount(visited[skip:], minlength=n)
+        del u, u_choice  # free this chunk's uniforms before the next chunk's are drawn
     return counts
+
+
+def _walk_chunk(epsilon: float) -> int:
+    """Steps per chunk of ``random_walk``: WALK_CHUNK_STEPS times the
+    smallest power of two, at most 16, that gives the chunk
+    WALK_CHUNK_STEPS / 8 restart segments (epsilon * steps) or more.
+
+    A chunk takes one round of numpy calls per step of its longest
+    segment, about ln(epsilon * chunk) / epsilon rounds, so a chunk of
+    fixed size needs ever more rounds per step as epsilon shrinks. With
+    8,192 segments at the default size, each round advances about a
+    thousand segments or more.
+    """
+    chunk = WALK_CHUNK_STEPS
+    while chunk < 16 * WALK_CHUNK_STEPS and epsilon * chunk < WALK_CHUNK_STEPS / 8:
+        chunk *= 2
+    return chunk

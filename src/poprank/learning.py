@@ -8,7 +8,11 @@ followed by coordinate-wise local refinement with a shrinking step.
 
 Each evaluation is one PopRank solve on the same graph. The graph's
 ``LinkStructure`` is built once and reweighted per factor vector; each
-solve starts from the scores of the previous one (a warm start). A
+solve starts from the scores of the previous one (a warm start), and it
+stops as soon as the order of every expert pair is settled: the
+objective reads only those signs, and the stop is taken only where they
+are already those of a solve run to the tolerance (see
+``poprank_from_transition``). A
 factor vector seen before is not solved again, nor is one whose
 transition is bit-identical to one already solved: only the ratios of
 the factors among an object's followable types matter, so the factor of
@@ -88,11 +92,15 @@ def rank_disagreement(scores: np.ndarray, expert: PartialRanking) -> tuple[int, 
         raise ConfigError("scores must be finite to compare with an expert ranking")
     if not expert.pairs:
         return 0, 0
-    high, low = expert.high, expert.low
-    if min(high.min(), low.min()) < 0 or max(high.max(), low.max()) >= scores.shape[0]:
-        raise GraphError("expert constraint references an unknown object")
-    violations = int(np.count_nonzero(scores[high] <= scores[low]))
+    _check_ids(expert, scores.shape[0])
+    violations = int(np.count_nonzero(scores[expert.high] <= scores[expert.low]))
     return violations, len(expert.pairs)
+
+
+def _check_ids(expert: PartialRanking, num_objects: int) -> None:
+    high, low = expert.high, expert.low
+    if min(high.min(), low.min()) < 0 or max(high.max(), low.max()) >= num_objects:
+        raise GraphError("expert constraint references an unknown object")
 
 
 @dataclass(frozen=True)
@@ -190,6 +198,7 @@ def learn_ppf(
         raise ConfigError("graph declares no relationship types")
     if not expert.pairs:
         raise ConfigError("expert ranking is empty")
+    _check_ids(expert, graph.num_objects)
 
     names = [rt.rel_name for rt in graph.relationship_types]
     k = len(names)
@@ -209,7 +218,8 @@ def learn_ppf(
             transition = links.reweight(PpfAssignment(dict(zip(names, vector))))
             digest = _digest(transition)
             if digest not in violations_of_transition:
-                result = poprank_from_transition(transition, prior, cfg.poprank_cfg, start)
+                result = poprank_from_transition(transition, prior, cfg.poprank_cfg, start,
+                                                 pairs=(expert.high, expert.low))
                 start = result.scores
                 violations_of_transition[digest], _ = rank_disagreement(result.scores, expert)
             violations_of[vector] = violations_of_transition[digest]

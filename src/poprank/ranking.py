@@ -12,7 +12,8 @@ The fixed point of
 
 is the popularity vector, computed by power iteration from the prior
 (or from a given start vector: ``learn`` warm-starts each solve from the
-scores of the previous factor vector).
+scores of the previous factor vector, and stops it once the order of
+every expert pair is settled).
 
 A factor vector changes only one scale per relationship type and source
 object, so the transition is built in two steps. ``LinkStructure`` holds
@@ -203,6 +204,7 @@ def poprank_from_transition(
     prior: np.ndarray,
     cfg: PopRankConfig = PopRankConfig(),
     start: np.ndarray | None = None,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RankResult:
     """Power-iterate the restart walk on a prebuilt transition structure.
 
@@ -211,9 +213,20 @@ def poprank_from_transition(
     nearby factor vector: a warm start needs fewer iterations to reach
     the same tolerance). Raises ConfigError if the scores come out
     non-finite, so no command reports NaN scores.
+
+    ``pairs``, two int64 arrays (high, low) of object ids, is for callers
+    that read only the order of those pairs, as ``learn`` does: the solve
+    may then stop before the tolerance, once each pair's order is the one
+    a solve to the tolerance would end with (``_kernels.power_iteration``
+    gives the bound). That holds from any start; a pair that does not
+    settle, such as a tie, keeps the iteration going to the tolerance.
+    Such a stop counts as converged and does not warn; a solve that runs
+    to max_iter warns as without ``pairs``.
     """
     prior = _check_prior(prior, transition.num_objects)
-    warm = {} if start is None else {"r0": _check_prior(start, transition.num_objects, "start")}
+    extra = {} if start is None else {"r0": _check_prior(start, transition.num_objects, "start")}
+    if pairs is not None:
+        extra["pairs"] = pairs
     alpha = 1.0 - cfg.epsilon
     r, iterations, residual = _kernels.power_iteration(
         transition.indptr,
@@ -224,12 +237,13 @@ def poprank_from_transition(
         prior,
         float(cfg.tol),
         int(cfg.max_iter),
-        **warm,
+        **extra,
     )
     scores = r / r.sum()
     if not np.all(np.isfinite(scores)):
         raise ConfigError(f"poprank scores are not finite (residual {residual:.3e})")
-    converged = residual < cfg.tol
+    # before max_iter the iteration stops only at the tolerance or with every pair settled
+    converged = residual < cfg.tol or iterations < cfg.max_iter
     if not converged:
         warnings.warn(
             f"poprank stopped after {iterations} iterations with residual {residual:.3e}",

@@ -8,11 +8,11 @@ to the analytic popularity vector, making the simulator an independent
 check on the power-iteration path. The simulator consumes the prebuilt
 transition structure, so both sides of that check share one model.
 
-The walk (``_kernels.random_walk``) draws its uniforms in fixed-size
-chunks. A restart taken with probability epsilon does not depend on the
-past, so it splits a chunk into independent segments, which numpy
-advances together one step per round. The stream and the visit counts
-are those of the step-by-step walk, bit for bit.
+The walk (``_kernels.random_walk``) draws its uniforms in chunks, larger
+at small epsilon. A restart taken with probability epsilon does not
+depend on the past, so it splits a chunk into independent segments,
+which numpy advances together one step per round. The stream and the
+visit counts are those of the step-by-step walk, bit for bit.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,44 @@ class TestLearn:
                        "--grid-resolution", "101")
         assert code == 2
         assert "error: rng_seed must be >= 0, got -5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--epsilon", "1e-300"], ["--max-iter", "3"]],
+                             ids=["defaults", "alpha-rounds-to-one", "max-iter-3"])
+    def test_settled_stop_leaves_the_output_unchanged(self, oracle_corpus, tmp_path, capsys,
+                                                      monkeypatch, extra):
+        expert = tmp_path / "expert.tsv"
+        expert.write_text("paper:t3\npaper:t0\npaper:t2\npaper:t1\n")
+        power_iteration = _kernels.power_iteration
+
+        def run(pairs: bool):
+            iterations = []
+
+            def counted(*args, **kwargs):
+                if not pairs:
+                    kwargs.pop("pairs", None)
+                result = power_iteration(*args, **kwargs)
+                iterations.append(result[1])
+                return result
+
+            monkeypatch.setattr(_kernels, "power_iteration", counted)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli("learn", oracle_corpus, "--expert", expert, *extra)
+            out, err = capsys.readouterr()
+            shown = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+            return (code, out, err, shown), sum(iterations)
+
+        stopped, stopped_iterations = run(pairs=True)
+        full, full_iterations = run(pairs=False)
+        assert stopped == full
+        assert stopped[0] == 0 and stopped[1].startswith("# command\tlearn")
+        if extra:
+            # a full solve is not certain to reach the tolerance: no early stop
+            assert stopped_iterations == full_iterations
+        else:
+            assert stopped_iterations < full_iterations
+        if "--max-iter" in extra:
+            assert any("stopped after 3 iterations" in message for _, message, _, _ in stopped[3])
 
     def test_single_type_warns_unidentifiable(self, symmetric_corpus, tmp_path, capsys):
         expert = tmp_path / "expert.tsv"

@@ -53,6 +53,50 @@ def test_power_iteration_start_vector():
     np.testing.assert_allclose(r, fixed_point, atol=1e-15)
 
 
+def test_power_iteration_stops_once_every_pair_is_settled():
+    t, prior = _structure()
+    args = (t.indptr, t.targets, t.probs, t.dangling, 0.85, prior, 1e-12, 2000)
+    full, full_iterations, _ = _kernels.power_iteration(*args)
+    # each object above the next one in the converged order
+    order = np.argsort(-full, kind="stable")
+    high, low = order[:-1], order[1:]
+    r, iterations, residual = _kernels.power_iteration(*args, pairs=(high, low))
+    assert iterations < full_iterations
+    assert residual >= 1e-12
+    assert np.all(r[high] > r[low])
+    assert np.all((r / r.sum())[high] > (r / r.sum())[low])
+
+
+@pytest.mark.parametrize("alpha, tol", [(0.5, 1e-12), (0.85, 1e-12), (0.99, 1e-9)])
+def test_power_iteration_pair_stop_waits_where_errors_shrink_by_exactly_alpha(alpha, tol):
+    # with only self-links the fixed point is v and an iterate's distance to
+    # it shrinks by exactly alpha per iteration, the rate the stop's bound
+    # assumes; starts ordered against v must not stop before the order turns
+    indptr, targets = np.array([0, 1, 2]), np.array([0, 1])
+    v = np.array([0.5 + 1e-4, 0.5 - 1e-4])
+    for s in np.linspace(0.0, 0.5, 26):
+        r, _, residual = _kernels.power_iteration(
+            indptr, targets, np.ones(2), np.zeros(2, bool), alpha, v, tol, 20_000,
+            r0=np.array([s, 1.0 - s]), pairs=(np.array([0]), np.array([1])))
+        assert r[0] > r[1]
+        assert residual >= tol  # the pair stop, not the tolerance, ended the solve
+
+
+@pytest.mark.parametrize("alpha, tol, max_iter", [
+    (1.0, 1e-12, 2000),  # no contraction: the bound does not exist
+    (0.85, 1e-12, 5),  # a full run stops at max_iter, above tol
+    (0.85, 1e-300, 2000),  # tol below rounding: a full run may never reach it
+])
+def test_power_iteration_pairs_change_nothing_where_a_full_run_may_not_converge(alpha, tol, max_iter):
+    t, prior = _structure()
+    args = (t.indptr, t.targets, t.probs, t.dangling, alpha, prior, tol, max_iter)
+    full = _kernels.power_iteration(*args)
+    order = np.argsort(-full[0], kind="stable")
+    r, iterations, residual = _kernels.power_iteration(*args, pairs=(order[:-1], order[1:]))
+    assert r.tobytes() == full[0].tobytes()
+    assert (iterations, residual) == full[1:]
+
+
 def test_random_walk_histogram_is_pinned():
     t, prior = _structure()
     steps = 20_000
@@ -223,6 +267,24 @@ def test_random_walk_boundary_uniforms(chunk):
     assert path == [state for _, state in BOUNDARY_PATH]
 
 
+@pytest.mark.parametrize("epsilon, growth", [
+    (1.0, 1), (0.15, 1), (0.1, 2), (0.05, 4), (0.01, 16), (1e-3, 16), (1e-9, 16)])
+def test_random_walk_chunk_grows_at_small_epsilon(epsilon, growth):
+    assert _kernels._walk_chunk(epsilon) == growth * _kernels.WALK_CHUNK_STEPS
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 0.01, 0.05])
+def test_random_walk_grown_chunks_match_step_by_step_reference(epsilon):
+    # with 64-step chunks these epsilons grow them to 1,024, 1,024 and 256 steps
+    t, prior = _structure()
+    args = (t.indptr, t.targets, t.link_cdf(), t.dangling, np.cumsum(prior), epsilon, 5_000, 700)
+    with mock.patch.object(_kernels, "WALK_CHUNK_STEPS", 64):
+        assert _kernels._walk_chunk(epsilon) > 64
+        got = _kernels.random_walk(*args, np.random.default_rng(13))
+        want = reference_walk(*args, np.random.default_rng(13))
+    assert got.tolist() == want.tolist()
+
+
 def test_random_walk_memory_is_bounded_by_the_chunk():
     t, prior = _structure()
     steps = 1_000_000
@@ -237,3 +299,22 @@ def test_random_walk_memory_is_bounded_by_the_chunk():
         tracemalloc.stop()
     assert counts.sum() == steps
     assert peak < 8 * steps  # one steps-long int64 array
+
+
+def test_random_walk_memory_at_small_epsilon_is_bounded_by_the_largest_chunk():
+    t, prior = _structure()
+    chunk = 16 * _kernels.WALK_CHUNK_STEPS  # the largest
+    steps = chunk + chunk // 2
+    tracemalloc.start()
+    try:
+        counts = _kernels.random_walk(
+            t.indptr, t.targets, t.link_cdf(), t.dangling, np.cumsum(prior), 1e-3, steps, 0,
+            np.random.default_rng(2),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == steps
+    # per step of the largest chunk: 16 bytes of uniforms and 8 of visited
+    # objects, and only one chunk's uniforms alive at a time
+    assert peak < 28 * chunk

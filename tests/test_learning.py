@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_prior, simple_graph
+from conftest import random_graph, random_prior, simple_graph
 from poprank import (
     ConfigError,
     GraphError,
@@ -18,6 +18,7 @@ from poprank import (
     PartialRanking,
     PopRankConfig,
     PpfAssignment,
+    build_transition,
     kendall_tau,
     learn_ppf,
     poprank,
@@ -184,7 +185,7 @@ class TestLearnPpf:
         corpora.append((graph, prior, PartialRanking(tuple((b, a) for a, b in expert.pairs))))
         warm = [learn_ppf(graph, prior, expert, cfg) for graph, prior, expert in corpora]
 
-        def cold(transition, prior, cfg, start=None):
+        def cold(transition, prior, cfg, start=None, pairs=None):
             return poprank_from_transition(transition, prior, cfg)
 
         monkeypatch.setattr(learning, "poprank_from_transition", cold)
@@ -214,9 +215,9 @@ class TestLearnPpf:
         graph = simple_graph(4, {"cites": [(0, 1), (1, 0), (2, 3), (3, 2)]})
         solves = []
 
-        def spy(transition, prior, cfg, start=None):
+        def spy(transition, prior, cfg, start=None, pairs=None):
             solves.append(start)
-            return poprank_from_transition(transition, prior, cfg, start)
+            return poprank_from_transition(transition, prior, cfg, start, pairs=pairs)
 
         monkeypatch.setattr(learning, "poprank_from_transition", spy)
         result = learn_ppf(graph, np.full(4, 0.25), PartialRanking(((0, 1),)),
@@ -224,10 +225,34 @@ class TestLearnPpf:
         assert result.evaluations == 5 + 20
         assert solves == [None]
 
+    def test_a_tie_that_never_settles_runs_to_the_tolerance(self):
+        # objects 0 and 1 are mutually linked twins with equal prior, so they
+        # tie in every iterate; objects 2 and 3 separate
+        graph = simple_graph(4, {"cites": [(0, 1), (1, 0), (2, 3), (3, 2)]})
+        transition = build_transition(graph, PpfAssignment({"cites": 1.0}))
+        prior = np.array([0.1, 0.1, 0.3, 0.5])
+        cfg = PopRankConfig()
+        full = poprank_from_transition(transition, prior, cfg)
+        separable = (np.array([3]), np.array([2]))
+        settled = poprank_from_transition(transition, prior, cfg, pairs=separable)
+        assert settled.converged and settled.residual >= cfg.tol
+        assert settled.iterations < full.iterations
+        with_tie = (np.array([3, 0]), np.array([2, 1]))
+        tied = poprank_from_transition(transition, prior, cfg, pairs=with_tie)
+        assert tied.scores.tobytes() == full.scores.tobytes()
+        assert (tied.iterations, tied.residual) == (full.iterations, full.residual)
+        assert tied.residual < cfg.tol
+
     def test_empty_expert_rejected(self):
         graph = simple_graph(2, {"cites": [(0, 1)]})
         with pytest.raises(ConfigError):
             learn_ppf(graph, np.array([0.5, 0.5]), PartialRanking(()), LearnConfig())
+
+    @pytest.mark.parametrize("pair", [(0, 2), (-1, 0)])
+    def test_expert_with_unknown_object_rejected(self, pair):
+        graph = simple_graph(2, {"cites": [(0, 1)]})
+        with pytest.raises(GraphError, match="unknown object"):
+            learn_ppf(graph, np.array([0.5, 0.5]), PartialRanking((pair,)), LearnConfig())
 
     def test_graph_without_relationship_types_rejected(self):
         graph = simple_graph(2, {})
@@ -287,6 +312,43 @@ class TestLearnPpf:
 
         combos = list(_grid_combinations(LearnConfig(grid_resolution=2), 2))
         assert combos == [(0.05, 0.05), (0.05, 1.0), (1.0, 0.05), (1.0, 1.0)]
+
+
+@st.composite
+def solves_with_pairs(draw):
+    """A small random graph, prior, optional start vector and expert pairs
+    consistent with a random order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 9))
+    graph, ppf = random_graph(rng, n, 2, draw(st.integers(0, 3 * n)))
+    prior = random_prior(rng, n)
+    start = random_prior(rng, n) if draw(st.booleans()) else None
+    order = rng.permutation(n)
+    pairs = [(int(order[i]), int(order[j])) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs)))
+    return build_transition(graph, ppf), prior, start, PartialRanking(tuple(chosen))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=solves_with_pairs(), epsilon=st.sampled_from([0.05, 0.15, 0.5]),
+       tol=st.sampled_from([1e-6, 1e-10, 1e-12]))
+def test_settled_stop_keeps_the_violations_of_a_full_solve(case, epsilon, tol):
+    transition, prior, start, expert = case
+    cfg = PopRankConfig(epsilon=epsilon, tol=tol)
+    stopped = poprank_from_transition(transition, prior, cfg, start,
+                                      pairs=(expert.high, expert.low))
+    full = poprank_from_transition(transition, prior, cfg, start)
+    cold = poprank_from_transition(transition, prior, cfg)
+    assert stopped.converged
+    if stopped.iterations < full.iterations:
+        assert stopped.residual >= tol
+        assert (rank_disagreement(stopped.scores, expert)
+                == rank_disagreement(full.scores, expert)
+                == rank_disagreement(cold.scores, expert))
+    else:
+        # no stop before the tolerance: the iterates of the full solve
+        assert stopped.scores.tobytes() == full.scores.tobytes()
+        assert stopped.iterations == full.iterations
 
 
 class TestKendallTau:
