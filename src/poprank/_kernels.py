@@ -1,5 +1,9 @@
-"""The two numeric inner loops, and the edge-array helpers that feed them.
+"""The two numeric inner loops, the edge-array helpers that feed them, and
+the byte interner that feeds the loader.
 
+* ``SpanInterner`` -- exact interning of byte spans, one block of a file
+  at a time: ids in order of first appearance, found by a 64-bit hash
+  and checked byte for byte against the stored value.
 * ``unique_edges``, ``row_starts`` and ``csr`` -- deduplicate ``(m, 2)`` int64 edge arrays
   and group edges by source into CSR arrays.
 * ``power_iteration`` -- one power-iteration solve with restart and
@@ -23,6 +27,154 @@ EPS = 2.0**-52  # float64 machine epsilon
 def backend() -> str:
     """Name of the numeric backend."""
     return "numpy"
+
+
+class HashCollision(Exception):
+    """Two different spans got one hash; intern again with the next seed."""
+
+
+_ALL_BITS = np.uint64(2**64 - 1)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, in place on a uint64 array; a bijection."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _span_hashes(words: np.ndarray, word_index: np.ndarray, word_starts: np.ndarray,
+                 lengths: np.ndarray, seed: int) -> np.ndarray:
+    """One uint64 hash per span from its masked words (flattened, span
+    after span, ``word_index`` counting within a span and ``word_starts``
+    giving each span's first word): the sum of the mixed words, each
+    salted with its place, mixed with the span's length and the seed."""
+    salt = _mix(np.array([seed], np.uint64))
+    mixed = _mix(words + (word_index.astype(np.uint64) + np.uint64(1)) * _GOLDEN + salt)
+    sums = np.concatenate((np.zeros(1, np.uint64), np.cumsum(mixed, dtype=np.uint64)))
+    ends = word_starts + ((lengths + 7) >> 3)
+    return _mix((sums[ends] - sums[word_starts]) ^ _mix(lengths.astype(np.uint64) ^ salt))
+
+
+def _padded_words(data: np.ndarray) -> np.ndarray:
+    """The little-endian 8-byte word at every byte offset of ``data``, a
+    uint8 array with at least 7 bytes past the last offset that is read:
+    an unaligned view, nothing is copied."""
+    return np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
+
+
+def unique_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)`` for a
+    1-d array: the sorted distinct keys, the index of each one's first
+    occurrence and each key's index among them. One unstable argsort, a
+    few times faster than the stable sort np.unique needs for the first
+    occurrences: a key's first occurrence is the least index in its run."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new_run = np.ones(len(keys), bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    inverse = np.empty(len(keys), np.int64)
+    inverse[order] = np.cumsum(new_run) - 1
+    first = np.minimum.reduceat(order, starts) if len(keys) else order
+    return ordered[starts], first, inverse
+
+
+class SpanInterner:
+    """Ids for distinct byte strings, in order of first appearance.
+
+    ``intern`` takes one block of UTF-8 bytes and the ``[start, end)``
+    byte spans of the values in it, and returns each span's id. A value
+    is found by a 64-bit hash of its bytes, read 8 at a time through an
+    unaligned word view and seeded with its length and ``seed``, in a
+    sorted table of the hashes seen so far; every span is then compared
+    word for word with the bytes stored for its id. When two different
+    values share a hash the comparison fails and HashCollision is raised:
+    the caller starts again with another seed, so ids never depend on the
+    hash. Memory grows with the distinct values, not with the blocks.
+
+    Values must not contain a newline byte: the stored values are kept
+    newline-separated, and ``values`` decodes them with one split.
+    """
+
+    def __init__(self, seed: int = 0):
+        self.seed = seed
+        self._hashes = np.empty(0, np.uint64)  # sorted
+        self._hash_ids = np.empty(0, np.int64)  # the id of each hash
+        self._offsets = np.empty(0, np.int64)  # per id, where its bytes start in _store
+        self._lengths = np.empty(0, np.int64)
+        self._store = np.zeros(1 << 16, np.uint8)  # values, each followed by a newline
+        self._size = 0
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def intern(self, data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The int64 id of each span ``data[starts[i]:ends[i]]``; a value
+        not seen before gets the next id, in the order of the spans."""
+        buf = np.frombuffer(data + bytes(8), np.uint8)
+        starts = np.asarray(starts, np.int64)
+        lengths = np.asarray(ends, np.int64) - starts
+        counts = (lengths + 7) >> 3  # words per span
+        word_starts = np.cumsum(counts) - counts
+        word_index = np.arange(int(counts.sum())) - np.repeat(word_starts, counts)
+        place = 8 * word_index
+        # the last word of a span keeps only the span's bytes (little-endian: the low ones)
+        last = (word_starts + counts - 1)[counts > 0]
+        mask = np.full(len(place), _ALL_BITS)
+        mask[last] >>= (np.uint64(64) - (8 * (lengths[counts > 0] - place[last])).astype(np.uint64))
+        words = _padded_words(buf)[np.repeat(starts, counts) + place] & mask
+        hashes = _span_hashes(words, word_index, word_starts, lengths, self.seed)
+
+        distinct, first, inverse = unique_first(hashes)
+        at = np.searchsorted(self._hashes, distinct)
+        known = at < len(self._hashes)
+        known[known] = self._hashes[at[known]] == distinct[known]
+        distinct_ids = np.empty(len(distinct), np.int64)
+        distinct_ids[known] = self._hash_ids[at[known]]
+        new = np.flatnonzero(~known)
+        new = new[np.argsort(first[new])]  # by first appearance
+        distinct_ids[new] = np.arange(len(self), len(self) + len(new))
+        self._store_new(buf, starts, lengths, first[new])
+        ascending = np.sort(new)  # so that np.insert keeps the table sorted
+        self._hashes = np.insert(self._hashes, at[ascending], distinct[ascending])
+        self._hash_ids = np.insert(self._hash_ids, at[ascending], distinct_ids[ascending])
+        ids = distinct_ids[inverse]
+
+        if not np.array_equal(self._lengths[ids], lengths):
+            raise HashCollision
+        stored = _padded_words(self._store)[np.repeat(self._offsets[ids], counts) + place] & mask
+        if not np.array_equal(stored, words):
+            raise HashCollision
+        return ids
+
+    def _store_new(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                   spans: np.ndarray) -> None:
+        """Append the values of ``spans`` (span indices in id order), each
+        followed by a newline, to the store."""
+        starts, lengths = starts[spans], lengths[spans]
+        sizes = lengths + 1
+        offsets = self._size + np.cumsum(sizes) - sizes
+        end = self._size + int(sizes.sum())
+        if end + 8 > len(self._store):
+            grown = np.zeros(max(2 * len(self._store), end + 8), np.uint8)
+            grown[:self._size] = self._store[:self._size]
+            self._store = grown
+        self._store[self._size:end] = ord("\n")
+        before = np.cumsum(lengths) - lengths
+        source = np.arange(int(lengths.sum())) + np.repeat(starts - before, lengths)
+        self._store[source + np.repeat(offsets - starts, lengths)] = buf[source]
+        self._offsets = np.concatenate((self._offsets, offsets))
+        self._lengths = np.concatenate((self._lengths, lengths))
+        self._size = end
+
+    def values(self) -> list[str]:
+        """The distinct values decoded, in id order."""
+        return self._store[:self._size].tobytes().decode("utf-8").split("\n")[:-1]
 
 
 def unique_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray, int]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from collections.abc import Iterator
 from datetime import datetime, timezone
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .ranking import (
     PpfAssignment,
     build_transition,
     poprank_from_transition,
+    ranking_order,
     ranking_positions,
 )
 from .simulate import SimConfig, simulate, tv_distance
@@ -112,19 +113,23 @@ def _prior(bundle: CorpusBundle, args) -> tuple[np.ndarray, RankResult | None]:
     return prior, page_result
 
 
-def _solve(args, restart_only: bool = False):
+def _poprank_config(args) -> PopRankConfig:
+    return PopRankConfig(epsilon=args.epsilon, tol=args.tol, max_iter=args.max_iter)
+
+
+def _solve(args, cfg: PopRankConfig | None):
     """(bundle, ppf, prior, page_result, transition, result) for the corpus.
 
-    With restart_only (epsilon 1) every step restarts, so the result is the prior.
+    Without cfg (restart only, epsilon 1) every step restarts, so the
+    result is the prior.
     """
     bundle = _load(args)
     ppf = _load_ppf(args.ppf, bundle)
     prior, page_result = _prior(bundle, args)
     transition = build_transition(bundle.graph, ppf)
-    if restart_only:
+    if cfg is None:
         result = RankResult(prior, 0, 0.0, True)
     else:
-        cfg = PopRankConfig(epsilon=args.epsilon, tol=args.tol, max_iter=args.max_iter)
         result = poprank_from_transition(transition, prior, cfg)
     return bundle, ppf, prior, page_result, transition, result
 
@@ -155,39 +160,36 @@ def _check_convergence(args, *results: RankResult | None) -> int:
     return 0
 
 
-def _write_report(args, meta, rows) -> None:
+def _write_report(args, meta, lines: list[str]) -> None:
     if args.out is None:
-        formats.write_report(sys.stdout, meta, rows)
+        formats.write_report(sys.stdout, meta, lines)
     else:
-        formats.write_report(args.out, meta, rows)
+        formats.write_report(args.out, meta, lines)
 
 
 def cmd_ingest(args) -> int:
     bundle = _load(args)
     graph = bundle.graph
-    rows = [("objects", str(graph.num_objects)), ("pages", str(bundle.page_graph.num_pages)),
-            ("hyperlinks", str(bundle.page_graph.num_edges)),
-            ("map-entries", str(len(bundle.page_map.entries))),
-            ("links", str(graph.num_links))]
-    rows += [(f"objects[{name}]", str(count)) for name, count in sorted(Counter(graph.objects.type_names).items())]
-    rows += [
-        (f"links[{rt.rel_name}]", str(len(graph.links[rt.rel_name])))
-        for rt in graph.relationship_types
-    ]
-    _write_report(args, _base_meta(args, "ingest"), rows)
+    lines = [f"objects\t{graph.num_objects}", f"pages\t{bundle.page_graph.num_pages}",
+             f"hyperlinks\t{bundle.page_graph.num_edges}",
+             f"map-entries\t{len(bundle.page_map.entries)}", f"links\t{graph.num_links}"]
+    lines += [f"objects[{name}]\t{n}" for name, n in sorted(Counter(graph.objects.type_names).items())]
+    lines += [f"links[{rt.rel_name}]\t{len(graph.links[rt.rel_name])}"
+              for rt in graph.relationship_types]
+    _write_report(args, _base_meta(args, "ingest"), lines)
     return 0
 
 
-def _ranked_objects(bundle: CorpusBundle, positions: np.ndarray) -> Iterator[tuple[int, str]]:
-    """(object_id, ref) for every object, in order of rank position. A ref
-    is ``type_name<TAB>key``, so it fills a report's type and key columns."""
+def _in_order(bundle: CorpusBundle, order: np.ndarray, *columns: np.ndarray) -> tuple[list, ...]:
+    """Every object's ref, then each per-object column as a list, in
+    ``order``. A ref is ``type_name<TAB>key``, so it fills a report's type
+    and key columns."""
     refs = list(bundle.graph.key_index)  # keys are in row (object id) order
-    for object_id in np.argsort(positions).tolist():
-        yield object_id, refs[object_id]
+    return ([refs[i] for i in order.tolist()], *(column[order].tolist() for column in columns))
 
 
 def cmd_rank(args) -> int:
-    bundle, ppf, _, page_result, _, result = _solve(args)
+    bundle, ppf, _, page_result, _, result = _solve(args, _poprank_config(args))
 
     meta = _base_meta(args, "rank")
     meta += [("epsilon", repr(args.epsilon)), ("damping", repr(args.damping)),
@@ -195,27 +197,22 @@ def cmd_rank(args) -> int:
     meta += [(f"gamma[{name}]", repr(float(g))) for name, g in sorted(ppf.factors.items())]
     meta += _convergence_meta("pagerank", page_result)
     meta += _convergence_meta("poprank", result)
-    positions = ranking_positions(result.scores)
-    position, score = positions.tolist(), result.scores.tolist()
-    rows = [
-        (str(position[i] + 1), ref, repr(score[i]))
-        for i, ref in _ranked_objects(bundle, positions)
-    ]
-    _write_report(args, meta, rows)
+    refs, scores = _in_order(bundle, ranking_order(result.scores), result.scores)
+    _write_report(args, meta, [f"{k}\t{ref}\t{s!r}" for k, ref, s in zip(count(1), refs, scores)])
     return _check_convergence(args, page_result, result)
 
 
 def cmd_learn(args) -> int:
-    bundle = _load(args)
-    expert = resolve_expert(bundle, args.expert)
-    prior, page_result = _prior(bundle, args)
     cfg = LearnConfig(
         grid_resolution=args.grid_resolution,
         refine_iters=args.refine_iters,
         refine_step=args.refine_step,
         rng_seed=args.seed,
-        poprank_cfg=PopRankConfig(epsilon=args.epsilon, tol=args.tol, max_iter=args.max_iter),
+        poprank_cfg=_poprank_config(args),
     )
+    bundle = _load(args)
+    expert = resolve_expert(bundle, args.expert)
+    prior, page_result = _prior(bundle, args)
     result = learn_ppf(bundle.graph, prior, expert, cfg)
 
     meta = _base_meta(args, "learn")
@@ -229,19 +226,22 @@ def cmd_learn(args) -> int:
         print(f"diag\t{warning[0]}\t{warning[1]}", file=sys.stderr)
     factors = {name: float(g) for name, g in result.assignment.factors.items()}
     if args.out is None:
-        formats.write_report(sys.stdout, meta, [(n, repr(g)) for n, g in factors.items()])
+        formats.write_report(sys.stdout, meta, [f"{n}\t{g!r}" for n, g in factors.items()])
     else:
         formats.write_ppf(args.out, factors, meta)
-    return _check_convergence(args, page_result)
+    code = _check_convergence(args, page_result)
+    if not code and result.nonconverged and args.fail_on_nonconverge:
+        print(f"error: {result.nonconverged} poprank solve(s) did not converge", file=sys.stderr)
+        return 3
+    return code
 
 
 def cmd_simulate(args) -> int:
-    bundle, _, prior, page_result, transition, analytic = _solve(args, args.epsilon == 1.0)
-    hist = simulate(
-        transition,
-        prior,
-        SimConfig(steps=args.steps, rng_seed=args.seed, epsilon=args.epsilon, burn_in=args.burn_in),
-    )
+    cfg = None if args.epsilon == 1.0 else _poprank_config(args)
+    sim_cfg = SimConfig(steps=args.steps, rng_seed=args.seed, epsilon=args.epsilon,
+                        burn_in=args.burn_in)
+    bundle, _, prior, page_result, transition, analytic = _solve(args, cfg)
+    hist = simulate(transition, prior, sim_cfg)
     tv = tv_distance(hist.empirical, analytic.scores)
 
     meta = _base_meta(args, "simulate")
@@ -250,19 +250,15 @@ def cmd_simulate(args) -> int:
              ("tv-distance", repr(tv))]
     meta += _convergence_meta("poprank", analytic)
 
-    positions = ranking_positions(analytic.scores)
-    position, score = positions.tolist(), analytic.scores.tolist()
-    empirical, counts = hist.empirical.tolist(), hist.counts.tolist()
-    rows = [
-        (str(position[i] + 1), ref, repr(score[i]), repr(empirical[i]), str(counts[i]))
-        for i, ref in _ranked_objects(bundle, positions)
-    ]
-    _write_report(args, meta, rows)
+    columns = _in_order(bundle, ranking_order(analytic.scores), analytic.scores, hist.empirical,
+                        hist.counts)
+    _write_report(args, meta, [f"{k}\t{ref}\t{s!r}\t{e!r}\t{c}"
+                               for k, ref, s, e, c in zip(count(1), *columns)])
     return _check_convergence(args, page_result, analytic)
 
 
 def cmd_compare(args) -> int:
-    bundle, _, prior, page_result, _, result = _solve(args)
+    bundle, _, prior, page_result, _, result = _solve(args, _poprank_config(args))
 
     object_positions = ranking_positions(result.scores)
     page_positions = ranking_positions(prior)
@@ -273,14 +269,10 @@ def cmd_compare(args) -> int:
              ("damping", repr(args.damping))]
     meta += _convergence_meta("poprank", result)
 
-    position, score = object_positions.tolist(), result.scores.tolist()
-    page_position, prior_score = page_positions.tolist(), prior.tolist()
-    rows = [
-        (ref, repr(score[i]), str(position[i] + 1),
-         repr(prior_score[i]), str(page_position[i] + 1))
-        for i, ref in _ranked_objects(bundle, object_positions)
-    ]
-    _write_report(args, meta, rows)
+    columns = _in_order(bundle, ranking_order(result.scores), result.scores, prior,
+                        page_positions + 1)
+    _write_report(args, meta, [f"{ref}\t{s!r}\t{k}\t{p!r}\t{page_k}"
+                               for k, ref, s, p, page_k in zip(count(1), *columns)])
     return _check_convergence(args, page_result, result)
 
 

@@ -11,16 +11,21 @@ tables. Relationship types are declared by their first appearance in
 the links file; a later line disagreeing on endpoint types is an error,
 as is a link naming an unregistered object type (reported first).
 
-All files but the schemas are parsed in two forked worker processes
-(see load_corpus). The worker tasks are module-level functions that look
-the readers up on ``formats`` when they run: a reader replaced there
-before the call, which may be a closure that cannot be pickled, is
-inherited by the workers and used.
+The links file, the largest, is parsed by one forked worker process
+while this process parses the others (see load_corpus); only its
+LinkTable, int64 arrays and the list of references, comes back through
+a pipe. The links task looks ``formats.read_links`` up when it runs: a
+reader replaced there before the call, which may be a closure that
+cannot be pickled, is inherited by the worker and used.
 """
 
 from __future__ import annotations
 
+import os
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +50,10 @@ OBJECTS_FILE = "objects.tsv"
 LINKS_FILE = "links.tsv"
 PAGES_FILE = "pages.tsv"
 PAGE_MAP_FILE = "page_object_map.tsv"
+
+# links.tsv files smaller than this are parsed in-process: forking a worker
+# costs more than parsing such a file beside the others saves
+FORK_MIN_LINKS_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -99,31 +108,48 @@ def _infer_relationship_types(links: LinkTable, registry: SchemaRegistry) -> lis
 
 
 def _merged_objects(path: Path, registry: SchemaRegistry) -> tuple[int, ObjectTable]:
-    """Worker task: the record count of the objects file and its merged table."""
+    """The record count of the objects file and its merged table; the
+    records themselves are not kept."""
     records = formats.read_objects(path)
     return len(records), merge_records(records, registry)
 
 
 def _link_table(path: Path) -> LinkTable:
-    """Worker task: the links file as a LinkTable."""
+    """The links task: the links file as a LinkTable."""
     return formats.read_links(path)
 
 
 def _page_data(
     pages_path: Path, map_path: Path
 ) -> tuple[dict[str, int], np.ndarray, list[tuple[str, str, float | None]]]:
-    """Worker task: the page index, the (m, 2) hyperlink array before
-    deduplication, and the page map's rows."""
-    page_rows = formats.read_pages(pages_path)
-    page_index = {page_id: row for row, (page_id, _) in enumerate(page_rows)}
-    # read_pages rejects repeated rows, so row i is page i; pages known only
-    # as link targets are numbered after the listed ones
-    tgt = np.fromiter(
-        (page_index.setdefault(t, len(page_index)) for _, targets in page_rows for t in targets),
-        np.int64,
-    )
-    src = np.repeat(np.arange(len(page_rows)), [len(targets) for _, targets in page_rows])
+    """The page index, the (m, 2) hyperlink array before deduplication,
+    and the page map's rows."""
+    page_ids, src, tgt = formats.read_pages(pages_path)
+    page_index = dict(zip(page_ids, range(len(page_ids))))
     return page_index, np.column_stack((src, tgt)), formats.read_page_map(map_path)
+
+
+def _fork_links(path: Path) -> bool:
+    """Whether the links task runs in a forked worker: only with a second
+    CPU to run it on, and a links file large enough to repay the fork."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) > 1 and path.stat().st_size >= FORK_MIN_LINKS_BYTES
+
+
+@contextmanager
+def _links_job(path: Path) -> Iterator[Callable[[], LinkTable]]:
+    """A call that returns the links task's result: from one forked
+    worker started here, which leaving the block stops, or (see
+    _fork_links) by running the task when called."""
+    if not _fork_links(path):
+        yield partial(_link_table, path)
+        return
+    # imported here: at module level it would slow every command's start-up
+    import multiprocessing
+
+    # fork, not spawn: the worker starts with numpy and the package already imported
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        yield pool.apply_async(_link_table, (path,)).get
 
 
 def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
@@ -133,15 +159,13 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
     lenient mode and raised in strict mode; malformed lines and type
     mismatches are always errors.
 
-    The schemas are read here; the other files are parsed by two forked
-    worker processes, and their results are taken in file order (objects,
-    links, pages and map), so the first error and the diagnostics are
-    those of a load that reads one file after the other. An error stops
-    the workers without waiting for them; none outlives the call.
+    The links file is parsed by one forked worker while this process
+    parses the others (see _fork_links for when it runs here instead).
+    Results are taken in file order (objects, links, pages and map), so
+    the first error and the diagnostics are those of a load that reads
+    one file after the other. An error stops the worker without waiting
+    for it; none outlives the call.
     """
-    # imported here: at module level it would slow every command's start-up
-    import multiprocessing
-
     for p in (paths.schemas, paths.objects, paths.links, paths.pages, paths.page_map):
         if not Path(p).is_file():
             raise FormatError(f"missing corpus file: {p}")
@@ -149,27 +173,27 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
     diagnostics: list[str] = []
     registry = SchemaRegistry(formats.read_schemas(paths.schemas))
 
-    # fork, not spawn: the workers start with numpy and the package already
-    # imported. Leaving the block terminates them, also when a result raises.
-    with multiprocessing.get_context("fork").Pool(2) as pool:
-        links_job = pool.apply_async(_link_table, (paths.links,))  # the longest parse first
-        objects_job = pool.apply_async(_merged_objects, (paths.objects, registry))
-        pages_job = pool.apply_async(_page_data, (paths.pages, paths.page_map))
-
-        num_records, objects = objects_job.get()
+    with _links_job(paths.links) as links_result:
+        num_records, objects = _merged_objects(paths.objects, registry)
         diagnostics.append(f"merge\trecords={num_records}\tobjects={len(objects)}"
                            f"\tconflicts={sum(objects.conflict_counts)}")
+        # parsed while the links are, but an error is raised after theirs
+        try:
+            page_data = _page_data(paths.pages, paths.page_map)
+        except (FormatError, OSError) as err:
+            page_data = err
+        links = links_result()
 
-        links = links_job.get()
-        rel_types = _infer_relationship_types(links, registry)
-        graph, report = build_graph(objects, rel_types, links, strict=strict)
-        for message in report.dropped:
-            diagnostics.append(f"link-dropped\t{message}")
-        if report.duplicate_count:
-            diagnostics.append(f"link-duplicates\tcount={report.duplicate_count}")
+    rel_types = _infer_relationship_types(links, registry)
+    graph, report = build_graph(objects, rel_types, links, strict=strict)
+    for message in report.dropped:
+        diagnostics.append(f"link-dropped\t{message}")
+    if report.duplicate_count:
+        diagnostics.append(f"link-duplicates\tcount={report.duplicate_count}")
 
-        page_index, hyperlinks, map_rows = pages_job.get()
-
+    if isinstance(page_data, Exception):
+        raise page_data
+    page_index, hyperlinks, map_rows = page_data
     page_graph = PageGraph.build(len(page_index), hyperlinks)
     deduped = len(hyperlinks) - page_graph.num_edges
     if deduped:

@@ -19,10 +19,14 @@ ppf        rel_name <TAB> gamma
 expert     either one object reference per line (full order, best first),
            or pair lines: object_ref <TAB> > <TAB> object_ref
 
-The two large files are read as columns, with no object per line:
-``read_objects`` returns a RecordTable and ``read_links`` a LinkTable of
-interned int64 ids (see objects). The other readers return lists. The
-writers take what the readers return.
+The three large files are read as columns, with no object per line:
+``read_objects`` returns a RecordTable, ``read_links`` a LinkTable of
+interned int64 ids (see objects), and ``read_pages`` the page ids with
+int64 source and target page numbers. ``read_links`` and ``read_pages``
+check each block of lines as text, then intern its fields as bytes
+(``_kernels.SpanInterner``). The other readers return lists. The writers
+take what the readers return, except ``write_pages``, which takes
+(page id, out-link ids) rows.
 
 Reports are TSV rows preceded by a ``#``-prefixed metadata block of
 ``# key <TAB> value`` lines; scores are written with full round-trip
@@ -32,14 +36,24 @@ precision so reports parse back losslessly.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from sys import intern
+from typing import TypeVar
 
+import numpy as np
+
+from . import _kernels
 from .errors import FormatError, PopRankError
 from .objects import LinkTable, ObjectTypeSchema, RecordTable
+
+T = TypeVar("T")
+
+_TAB, _NEWLINE, _COMMA = (ord(c) for c in "\t\n,")
+_LINK_CUTS = np.array([_TAB] * 4 + [_NEWLINE], np.uint8)  # the separators of a links line
 
 
 def _undecodable(block: str) -> int | None:
@@ -61,22 +75,22 @@ def _line_blocks(path: Path, size: int = 1 << 20) -> Iterator[tuple[int, list[st
     endings read as LF. A line that is not UTF-8 raises FormatError after
     the lines before it have been yielded."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        lineno, partial = 1, []  # pieces of a line that spans blocks
+        lineno, pieces = 1, []  # pieces of a line that spans blocks
         while block := fh.read(size):
             lines = block.split("\n")
             if (bad := _undecodable(block)) is not None:
-                lines[0] = "".join(partial) + lines[0]
+                lines[0] = "".join(pieces) + lines[0]
                 if bad:
                     yield lineno, lines[:bad]
                 _fail(path, lineno + bad, "not valid UTF-8")
             if len(lines) == 1:
-                partial.append(block)
+                pieces.append(block)
                 continue
-            lines[0] = "".join(partial) + lines[0]
-            partial = [lines.pop()]
+            lines[0] = "".join(pieces) + lines[0]
+            pieces = [lines.pop()]
             yield lineno, lines
             lineno += len(lines)
-        if tail := "".join(partial):
+        if tail := "".join(pieces):
             yield lineno, [tail]
 
 
@@ -90,11 +104,30 @@ def _all_data(lines: list[str]) -> bool:
     return all(lines) and not any(c.isspace() or c == "#" for c in set(map(itemgetter(0), lines)))
 
 
+def _data_blocks(path: Path, size: int = 1 << 20) -> Iterator[tuple[Sequence[int], list[str]]]:
+    """(line numbers, data lines) for each block of ``_line_blocks``."""
+    for first, lines in _line_blocks(path, size):
+        if _all_data(lines):
+            yield range(first, first + len(lines)), lines
+        else:
+            numbered = [(lineno, line) for lineno, line in enumerate(lines, first) if _is_data(line)]
+            yield [lineno for lineno, _ in numbered], [line for _, line in numbered]
+
+
 def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
-    for first, lines in _line_blocks(path):
-        numbered = enumerate(lines, first)
-        yield from numbered if _all_data(lines) else (
-            (lineno, line) for lineno, line in numbered if _is_data(line))
+    for numbers, data in _data_blocks(path):
+        yield from zip(numbers, data)
+
+
+def _with_hash_seeds(read: Callable[[int], T]) -> T:
+    """``read(seed)`` for the first hash seed 0, 1, ... whose interning
+    meets no hash collision; the result does not depend on the seed."""
+    seed = 0
+    while True:
+        try:
+            return read(seed)
+        except _kernels.HashCollision:
+            seed += 1
 
 
 def _fail(path: Path, lineno: int, message: str):
@@ -175,25 +208,69 @@ def write_objects(path: Path, records: RecordTable) -> None:
             fh.write(f"{record_id}\t{type_name}\t{attrs}\n")
 
 
-def _link_columns(path: Path) -> Iterator[tuple[list[str], ...]]:
-    """The five columns of each block of data lines of a links file."""
-    for first, lines in _line_blocks(path):
-        data = lines if _all_data(lines) else list(filter(_is_data, lines))
+def _link_blocks(path: Path) -> Iterator[tuple[bytes, np.ndarray]]:
+    """Each block of data lines of a links file as UTF-8 bytes, with the
+    ``(lines, 5)`` byte offsets of each line's four TABs and its newline,
+    after checking that every line has 5 fields."""
+    for numbers, data in _data_blocks(path):
         if not data:
             continue
-        if set(map(str.count, data, repeat("\t"))) != {4}:
-            for lineno, line in enumerate(lines, first):
-                found = len(line.split("\t"))
-                if _is_data(line) and found != 5:
+        text = ("\n".join(data) + "\n").encode("utf-8")
+        buf = np.frombuffer(text, np.uint8)
+        cuts = np.flatnonzero((buf == _TAB) | (buf == _NEWLINE))
+        if len(cuts) != 5 * len(data) or not np.all(buf[cuts].reshape(-1, 5) == _LINK_CUTS):
+            for lineno, line in zip(numbers, data):
+                found = line.count("\t") + 1
+                if found != 5:
                     _fail(path, lineno, f"expected 5 fields, got {found}")
-        fields = "\t".join(data).split("\t")
-        yield fields[0::5], fields[1::5], fields[2::5], fields[3::5], fields[4::5]
+        yield text, cuts.reshape(-1, 5)
 
 
 def read_links(path: Path) -> LinkTable:
     """The links file as a LinkTable, streamed block by block; no object
-    is built per line."""
-    return LinkTable.from_columns(_link_columns(path))
+    is built per line.
+
+    Each block's lines are checked as text first, then interned as bytes
+    (``_kernels.SpanInterner``): the ``type<TAB>key`` references, source
+    before target in line order, and the relationship names. A line's
+    triple is its relationship with the types of its two references.
+    """
+    return _with_hash_seeds(partial(_intern_links, path))
+
+
+def _intern_links(path: Path, seed: int) -> LinkTable:
+    refs, rels, types = (_kernels.SpanInterner(seed) for _ in range(3))
+    ref_types = np.empty(0, np.int64)  # per ref, the id of its type
+    triples: dict[tuple[int, int, int], int] = {}
+    codes, src, tgt = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for text, cuts in _link_blocks(path):
+        line_starts = np.concatenate(([0], cuts[:-1, 4] + 1))
+        # the source and target references, interleaved
+        starts = np.column_stack((line_starts, cuts[:, 2] + 1)).ravel()
+        known = len(refs)
+        ids = refs.intern(text, starts, np.column_stack((cuts[:, 1], cuts[:, 4])).ravel())
+        # ids are numbered by first appearance, so a new ref first appears
+        # where the running maximum grows
+        running = np.maximum.accumulate(np.maximum(ids, known - 1))
+        first = np.flatnonzero(np.diff(running, prepend=known - 1))
+        type_ends = np.column_stack((cuts[:, 0], cuts[:, 3])).ravel()
+        ref_types = np.concatenate((ref_types, types.intern(text, starts[first], type_ends[first])))
+        rel = rels.intern(text, cuts[:, 1] + 1, cuts[:, 2])
+        source_type, target_type = ref_types[ids[0::2]], ref_types[ids[1::2]]
+        # the distinct (rel, source type, target type) of the block, by first line
+        _, _, type_pair = _kernels.unique_first(source_type * len(types) + target_type)
+        _, first_line, line_key = _kernels.unique_first(rel * len(cuts) + type_pair)
+        order = np.argsort(first_line)
+        lines = first_line[order]
+        keys = zip(rel[lines].tolist(), source_type[lines].tolist(), target_type[lines].tolist())
+        code_of_key = np.empty(len(order), np.int64)
+        code_of_key[order] = [triples.setdefault(key, len(triples)) for key in keys]
+        codes.append(code_of_key[line_key])
+        src.append(ids[0::2])
+        tgt.append(ids[1::2])
+    rel_names, type_names = rels.values(), types.values()
+    return LinkTable([(rel_names[r], type_names[s], type_names[t]) for r, s, t in triples],
+                     np.concatenate(codes), refs.values(), np.concatenate(src), np.concatenate(tgt))
 
 
 def write_links(path: Path, links: LinkTable) -> None:
@@ -205,24 +282,122 @@ def write_links(path: Path, links: LinkTable) -> None:
             fh.write(f"{refs[src]}\t{rel_names[code]}\t{refs[tgt]}\n")
 
 
-def read_pages(path: Path) -> list[tuple[str, list[str]]]:
-    """Adjacency rows: (page_id, out-link page ids). Duplicate rows for a
-    page are an error; a missing or empty second field means no out-links."""
-    rows: list[tuple[str, list[str]]] = []
-    seen: set[str] = set()
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) not in (1, 2):
-            _fail(path, lineno, f"expected 1 or 2 fields, got {len(fields)}")
-        page_id = fields[0]
-        if not page_id:
-            _fail(path, lineno, "empty page id")
-        if page_id in seen:
-            _fail(path, lineno, f"page {page_id!r} listed twice")
-        seen.add(page_id)
-        targets = list(_split_csv(fields[1])) if len(fields) == 2 else []
-        rows.append((page_id, targets))
-    return rows
+def _page_line_error(line: str) -> str:
+    """The error of a pages line with an empty page id or more than 2 fields."""
+    fields = line.split("\t")
+    if len(fields) > 2:
+        return f"expected 1 or 2 fields, got {len(fields)}"
+    return "empty page id"
+
+
+def _clean_page_line(line: str) -> str:
+    """A pages line with its out-links written as ``_split_csv`` reads them."""
+    page_id, _, targets = line.partition("\t")
+    targets = ",".join(_split_csv(targets))
+    return f"{page_id}\t{targets}" if targets else page_id
+
+
+# the ASCII bytes that _split_csv strips from an out-link (TAB and newline
+# separate fields and lines)
+_BLANK = np.zeros(256, bool)
+_BLANK[[ord(c) for c in map(chr, range(128)) if c.isspace() and c not in "\t\n"]] = True
+
+
+def _page_spans(data: list[str]):
+    """The UTF-8 bytes of pages lines and the index of the first line with
+    an empty page id or more than 2 fields, or None; when there is none,
+    also each line's page id span and each out-link's span and line:
+    ``(ids_start, ids_end), (targets_start, targets_end, targets_line)``."""
+    if not data:
+        none = np.empty(0, np.int64)
+        return b"", None, ((none, none), (none, none, none))
+    raw = ("\n".join(data) + "\n").encode("utf-8")
+    buf = np.frombuffer(raw, np.uint8)
+    line_ends = np.flatnonzero(buf == _NEWLINE)
+    line_starts = np.concatenate(([0], line_ends[:-1] + 1))
+    tabs = np.flatnonzero(buf == _TAB)
+    tab_lines = np.searchsorted(line_ends, tabs)
+    bad = np.concatenate((tab_lines[1:][tab_lines[1:] == tab_lines[:-1]],
+                          tab_lines[tabs == line_starts[tab_lines]]))
+    if bad.size:
+        return raw, int(bad.min()), None
+    id_ends = line_ends.copy()
+    id_ends[tab_lines] = tabs
+    # a line's TAB and the commas after it start its out-links
+    cuts = np.flatnonzero((buf == _TAB) | (buf == _COMMA))
+    cut_lines = np.searchsorted(line_ends, cuts)
+    in_targets = cuts >= id_ends[cut_lines]
+    cuts, cut_lines = cuts[in_targets], cut_lines[in_targets]
+    ends = line_ends[cut_lines]
+    same_line = cut_lines[1:] == cut_lines[:-1]
+    ends[:-1][same_line] = cuts[1:][same_line]
+    return raw, None, ((line_starts, id_ends), (cuts + 1, ends, cut_lines))
+
+
+def _page_block(data: list[str]):
+    """The lines of a block of pages data lines before the first one with
+    an empty page id or more than 2 fields, with their out-links as
+    ``_split_csv`` reads them; that line's index or None; and the lines'
+    bytes and spans (see _page_spans)."""
+    raw, bad, spans = _page_spans(data)
+    if bad is not None:
+        data = data[:bad]
+        raw, _, spans = _page_spans(data)
+    _, (starts, ends, _) = spans
+    if not raw.isascii() or _BLANK[np.frombuffer(raw, np.uint8)].any() or (ends == starts).any():
+        data = [_clean_page_line(line) for line in data]
+        raw, _, spans = _page_spans(data)
+    return data, bad, raw, spans
+
+
+def read_pages(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Every page id, then the int64 (source, target) page numbers of each
+    out-link, in file order. Listed pages are numbered in line order, and
+    pages known only as link targets after them, in order of first
+    appearance. Duplicate rows for a page are an error; a missing or
+    empty second field means no out-links.
+
+    Each block's lines are checked as text, then interned as bytes
+    (``_kernels.SpanInterner``): the block's listed page ids, then its
+    out-links; the numbering above is applied once the file is read.
+    """
+    return _with_hash_seeds(partial(_intern_pages, path))
+
+
+def _intern_pages(path: Path, seed: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+    pages = _kernels.SpanInterner(seed)
+    listed = np.zeros(0, bool)  # per id, whether the page has a line
+    rows, src, tgt = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    num_rows = 0
+    # a pages line holds about 4 times as many interned spans per byte as a
+    # links line, so its blocks are smaller, which bounds the kernel's arrays
+    for numbers, data in _data_blocks(path, 1 << 18):
+        good, bad, raw, ((id_starts, id_ends), (starts, ends, lines)) = _page_block(data)
+        ids = pages.intern(raw, np.concatenate((id_starts, starts)), np.concatenate((id_ends, ends)))
+        row_ids = ids[:len(good)]
+        listed = np.concatenate((listed, np.zeros(len(pages) - len(listed), bool)))
+        repeated = np.ones(len(good), bool)  # but for a page's first line in the block
+        repeated[_kernels.unique_first(row_ids)[1]] = False
+        repeated |= listed[row_ids]
+        if repeated.any():
+            i = int(np.argmax(repeated))
+            page_id = good[i].partition("\t")[0]
+            _fail(path, numbers[i], f"page {page_id!r} listed twice")
+        if bad is not None:
+            _fail(path, numbers[bad], _page_line_error(data[bad]))
+        listed[row_ids] = True
+        src.append(num_rows + lines)
+        rows.append(row_ids)
+        num_rows += len(good)
+        tgt.append(ids[len(good):])
+    rows = np.concatenate(rows)
+    others = np.flatnonzero(~listed)
+    number = np.empty(len(pages), np.int64)
+    number[rows] = np.arange(len(rows))
+    number[others] = np.arange(len(rows), len(pages))
+    values = pages.values()
+    page_ids = [values[i] for i in np.concatenate((rows, others)).tolist()]
+    return page_ids, np.concatenate(src), number[np.concatenate(tgt)]
 
 
 def write_pages(path: Path, rows: Iterable[tuple[str, Sequence[str]]]) -> None:
@@ -330,15 +505,16 @@ def read_expert(path: Path) -> tuple[str, list]:
 def write_report(
     path_or_stream,
     meta: Sequence[tuple[str, str]],
-    rows: Iterable[Sequence[str]],
+    lines: Sequence[str],
 ) -> None:
-    """Write a ``#``-headed metadata block followed by TSV data rows."""
+    """Write a ``#``-headed metadata block followed by TSV data rows, each
+    given as one line of TAB-separated fields without its newline; the
+    rows are written with one call."""
 
     def _emit(fh):
-        for key, value in meta:
-            fh.write(f"# {key}\t{value}\n")
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
+        fh.write("".join(f"# {key}\t{value}\n" for key, value in meta))
+        if lines:
+            fh.write("\n".join(lines) + "\n")
 
     if hasattr(path_or_stream, "write"):
         _emit(path_or_stream)

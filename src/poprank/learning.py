@@ -148,11 +148,15 @@ class LearnConfig:
 
 @dataclass
 class LearnResult:
+    """The learned factors and their violations; ``nonconverged`` counts
+    the solves that stopped at max_iter without converging."""
+
     assignment: PpfAssignment
     violations: int
     total: int
     evaluations: int
     grid_violations: int
+    nonconverged: int = 0
 
 
 def _grid_combinations(cfg: LearnConfig, k: int):
@@ -203,7 +207,7 @@ def learn_ppf(
     names = [rt.rel_name for rt in graph.relationship_types]
     k = len(names)
     links = LinkStructure.from_graph(graph)
-    evaluations = 0
+    evaluations = nonconverged = 0
     # violations per factor vector seen and per digest of a transition
     # solved so far, and the latest scores
     violations_of: dict[tuple[float, ...], int] = {}
@@ -211,7 +215,7 @@ def learn_ppf(
     start: np.ndarray | None = None
 
     def objective(vector: Sequence[float]) -> int:
-        nonlocal evaluations, start
+        nonlocal evaluations, nonconverged, start
         evaluations += 1
         vector = tuple(vector)
         if vector not in violations_of:
@@ -221,6 +225,7 @@ def learn_ppf(
                 result = poprank_from_transition(transition, prior, cfg.poprank_cfg, start,
                                                  pairs=(expert.high, expert.low))
                 start = result.scores
+                nonconverged += not result.converged
                 violations_of_transition[digest], _ = rank_disagreement(result.scores, expert)
             violations_of[vector] = violations_of_transition[digest]
         return violations_of[vector]
@@ -275,6 +280,7 @@ def learn_ppf(
         total=len(expert.pairs),
         evaluations=evaluations,
         grid_violations=grid_violations,
+        nonconverged=nonconverged,
     )
 
 

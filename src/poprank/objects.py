@@ -16,10 +16,9 @@ table's index, the one key index (ObjectGraph.key_index).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -197,8 +196,8 @@ class LinkTable:
     triples holds each distinct (rel_name, source_type, target_type) in
     order of first appearance, and codes[i] is the index of line i's
     triple. refs holds distinct endpoint references (type<TAB>key text), in
-    order of first appearance when read from a file; src[i] and tgt[i]
-    index refs.
+    order of first appearance when read from a file (a line's source
+    before its target); src[i] and tgt[i] index refs.
     """
 
     triples: list[tuple[str, str, str]]
@@ -209,26 +208,6 @@ class LinkTable:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    @classmethod
-    def from_columns(cls, chunks: Iterable[tuple[Sequence[str], ...]]) -> "LinkTable":
-        """Intern chunks of equal-length (source_types, source_keys,
-        rel_names, target_types, target_keys) string columns, with one dict
-        for the triples and one for the refs."""
-        # a key seen for the first time gets the next id, so ids follow first appearance
-        triples: defaultdict[tuple[str, str, str], int] = defaultdict(count().__next__)
-        refs: defaultdict[str, int] = defaultdict(count().__next__)
-        codes, src, tgt = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        for source_types, source_keys, rel_names, target_types, target_keys in chunks:
-            n = len(rel_names)
-            codes.append(np.fromiter(
-                map(triples.__getitem__, zip(rel_names, source_types, target_types)), np.int64, n))
-            src.append(np.fromiter(
-                map(refs.__getitem__, map("\t".join, zip(source_types, source_keys))), np.int64, n))
-            tgt.append(np.fromiter(
-                map(refs.__getitem__, map("\t".join, zip(target_types, target_keys))), np.int64, n))
-        return cls(list(triples), np.concatenate(codes), list(refs),
-                   np.concatenate(src), np.concatenate(tgt))
 
 
 @dataclass

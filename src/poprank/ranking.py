@@ -267,11 +267,15 @@ def poprank(
     return poprank_from_transition(build_transition(graph, ppf), prior, cfg)
 
 
-def ranking_positions(scores: np.ndarray) -> np.ndarray:
-    """0-based rank position per object: descending score, ties by object id."""
+def ranking_order(scores: np.ndarray) -> np.ndarray:
+    """Object ids by rank position: descending score, ties by object id."""
     scores = np.asarray(scores, np.float64)
-    n = scores.shape[0]
-    order = np.lexsort((np.arange(n), -scores))
-    positions = np.empty(n, np.int64)
-    positions[order] = np.arange(n)
+    return np.lexsort((np.arange(scores.shape[0]), -scores))
+
+
+def ranking_positions(scores: np.ndarray) -> np.ndarray:
+    """0-based rank position per object: the inverse of ``ranking_order``."""
+    order = ranking_order(scores)
+    positions = np.empty(len(order), np.int64)
+    positions[order] = np.arange(len(order))
     return positions

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from poprank import (  # noqa: E402
     RelationshipType,
     SchemaRegistry,
     build_graph,
+    formats,
     merge_records,
 )
 
@@ -79,10 +81,12 @@ def record_table(rows) -> RecordTable:
 
 
 def link_table(rows) -> LinkTable:
-    """The LinkTable of (source_type, source_key, rel_name, target_type,
-    target_key) rows, as read_links would intern them."""
-    rows = list(rows)
-    return LinkTable.from_columns([tuple(zip(*rows))] if rows else [])
+    """The LinkTable read_links makes of a links file with the given
+    (source_type, source_key, rel_name, target_type, target_key) rows."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "links.tsv"
+        path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+        return formats.read_links(path)
 
 
 def simple_graph(num_objects: int, links_by_type: dict[str, list[tuple[int, int]]]) -> ObjectGraph:

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import SRC, dense_poprank
 from poprank import PpfAssignment, _kernels, build_transition, web_popularity
+from poprank.errors import NonConvergenceWarning
 from poprank.cli import main
 from poprank.corpus import CorpusPaths, load_corpus
 from poprank.formats import read_ppf, read_report
@@ -282,6 +283,29 @@ class TestLearn:
         if "--max-iter" in extra:
             assert any("stopped after 3 iterations" in message for _, message, _, _ in stopped[3])
 
+    def test_fail_on_nonconverge_counts_the_learn_solves(self, tmp_path, capsys):
+        """Without pages there is no PageRank, so only learn's own solves
+        can fail to converge."""
+        d = write_corpus_dir(
+            tmp_path / "nopages", schemas="paper\ttitle\ttitle\n",
+            objects="".join(f"r{i}\tpaper\ttitle=t{i}\n" for i in range(3)),
+            links="paper\tt0\tcites\tpaper\tt1\npaper\tt0\tcites\tpaper\tt2\n"
+                  "paper\tt1\tcites\tpaper\tt2\npaper\tt2\textends\tpaper\tt0\n",
+            pages="", page_map="")
+        expert = tmp_path / "expert.tsv"
+        expert.write_text("paper:t2\npaper:t0\npaper:t1\n")
+        outputs = []
+        for flag in ([], ["--fail-on-nonconverge"]):
+            with pytest.warns(NonConvergenceWarning):
+                code = run_cli("learn", d, "--expert", expert, "--max-iter", "2", *flag)
+            outputs.append((code, *capsys.readouterr()))
+        (code, out, err), (flagged, flagged_out, flagged_err) = outputs
+        assert (code, flagged) == (0, 3)
+        assert flagged_out == out and out.startswith("# command\tlearn")
+        solves = int(flagged_err.rpartition("error: ")[2].split()[0])
+        assert flagged_err == err + f"error: {solves} poprank solve(s) did not converge\n"
+        assert solves >= 1
+
     def test_single_type_warns_unidentifiable(self, symmetric_corpus, tmp_path, capsys):
         expert = tmp_path / "expert.tsv"
         expert.write_text("paper:A\npaper:B\n")
@@ -432,6 +456,24 @@ class TestNonFiniteScores:
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFlagsBeforeCorpus:
+    """Bad solver flags exit 2 before the corpus is read: here there is
+    none, yet the flag is what is reported."""
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("rank", ["--epsilon", "nan"], "epsilon must lie in (0, 1), got nan"),
+        ("compare", ["--max-iter", "0"], "max_iter must be >= 1, got 0"),
+        ("simulate", ["--steps", "0"], "steps must be >= 1, got 0"),
+        ("simulate", ["--epsilon", "1.5"], "epsilon must lie in (0, 1), got 1.5"),
+        ("learn", ["--refine-step", "0"], "refine_step must lie in (0, 1], got 0.0"),
+        ("learn", ["--tol", "inf"], "tol must be positive and finite, got inf"),
+    ], ids=["rank", "compare", "simulate-steps", "simulate-epsilon", "learn", "learn-tol"])
+    def test_bad_flag_exits_2_before_loading(self, tmp_path, capsys, command, extra, message):
+        source = "--expert" if command == "learn" else "--ppf"
+        assert run_cli(command, tmp_path / "missing", source, tmp_path / "x.tsv", *extra) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestDeterminism:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_digests import write_dirty_corpus, write_edge_corpus
+
 from poprank import FormatError, GraphError, PartialRanking
-from poprank import formats
+from poprank import corpus, formats
 from poprank.corpus import (
     CorpusPaths,
     load_corpus,
@@ -215,7 +220,7 @@ class TestRoundTrip:
         path = tmp_path / "report.tsv"
         meta = [("command", "rank"), ("epsilon", repr(0.15))]
         rows = [("1", "paper", "A", repr(0.6000000000000001)), ("2", "paper", "B", repr(0.4))]
-        formats.write_report(path, meta, rows)
+        formats.write_report(path, meta, ["\t".join(row) for row in rows])
         got_meta, got_rows = formats.read_report(path)
         assert got_meta == dict(meta)
         assert [tuple(r) for r in got_rows] == rows
@@ -421,3 +426,157 @@ def test_load_corpus_matches_plain_python_reference(tmp_path, data):
     assert [d for d in bundle.diagnostics if d.startswith("link-dropped")] == dropped
     counted = [d for d in bundle.diagnostics if d.startswith("link-duplicates")]
     assert counted == ([f"link-duplicates\tcount={duplicates}"] if duplicates else [])
+
+
+# ---- the interning readers against plain-Python references ---------------------
+
+def _reference_lines(path):
+    """(line number, line) of each data line, read one line at a time."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line
+
+
+def _reference_link_table(path):
+    """(triples, (code, source ref, target ref) per line, refs) with dicts."""
+    triples: dict[tuple[str, str, str], int] = {}
+    refs: dict[str, int] = {}
+    lines = []
+    for lineno, line in _reference_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise FormatError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+        src, tgt = f"{fields[0]}\t{fields[1]}", f"{fields[3]}\t{fields[4]}"
+        refs.setdefault(src, len(refs))
+        refs.setdefault(tgt, len(refs))
+        lines.append((triples.setdefault((fields[2], fields[0], fields[3]), len(triples)), src, tgt))
+    return list(triples), lines, list(refs)
+
+
+def _reference_page_columns(path):
+    """(page ids, sources, targets): rows in line order, then targets."""
+    index: dict[str, int] = {}
+    rows = []
+    for lineno, line in _reference_lines(path):
+        fields = line.split("\t")
+        if len(fields) not in (1, 2):
+            raise FormatError(f"{path}:{lineno}: expected 1 or 2 fields, got {len(fields)}")
+        if not fields[0]:
+            raise FormatError(f"{path}:{lineno}: empty page id")
+        if fields[0] in index:
+            raise FormatError(f"{path}:{lineno}: page {fields[0]!r} listed twice")
+        index[fields[0]] = len(index)
+        targets = fields[1].split(",") if len(fields) == 2 else []
+        rows.append([t.strip() for t in targets if t.strip()])
+    pairs = [(row, index.setdefault(t, len(index))) for row, targets in enumerate(rows)
+             for t in targets]
+    return list(index), [s for s, _ in pairs], [t for _, t in pairs]
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except FormatError as err:
+        return str(err)
+
+
+# separators of other formats, and blanks that str.strip removes, ASCII and
+# not; a file mixes ASCII-only fields with others
+_FIELD = st.one_of(st.text("ab |#;,", max_size=5), st.text("a\x0b\x1c", max_size=3),
+                   st.text("a\x00\xa0\u2000é", max_size=3))
+_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _fuzzed_file(data, path, line):
+    """Lines drawn from ``line``, mixed with blank and comment lines and,
+    in half the files, junk lines."""
+    kinds = [line, line, line, st.sampled_from(["", "  ", "# note", " \t# x"])]
+    if data.draw(st.booleans()):
+        kinds.append(st.text("ab\t ,#", max_size=8))
+    lines = data.draw(st.lists(st.one_of(*kinds), max_size=25))
+    text = "".join(text_line + data.draw(_ENDINGS) for text_line in lines)
+    path.write_bytes(text.encode("utf-8"))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), block=st.integers(1, 64))
+def test_read_links_matches_plain_python_reference(tmp_path, data, block):
+    path = tmp_path / "links.tsv"
+    # few distinct fields, so references and triples repeat across blocks
+    field = st.one_of(st.sampled_from(["p", "a", "", "x y"]), _FIELD)
+    link_line = st.lists(field, min_size=5, max_size=5).map("\t".join)
+    _fuzzed_file(data, path, link_line)
+    expected = _outcome(_reference_link_table, path)
+    blocks = formats._line_blocks
+    with mock.patch.object(formats, "_line_blocks", lambda p, size: blocks(p, block)):
+        got = _outcome(formats.read_links, path)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    triples, lines, refs = expected
+    assert got.triples == triples
+    assert list(zip(got.codes.tolist(), [got.refs[i] for i in got.src.tolist()],
+                    [got.refs[i] for i in got.tgt.tolist()])) == lines
+    assert got.refs == refs  # source before target, in line order
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), block=st.integers(1, 64))
+def test_read_pages_matches_plain_python_reference(tmp_path, data, block):
+    path = tmp_path / "pages.tsv"
+    page_id = st.sampled_from(["w1", "w2", "w3", "w 4", "a,b", "é", "w1 "])
+    page_line = st.tuples(page_id, st.lists(st.one_of(page_id, _FIELD), max_size=4)).map(
+        lambda row: row[0] + ("\t" + ",".join(row[1]) if row[1] else ""))
+    _fuzzed_file(data, path, page_line)
+    expected = _outcome(_reference_page_columns, path)
+    blocks = formats._line_blocks
+    with mock.patch.object(formats, "_line_blocks", lambda p, size: blocks(p, block)):
+        got = _outcome(formats.read_pages, path)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    page_ids, src, tgt = got
+    assert (page_ids, src.tolist(), tgt.tolist()) == expected
+    assert src.dtype == tgt.dtype == np.int64
+
+
+# ---- where the links task runs -------------------------------------------------
+
+def _bundle_state(bundle):
+    objects, graph = bundle.graph.objects, bundle.graph
+    return (objects.index, objects.type_names, objects.attribute_values,
+            objects.merged_record_counts, objects.conflict_counts, graph.relationship_types,
+            {rel: edges.tolist() for rel, edges in graph.links.items()},
+            bundle.page_graph.num_pages, bundle.page_graph.edges.tolist(), bundle.page_index,
+            bundle.page_map.entries, bundle.diagnostics)
+
+
+@pytest.mark.parametrize("write", [write_dirty_corpus, write_edge_corpus], ids=["dirty", "edge"])
+def test_both_executors_load_the_same_bundle(tmp_path, monkeypatch, write):
+    d = write(tmp_path / "corpus")
+    read_links, pids = formats.read_links, tmp_path / "pids"
+
+    def recorded(path):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return read_links(path)
+
+    monkeypatch.setattr(formats, "read_links", recorded)
+    states = []
+    for forked in (True, False):
+        monkeypatch.setattr(corpus, "_fork_links", lambda path: forked)
+        states.append(_bundle_state(load_corpus(CorpusPaths.in_dir(d))))
+    assert states[0] == states[1]
+    worker, parent = map(int, pids.read_text().split())
+    assert worker != parent == os.getpid()
+
+
+def test_links_run_in_process_on_one_cpu_or_for_a_small_file(tmp_path, monkeypatch):
+    path = tmp_path / "links.tsv"
+    path.write_bytes(b"x" * 100)
+    for cpus, min_bytes, forked in [({0, 1}, 100, True), ({0}, 100, False), ({0, 1}, 101, False)]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(corpus, "FORK_MIN_LINKS_BYTES", min_bytes)
+        assert corpus._fork_links(path) is forked

@@ -1,5 +1,6 @@
 """Determinism: the two kernels give pinned results on a fixed seeded graph,
-and the segment-parallel walk gives the histogram of a step-by-step walk."""
+and the segment-parallel walk gives the histogram of a step-by-step walk.
+The span interner gives the ids of plain dict interning, collisions or not."""
 
 from __future__ import annotations
 
@@ -318,3 +319,93 @@ def test_random_walk_memory_at_small_epsilon_is_bounded_by_the_largest_chunk():
     # per step of the largest chunk: 16 bytes of uniforms and 8 of visited
     # objects, and only one chunk's uniforms alive at a time
     assert peak < 28 * chunk
+
+
+# ---- the span interner -----------------------------------------------------
+
+# NUL, multi-byte characters and separators that values may hold
+_SPAN_ALPHABET = "ab\x00\t,|#é€\U0001d11e"
+
+
+def _spans(values, fillers):
+    """UTF-8 bytes holding the values, each after its filler, and their spans."""
+    data, starts, ends = b"", [], []
+    for value, filler in zip(values, fillers):
+        data += filler.encode("utf-8")
+        starts.append(len(data))
+        data += value.encode("utf-8")
+        ends.append(len(data))
+    return data, np.array(starts, np.int64), np.array(ends, np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 3))
+def test_span_interner_matches_dict_interning(data, seed):
+    """Ties, NUL bytes, non-ASCII text and spans of 0 to 40 bytes, which
+    cross the 8- and 16-byte word boundaries, over several blocks."""
+    pool = data.draw(st.lists(st.text(_SPAN_ALPHABET, max_size=40).filter(
+        lambda v: len(v.encode("utf-8")) <= 40), min_size=1, max_size=8))
+    interner = _kernels.SpanInterner(seed)
+    expected: dict[str, int] = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        values = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+        fillers = data.draw(st.lists(st.text("\n;x", max_size=3), min_size=len(values),
+                                     max_size=len(values)))
+        ids = interner.intern(*_spans(values, fillers))
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [expected.setdefault(v, len(expected)) for v in values]
+    assert interner.values() == list(expected)
+    assert len(interner) == len(expected)
+
+
+def _colliding_first_seed(monkeypatch):
+    """Every hash of seed 0 is 0; returns the seeds hashed with."""
+    real, seeds = _kernels._span_hashes, []
+
+    def hashes(words, word_index, word_starts, lengths, seed):
+        seeds.append(seed)
+        h = real(words, word_index, word_starts, lengths, seed)
+        return np.zeros_like(h) if seed == 0 else h
+
+    monkeypatch.setattr(_kernels, "_span_hashes", hashes)
+    return seeds
+
+
+@pytest.mark.parametrize("values", [["ab", "ba"], ["a", "aa"], ["", "x"], ["same", "same", "other"]])
+def test_span_interner_raises_on_a_collision(monkeypatch, values):
+    _colliding_first_seed(monkeypatch)
+    with pytest.raises(_kernels.HashCollision):
+        _kernels.SpanInterner(0).intern(*_spans(values, [""] * len(values)))
+    ids = _kernels.SpanInterner(1).intern(*_spans(values, [""] * len(values)))
+    assert ids.tolist() == [list(dict.fromkeys(values)).index(v) for v in values]
+
+
+def test_a_forced_collision_gives_the_same_tables(tmp_path, monkeypatch):
+    """Readers start again with the next seed; nothing depends on it."""
+    links = tmp_path / "links.tsv"
+    links.write_text("".join(f"paper\tp{i % 7}\tcites\tpaper\tp{i % 5}\n" for i in range(40))
+                     + "author\ta1\tby\tpaper\tp3\n")
+    pages = tmp_path / "pages.tsv"
+    pages.write_text("".join(f"w{i}\tw{(i * 3) % 11},x{i % 4}\n" for i in range(9)))
+    from poprank import formats
+
+    def read():
+        table = formats.read_links(links)
+        page_ids, src, tgt = formats.read_pages(pages)
+        return (table.triples, table.codes.tolist(), table.refs, table.src.tolist(),
+                table.tgt.tolist(), page_ids, src.tolist(), tgt.tolist())
+
+    before = read()
+    seeds = _colliding_first_seed(monkeypatch)
+    assert read() == before
+    assert set(seeds) == {0, 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys=st.lists(st.integers(-3, 3), max_size=30))
+def test_unique_first_matches_np_unique(keys):
+    keys = np.array(keys, np.int64)
+    expected = np.unique(keys, return_index=True, return_inverse=True)
+    got = _kernels.unique_first(keys)
+    for a, b in zip(expected, got):
+        assert a.reshape(-1).tolist() == b.tolist()
