@@ -11,7 +11,9 @@ the byte interner that feeds the loader.
   a tolerance or until the order of given pairs of entries is settled.
 * ``random_walk`` -- the restart walk driven by a seeded generator, its
   restart segments advanced together with numpy in chunks sized from the
-  restart probability, tallying visits into an int64 histogram.
+  restart probability, tallying visits into an int64 histogram. Links
+  and restarts are one inverse-CDF search, the prior being one more row
+  of the link CDF, narrowed by a guide table (``_guide``, ``_search``).
 """
 
 from __future__ import annotations
@@ -73,15 +75,22 @@ def unique_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     occurrence and each key's index among them. One unstable argsort, a
     few times faster than the stable sort np.unique needs for the first
     occurrences: a key's first occurrence is the least index in its run."""
+    order, ordered, new_run, first = _runs(keys)
+    inverse = np.empty(len(keys), np.int64)
+    inverse[order] = np.cumsum(new_run) - 1
+    return ordered[new_run], first, inverse
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(order, keys[order], where a run of equal keys starts in that
+    order, the index of each run's first occurrence) for a 1-d array
+    sorted by one unstable argsort."""
     order = np.argsort(keys)
     ordered = keys[order]
     new_run = np.ones(len(keys), bool)
     np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    inverse = np.empty(len(keys), np.int64)
-    inverse[order] = np.cumsum(new_run) - 1
-    first = np.minimum.reduceat(order, starts) if len(keys) else order
-    return ordered[starts], first, inverse
+    first = np.minimum.reduceat(order, np.flatnonzero(new_run)) if len(keys) else order
+    return order, ordered, new_run, first
 
 
 class SpanInterner:
@@ -180,8 +189,7 @@ class SpanInterner:
 def unique_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """Rows of the ``(m, 2)`` int64 array ``edges`` (ids in ``[0, n)``)
     without repeats, in order of first appearance, and the number dropped."""
-    _, first = np.unique(edges[:, 0] * n + edges[:, 1], return_index=True)
-    first.sort()
+    first = np.sort(_runs(edges[:, 0] * n + edges[:, 1])[3])
     return edges[first], len(edges) - len(first)
 
 
@@ -272,6 +280,61 @@ def _settle_rule(indptr, targets, alpha, v, tol, max_iter):
     return lam / (1.0 - lam), 2.0 * rounding
 
 
+def _guide(indptr, cdf):
+    """The guide table of the CSR rows ``indptr`` (int64, from 0) of the
+    float64 ``cdf``, each row nondecreasing: (bounds, first, bits).
+
+    A row of d > 0 entries gets G = 2**bits[row] buckets, bits =
+    bit_length(d - 1), so G < 2d, and G + 1 bounds from
+    ``bounds[first[row]]`` on: bound b is the row start plus the number of
+    the row's first d - 1 entries that are <= b / G. Entries above 1.0,
+    which come from rounding, are never counted. ``_search`` reads it.
+    """
+    d = np.diff(indptr)
+    bits = np.frexp(np.maximum(d - 1, 0))[1].astype(np.int8)
+    past = np.left_shift(1, bits, dtype=np.int64) + 1  # G + 1
+    sizes = np.where(d > 0, past, 0)
+    first = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    # the bound each entry is first counted in: ceil(entry * G), exact; G +
+    # 1, the next row's first bound, for entries above 1.0 (clipped to the
+    # next float) and for the row's last entry
+    bucket = np.clip(cdf, 0.0, np.nextafter(1.0, 2.0))
+    np.ldexp(bucket, np.repeat(bits, d), out=bucket)
+    np.ceil(bucket, out=bucket)
+    bucket[indptr[1:][d > 0] - 1] = past[d > 0]
+    # each array of one item per entry is freed once used, which keeps the
+    # build's peak memory near that of the walk that follows
+    keys = bucket.astype(np.int64)
+    del bucket
+    keys += np.repeat(first, d)
+    bounds = np.bincount(keys, minlength=total + 1)[:total]
+    del keys
+    np.cumsum(bounds, out=bounds)
+    return bounds.astype(np.int32 if len(cdf) < 2**31 else np.int64), first, bits
+
+
+def _search(guide, cdf, rows, u):
+    """Per row of ``rows`` and uniform of ``u`` (in [0, 1)), the index of
+    the entry bisect-right of u finds on the row of ``cdf``, clamped to the
+    row's last entry: the row start plus the number of the row's first d -
+    1 entries that are <= u.
+
+    u * G is exact, so u lies in bucket g = floor(u * G), [g / G, (g + 1) /
+    G), and the answer between bounds g and g + 1 of the row's ``guide``;
+    a branch-free binary descent over that range settles it.
+    """
+    bounds, first, bits = guide
+    g = first[rows] + np.ldexp(u, bits[rows]).astype(np.int64)
+    j, hi = bounds[g], bounds[g + 1]
+    step = 1 << int((hi - j).max(initial=0)).bit_length() >> 1
+    while step:
+        cand = j + step
+        j += step * ((cand <= hi) & (cdf[np.minimum(cand, hi) - 1] <= u))
+        step >>= 1
+    return j
+
+
 def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_in, rng):
     """Walk ``steps`` transitions and return the int64 visit counts after burn_in.
 
@@ -283,6 +346,11 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
     follows the link found by bisect-right on the current row of the link
     CDF. Both picks are clamped to the last entry.
 
+    Both picks are one search (``_search``): the prior CDF is row n of the
+    link CDF, with the objects as its targets, and a dangling object's row
+    is that row. A guide table (``_guide``), at most two bounds per entry
+    and built once per call, narrows each search to a bucket of a row.
+
     A restart forced by epsilon does not depend on the past, so each one
     starts an independent segment of the chunk; the first segment goes on
     from the state the previous chunk ended in. All segments of a chunk
@@ -292,24 +360,17 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
     """
     n = len(prior_cdf)
     counts = np.zeros(n, np.int64)
-    last_link = indptr[1:] - 1
+    row_cdf = np.concatenate((cdf, prior_cdf))
+    guide = _guide(np.append(indptr, indptr[-1] + n), row_cdf)
+    bounds, first_bound, bits = guide
+    row_target = np.concatenate((targets, np.arange(n)), dtype=bounds.dtype)
+    first_bound[:n][dangling] = first_bound[n]
+    bits[:n][dangling] = bits[n]
 
-    def restart(u):
-        return np.minimum(np.searchsorted(prior_cdf, u, side="right"), n - 1)
+    def pick(rows, u):
+        return row_target[_search(guide, row_cdf, rows, u)]
 
-    def follow(s, u):
-        # bisect-right on row s clamped to its last link is the row start
-        # plus the number of the row's first deg - 1 CDF entries <= u
-        j = indptr[s]
-        hi = last_link[s]
-        step = 1 << int((hi - j).max(initial=0)).bit_length() >> 1
-        while step:
-            cand = j + step
-            j += step * ((cand <= hi) & (cdf[np.minimum(cand, hi) - 1] <= u))
-            step >>= 1
-        return targets[j]
-
-    state = int(restart(rng.random()))
+    state = int(pick(n, np.array([rng.random()]))[0])
     chunk = _walk_chunk(epsilon)
     buffer = np.empty(min(chunk, steps), np.int64)
     for done in range(0, steps, chunk):
@@ -318,7 +379,7 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
         u_choice = u[1::2]
         visited = buffer[:k]
         starts = np.flatnonzero(u[0::2] < epsilon)
-        visited[starts] = restart(u_choice[starts])
+        visited[starts] = pick(n, u_choice[starts])
         # segment i walks left[i] steps from step first[i] on, starting at
         # object cur[i]: segment 0 from the last chunk's end, the others
         # from their restart
@@ -330,16 +391,7 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
         # round r advances the segments with more than r steps left, a prefix
         for r, live in enumerate(np.searchsorted(-left, -np.arange(left[0])).tolist()):
             pos = first[:live] + r
-            s = cur[:live]
-            uc = u_choice[pos]
-            dead_end = dangling[s]
-            if dead_end.any():
-                cur = np.empty(live, np.int64)
-                cur[dead_end] = restart(uc[dead_end])
-                linked = ~dead_end
-                cur[linked] = follow(s[linked], uc[linked])
-            else:
-                cur = follow(s, uc)
+            cur = pick(cur[:live], u_choice[pos])
             visited[pos] = cur
         state = int(visited[-1])
         skip = max(0, burn_in - done)

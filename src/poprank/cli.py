@@ -81,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_diagnostics(bundle: CorpusBundle) -> None:
-    for line in bundle.diagnostics:
-        print(f"diag\t{line}", file=sys.stderr)
+    """Every ``diag`` line to stderr, in one write."""
+    sys.stderr.write("".join(f"diag\t{line}\n" for line in bundle.diagnostics))
 
 
 def _load(args) -> CorpusBundle:

@@ -170,15 +170,22 @@ def _grid_combinations(cfg: LearnConfig, k: int):
     return (tuple(row.tolist()) for row in cfg.grid_levels(picks))
 
 
-def _digest(transition: TransitionStructure) -> bytes:
+def _digest(transition: TransitionStructure, links: LinkStructure) -> bytes:
     """A digest of the transition's arrays; equal digests mean the same
-    walk, so the same fixed point."""
+    walk, so the same fixed point. ``indptr`` and ``targets`` are hashed
+    only when they are not ``links``' own arrays, which ``reweight`` keeps
+    unless it removes a link; two leading bytes say which were hashed."""
     # imported here: at module level it adds about 4 ms to every command's start-up
     import hashlib
 
     h = hashlib.sha256()
-    for array in (transition.indptr, transition.targets, transition.probs, transition.dangling):
-        h.update(array)
+    own = (transition.indptr is links.indptr, transition.targets is links.targets)
+    h.update(bytes(own))
+    for array, skip in zip((transition.indptr, transition.targets), own):
+        if not skip:
+            h.update(array)
+    h.update(transition.probs)
+    h.update(transition.dangling)
     return h.digest()
 
 
@@ -220,7 +227,7 @@ def learn_ppf(
         vector = tuple(vector)
         if vector not in violations_of:
             transition = links.reweight(PpfAssignment(dict(zip(names, vector))))
-            digest = _digest(transition)
+            digest = _digest(transition, links)
             if digest not in violations_of_transition:
                 result = poprank_from_transition(transition, prior, cfg.poprank_cfg, start,
                                                  pairs=(expert.high, expert.low))

@@ -156,10 +156,12 @@ class LinkStructure:
                 z[linked] += gamma
         indptr, targets, types, degrees = self.indptr, self.targets, self.types, self.degrees
         if not np.all(gammas > 0.0):
-            # a zero factor removes its type's links; the rest keep their order
+            # a zero factor removes its type's links; the rest keep their
+            # order, and the arrays stay these when the type has no links
             keep = gammas[types] > 0.0
-            targets, types, degrees = targets[keep], types[keep], degrees[keep]
-            indptr = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])[indptr]
+            if not keep.all():
+                targets, types, degrees = targets[keep], types[keep], degrees[keep]
+                indptr = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])[indptr]
         # (gamma_t / z[o]) / deg_t(o) per link, in place
         probs = gammas[types]
         probs /= np.repeat(z, np.diff(indptr))

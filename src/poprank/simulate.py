@@ -11,8 +11,11 @@ transition structure, so both sides of that check share one model.
 The walk (``_kernels.random_walk``) draws its uniforms in chunks, larger
 at small epsilon. A restart taken with probability epsilon does not
 depend on the past, so it splits a chunk into independent segments,
-which numpy advances together one step per round. The stream and the
-visit counts are those of the step-by-step walk, bit for bit.
+which numpy advances together one step per round. Following a link and
+restarting from the prior are one search: the prior CDF is searched as
+one more row of the link CDF, through a guide table that maps each
+uniform to the few entries it can land on. The stream and the visit
+counts are those of the step-by-step walk, bit for bit.
 """
 
 from __future__ import annotations

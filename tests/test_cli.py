@@ -476,6 +476,21 @@ class TestFlagsBeforeCorpus:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_version_imports_nothing_heavy():
+    """Start-up stays lean: modules only some commands need are imported
+    where they are used, not on the import path of every command."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "poprank", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith("poprank ")
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "poprank.cli" in imported
+    heavy = ("multiprocessing", "hashlib", "concurrent.futures", "json", "subprocess")
+    assert [m for m in imported if any(m == h or m.startswith(h + ".") for h in heavy)] == []
+
+
 class TestDeterminism:
     def test_rank_rerun_is_byte_identical(self, oracle_corpus, tmp_path):
         env = dict(os.environ)

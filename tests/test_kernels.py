@@ -1,6 +1,7 @@
 """Determinism: the two kernels give pinned results on a fixed seeded graph,
-and the segment-parallel walk gives the histogram of a step-by-step walk.
-The span interner gives the ids of plain dict interning, collisions or not."""
+and the segment-parallel walk gives the histogram of a step-by-step walk,
+its guide-table search that of a clamped bisect-right. The span interner
+gives the ids of plain dict interning, collisions or not."""
 
 from __future__ import annotations
 
@@ -409,3 +410,132 @@ def test_unique_first_matches_np_unique(keys):
     got = _kernels.unique_first(keys)
     for a, b in zip(expected, got):
         assert a.reshape(-1).tolist() == b.tolist()
+
+
+# ---- the guided search of the walk -------------------------------------------
+
+ONE_BELOW_1 = 1.0 - 2.0**-53  # the largest uniform a Generator draws
+ABOVE_1 = [float(np.nextafter(1.0, 2.0)), 1.0 + 2.0**-50]  # sums that rounding pushed past 1
+
+
+def _buckets(d: int) -> int:
+    return 1 << (d - 1).bit_length()
+
+
+def _queries(row: list[float]) -> list[float]:
+    """Uniforms at and next to every entry and bucket edge of the row,
+    and the ends of [0, 1)."""
+    g = _buckets(len(row))
+    points = row + [b / g for b in range(g)]
+    near = [float(np.nextafter(p, side)) for p in points for side in (0.0, 2.0)]
+    return [u for u in points + near + [0.0, ONE_BELOW_1] if 0.0 <= u < 1.0]
+
+
+def _check_guided_search(rows: list[list[float]], extra: list[float] = ()) -> None:
+    """``_search`` on every row and query against bisect-right clamped to
+    the row's last entry; empty rows sit in the table but are not searched."""
+    indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+    flat = np.array([x for r in rows for x in r], np.float64)
+    guide = _kernels._guide(indptr, flat)
+    asked = [(i, u) for i, row in enumerate(rows) if row for u in _queries(row) + list(extra)]
+    got = _kernels._search(guide, flat, np.array([i for i, _ in asked], np.int64),
+                           np.array([u for _, u in asked], np.float64))
+    want = [int(indptr[i]) + min(bisect_right(rows[i], u), len(rows[i]) - 1) for i, u in asked]
+    assert got.tolist() == want
+
+
+@st.composite
+def cdf_rows(draw):
+    """A nondecreasing row of 1-40 entries: bucket edges b / G, ties,
+    entries above 1.0, or a cumulative sum of weights with zero and tiny
+    steps, which rounding may carry past 1.0."""
+    d = draw(st.integers(1, 40))
+    g = _buckets(d)
+    if draw(st.booleans()):
+        entry = st.one_of(st.sampled_from([b / g for b in range(g + 1)] + ABOVE_1 + [1.5, 3.0]),
+                          st.floats(0.0, 1.0))
+        return sorted(draw(st.lists(entry, min_size=d, max_size=d)))
+    weights = draw(st.lists(st.sampled_from([0.0, 1e-12, 1.0, 2.0, 3.0]), min_size=d, max_size=d))
+    total = sum(weights) or 1.0
+    return np.cumsum(np.array(weights) / total).tolist()  # link_cdf's rounding, not a fixed last 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.one_of(cdf_rows(), st.just([])), min_size=1, max_size=6),
+       extra=st.lists(st.floats(0.0, ONE_BELOW_1), max_size=5))
+def test_guided_search_is_clamped_bisect_right(rows, extra):
+    _check_guided_search(rows, extra)
+
+
+def test_guided_search_on_a_hub_with_a_tiny_factor_type():
+    # 1,200 links: 200 of a type with factor 1e-9 come first in the row, as
+    # reweight orders types, so their CDF entries crowd into bucket 0
+    gammas = np.array([1e-9] * 200 + [1.0] * 1000)
+    probs = gammas / gammas.sum()
+    t = TransitionStructure(1, np.array([0, len(probs)]), np.zeros(len(probs), np.int64), probs,
+                            np.array([False]))
+    row = t.link_cdf().tolist()
+    bits = _kernels._guide(t.indptr, t.link_cdf())[2]
+    assert 1 << int(bits[0]) == 2048
+    _check_guided_search([row], np.random.default_rng(4).random(1000).tolist())
+
+
+def test_guided_search_on_a_prior_with_runs_of_zeros():
+    weights = np.array([0.0] * 50 + [1.0] + [0.0] * 30 + [3.0, 0.0, 0.0, 2.0] + [0.0] * 20 + [0.5])
+    prior_cdf = np.cumsum(weights / weights.sum()).tolist()
+    _check_guided_search([prior_cdf, [], [1.0], prior_cdf], np.random.default_rng(5).random(500).tolist())
+
+
+def test_guided_search_single_entry_rows():
+    _check_guided_search([[0.0], [0.3], [1.0], ABOVE_1[:1]])
+
+
+def _guide_sizes(monkeypatch) -> list[tuple[int, int]]:
+    """(bounds, entries) of each guide random_walk builds from now on."""
+    real, sizes = _kernels._guide, []
+
+    def spy(indptr, cdf):
+        guide = real(indptr, cdf)
+        sizes.append((len(guide[0]), len(cdf)))
+        return guide
+
+    monkeypatch.setattr(_kernels, "_guide", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("rows, prior", [
+    ([[(0, 1)]], [1]),  # one link and one object: two bounds each
+    ([[(1, 1)], [(0, 1)], [(2, 1)]], [1, 1, 1]),  # every row one entry
+    ([[], [], []], [1, 2, 3]),  # all dangling
+    ([[(0, 1)] * 5, [(1, 1)] * 17, []], [0, 0, 1]),  # rows just past a power of two
+])
+def test_walk_guide_holds_at_most_two_bounds_per_entry(monkeypatch, rows, prior):
+    sizes = _guide_sizes(monkeypatch)
+    args = _walk_args(rows, prior)
+    _kernels.random_walk(*args, 0.15, 50, 0, np.random.default_rng(1))
+    (bounds, entries), = sizes
+    m, n = len(args[1]), len(prior)
+    assert entries == m + n
+    assert bounds <= 2 * (m + n) + 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=walk_graphs())
+def test_walk_guide_size_on_random_graphs(graph):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sizes = _guide_sizes(monkeypatch)
+        _kernels.random_walk(*graph, 0.5, 5, 0, np.random.default_rng(2))
+    (bounds, entries), = sizes
+    assert entries == len(graph[1]) + len(graph[4])
+    assert bounds <= 2 * entries + 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40))
+def test_unique_edges_keeps_first_appearances(pairs):
+    edges = np.array(pairs, np.int64).reshape(-1, 2)
+    kept, dropped = _kernels.unique_edges(edges, 5)
+    want = list(dict.fromkeys(pairs))
+    assert kept.dtype == np.int64 and kept.shape == (len(want), 2)
+    assert [tuple(e) for e in kept.tolist()] == want
+    assert dropped == len(pairs) - len(want)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -349,6 +350,45 @@ def test_settled_stop_keeps_the_violations_of_a_full_solve(case, epsilon, tol):
         # no stop before the tolerance: the iterates of the full solve
         assert stopped.scores.tobytes() == full.scores.tobytes()
         assert stopped.iterations == full.iterations
+
+
+class TestTransitionDigest:
+    """Object 0 has one link of type a (to 1) and one of type b (to 2);
+    type c has no links."""
+
+    @pytest.fixture()
+    def links(self):
+        return LinkStructure.from_graph(simple_graph(3, {"a": [(0, 1)], "b": [(0, 2)], "c": []}))
+
+    @staticmethod
+    def digest(links, a, b, c=1.0):
+        return learning._digest(links.reweight(PpfAssignment({"a": a, "b": b, "c": c})), links)
+
+    def test_filtered_links_change_the_digest(self, links):
+        # zeroing a or b leaves equal probs ([1.0]), dangling and indptr:
+        # only the targets tell the two walks apart
+        only_b, only_a = (links.reweight(PpfAssignment({"a": a, "b": b, "c": 1.0}))
+                          for a, b in ((0.0, 1.0), (1.0, 0.0)))
+        assert only_b.probs.tolist() == only_a.probs.tolist() == [1.0]
+        assert only_b.indptr.tolist() == only_a.indptr.tolist()
+        assert only_b.targets.tolist() == [2] and only_a.targets.tolist() == [1]
+        digests = {self.digest(links, 0.0, 1.0), self.digest(links, 1.0, 0.0),
+                   self.digest(links, 1.0, 1.0)}
+        assert len(digests) == 3
+
+    def test_own_arrays_are_not_hashed(self, links):
+        transition = links.reweight(PpfAssignment({"a": 0.3, "b": 0.6, "c": 1.0}))
+        assert transition.indptr is links.indptr and transition.targets is links.targets
+        expected = hashlib.sha256(bytes([True, True]) + transition.probs.tobytes()
+                                  + transition.dangling.tobytes()).digest()
+        assert learning._digest(transition, links) == expected
+
+    def test_a_zero_factor_that_removes_no_link_keeps_the_digest(self, links):
+        # c has no links, so its zero factor gives the same walk
+        transition = links.reweight(PpfAssignment({"a": 0.3, "b": 0.6, "c": 0.0}))
+        assert transition.targets is links.targets
+        assert self.digest(links, 0.3, 0.6, 0.0) == self.digest(links, 0.3, 0.6)
+        assert self.digest(links, 0.3, 0.6) != self.digest(links, 0.3, 0.7)
 
 
 class TestKendallTau:
