@@ -361,6 +361,7 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
     n = len(prior_cdf)
     counts = np.zeros(n, np.int64)
     row_cdf = np.concatenate((cdf, prior_cdf))
+    del cdf, prior_cdf  # frees them on CPython >= 3.11 when the caller passed them inline
     guide = _guide(np.append(indptr, indptr[-1] + n), row_cdf)
     bounds, first_bound, bits = guide
     row_target = np.concatenate((targets, np.arange(n)), dtype=bounds.dtype)

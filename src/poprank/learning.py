@@ -12,12 +12,12 @@ solve starts from the scores of the previous one (a warm start), and it
 stops as soon as the order of every expert pair is settled: the
 objective reads only those signs, and the stop is taken only where they
 are already those of a solve run to the tolerance (see
-``poprank_from_transition``). A
-factor vector seen before is not solved again, nor is one whose
-transition is bit-identical to one already solved: only the ratios of
-the factors among an object's followable types matter, so the factor of
-a type that no object follows together with another type does not change
-the walk. ``evaluations`` still counts every call of the objective.
+``poprank_from_transition``). A solve is memoized by the vector's
+``LinkStructure.ratios`` table, each type's share of the factors an
+object can follow, of which the reweighted arrays are a function: a
+repeated vector, or one that changes only the factor of a type no object
+follows together with another, is neither reweighted nor solved again.
+``evaluations`` still counts every call of the objective.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .ranking import (  # noqa: F401 -- perfbench/traced.py patches build_transi
     LinkStructure,
     PopRankConfig,
     PpfAssignment,
-    TransitionStructure,
     build_transition,
     poprank_from_transition,
 )
@@ -170,25 +169,6 @@ def _grid_combinations(cfg: LearnConfig, k: int):
     return (tuple(row.tolist()) for row in cfg.grid_levels(picks))
 
 
-def _digest(transition: TransitionStructure, links: LinkStructure) -> bytes:
-    """A digest of the transition's arrays; equal digests mean the same
-    walk, so the same fixed point. ``indptr`` and ``targets`` are hashed
-    only when they are not ``links``' own arrays, which ``reweight`` keeps
-    unless it removes a link; two leading bytes say which were hashed."""
-    # imported here: at module level it adds about 4 ms to every command's start-up
-    import hashlib
-
-    h = hashlib.sha256()
-    own = (transition.indptr is links.indptr, transition.targets is links.targets)
-    h.update(bytes(own))
-    for array, skip in zip((transition.indptr, transition.targets), own):
-        if not skip:
-            h.update(array)
-    h.update(transition.probs)
-    h.update(transition.dangling)
-    return h.digest()
-
-
 def learn_ppf(
     graph: ObjectGraph,
     prior: np.ndarray,
@@ -215,33 +195,26 @@ def learn_ppf(
     k = len(names)
     links = LinkStructure.from_graph(graph)
     evaluations = nonconverged = 0
-    # violations per factor vector seen and per digest of a transition
-    # solved so far, and the latest scores
-    violations_of: dict[tuple[float, ...], int] = {}
-    violations_of_transition: dict[bytes, int] = {}
+    # violations per ratios table solved so far, and the latest scores
+    violations_of: dict[bytes, int] = {}
     start: np.ndarray | None = None
 
     def objective(vector: Sequence[float]) -> int:
         nonlocal evaluations, nonconverged, start
         evaluations += 1
-        vector = tuple(vector)
-        if vector not in violations_of:
-            transition = links.reweight(PpfAssignment(dict(zip(names, vector))))
-            digest = _digest(transition, links)
-            if digest not in violations_of_transition:
-                result = poprank_from_transition(transition, prior, cfg.poprank_cfg, start,
-                                                 pairs=(expert.high, expert.low))
-                start = result.scores
-                nonconverged += not result.converged
-                violations_of_transition[digest], _ = rank_disagreement(result.scores, expert)
-            violations_of[vector] = violations_of_transition[digest]
-        return violations_of[vector]
+        ppf = PpfAssignment(dict(zip(names, vector)))
+        key = links.ratios(ppf).tobytes()
+        if key not in violations_of:
+            result = poprank_from_transition(links.reweight(ppf), prior, cfg.poprank_cfg, start,
+                                             pairs=(expert.high, expert.low))
+            start = result.scores
+            nonconverged += not result.converged
+            violations_of[key], _ = rank_disagreement(result.scores, expert)
+        return violations_of[key]
 
-    combos = _grid_combinations(cfg, k)
     best_vec: tuple[float, ...] | None = None
     best_violations = -1
-    for vec in combos:
-        vec = tuple(vec)
+    for vec in _grid_combinations(cfg, k):
         violations = objective(vec)
         if best_vec is None or violations < best_violations:
             best_vec, best_violations = vec, violations

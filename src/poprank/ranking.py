@@ -17,12 +17,12 @@ every expert pair is settled).
 
 A factor vector changes only one scale per relationship type and source
 object, so the transition is built in two steps. ``LinkStructure`` holds
-what does not depend on the factors: every link in CSR order, its type,
-its source's out-degree in that type, and per type the objects that have
-such links. It is built once per graph; ``LinkStructure.reweight`` then
-makes a factor vector's ``TransitionStructure`` with one pass per type
-and one vectorized expression, without sorting. ``build_transition`` is
-the two steps in one call.
+what does not depend on the factors, once per graph. A factor vector
+enters only through ``LinkStructure.ratios``, one float per set of types
+that objects link out in and type, and ``reweight`` builds its
+``TransitionStructure`` from that table with one vectorized expression,
+without sorting: equal tables give the same walk. ``build_transition``
+is the two steps in one call.
 """
 
 from __future__ import annotations
@@ -103,14 +103,12 @@ class TransitionStructure:
 
 @dataclass(frozen=True, eq=False)
 class LinkStructure:
-    """The factor-independent part of a graph's transition structure.
-
-    Every link of every relationship type in CSR order (grouped by
-    source; within a row by relationship type, then in graph order),
-    with its type and the out-degree of its source in that type, plus,
-    per type, the objects with at least one out-link of it. Built once
-    per graph by ``from_graph``; ``reweight`` gives the
-    TransitionStructure of one factor assignment.
+    """The factor-independent part of a graph's transition structure:
+    every link in CSR order (grouped by source; within a row by type, then
+    in graph order) with its type and its source's out-degree in that
+    type, and the distinct sets of types objects link out in (the empty
+    set for objects without out-links). Built once per graph by
+    ``from_graph``; ``reweight`` gives one factor assignment's transition.
     """
 
     num_objects: int
@@ -119,7 +117,8 @@ class LinkStructure:
     targets: np.ndarray  # int64
     types: np.ndarray  # unsigned int, index into rel_names
     degrees: np.ndarray  # float64, out-degree of the link's source in its type
-    linked: tuple[np.ndarray, ...]  # per type, the objects with out-links of it
+    type_sets: np.ndarray  # bool (sets, types): whether set s holds type t
+    set_of: np.ndarray  # int64, per object the index of its set
 
     @classmethod
     def from_graph(cls, graph: ObjectGraph) -> "LinkStructure":
@@ -127,6 +126,16 @@ class LinkStructure:
         rel_names = tuple(rt.rel_name for rt in graph.relationship_types)
         edges = [graph.links[name] for name in rel_names]
         out_degrees = [np.bincount(e[:, 0], minlength=n) for e in edges]
+        # each object's types as a bit mask, renumbered by set every 32
+        # types so that 32 more bits fit in int64
+        code = np.zeros(n, np.int64)
+        for t, d in enumerate(out_degrees):
+            if t and t % 32 == 0:
+                code = _kernels.unique_first(code)[2] << 32
+            code |= (d > 0).astype(np.int64) << (t % 32)
+        _, first, set_of = _kernels.unique_first(code)
+        type_sets = np.array([d[first] > 0 for d in out_degrees], bool)
+        type_sets = type_sets.reshape(len(edges), len(first)).T
         src = np.concatenate([np.empty(0, np.int64), *(e[:, 0] for e in edges)])
         order = np.argsort(src, kind="stable")
         indptr = _kernels.row_starts(n, src)
@@ -137,36 +146,42 @@ class LinkStructure:
         targets = np.concatenate([np.empty(0, np.int64), *(e[:, 1] for e in edges)])[order]
         type_ids = np.arange(len(edges), dtype=np.min_scalar_type(len(edges)))
         types = np.repeat(type_ids, np.array([len(e) for e in edges], np.int64))[order]
-        linked = tuple(np.flatnonzero(d) for d in out_degrees)
-        return cls(n, rel_names, indptr, targets, types, degrees, linked)
+        return cls(n, rel_names, indptr, targets, types, degrees, type_sets, set_of)
 
-    def reweight(self, ppf: PpfAssignment) -> TransitionStructure:
-        """The transition structure of ``ppf``, as ``build_transition`` defines it.
-
-        Raises ConfigError when a relationship type of the graph has no factor.
-        """
+    def ratios(self, ppf: PpfAssignment) -> np.ndarray:
+        """The float64 (sets, types) table of gamma_t / z_S, with z_S the sum
+        of the positive factors of set S in type order; 0 where S lacks t or
+        gamma_t is 0. Raises ConfigError when a type has no factor."""
         for name in self.rel_names:
             if name not in ppf.factors:
                 raise ConfigError(f"no propagation factor for relationship type {name!r}")
         gammas = np.array([float(ppf.factors[name]) for name in self.rel_names], np.float64)
-        # z[o] sums the factors of o's followable types, added in type order
-        z = np.zeros(self.num_objects, np.float64)
-        for gamma, linked in zip(gammas.tolist(), self.linked):
-            if gamma > 0.0:
-                z[linked] += gamma
-        indptr, targets, types, degrees = self.indptr, self.targets, self.types, self.degrees
-        if not np.all(gammas > 0.0):
-            # a zero factor removes its type's links; the rest keep their
-            # order, and the arrays stay these when the type has no links
-            keep = gammas[types] > 0.0
-            if not keep.all():
-                targets, types, degrees = targets[keep], types[keep], degrees[keep]
-                indptr = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])[indptr]
-        # (gamma_t / z[o]) / deg_t(o) per link, in place
-        probs = gammas[types]
-        probs /= np.repeat(z, np.diff(indptr))
+        shares = np.where(self.type_sets & (gammas > 0.0), gammas, 0.0)
+        z = shares.cumsum(axis=1)[:, -1:]  # sequential: added in type order
+        return np.divide(shares, z, out=shares, where=z > 0.0)
+
+    def reweight(self, ppf: PpfAssignment) -> TransitionStructure:
+        """The transition structure of ``ppf``, as ``build_transition``
+        defines it: a function of ``ratios(ppf)`` alone.
+
+        Raises ConfigError when a relationship type of the graph has no factor.
+        """
+        table = self.ratios(ppf)
+        # each link's (source set, type) entry, then divided by its degree
+        at = np.repeat(self.set_of * table.shape[1], np.diff(self.indptr))
+        at += self.types
+        probs = table.ravel().take(at)
+        del at
+        indptr, targets, degrees = self.indptr, self.targets, self.degrees
+        # a link of entry 0 is removed; the rest keep their order, and the
+        # arrays stay these when no link is removed
+        keep = probs > 0.0
+        if not keep.all():
+            probs, targets, degrees = probs[keep], targets[keep], degrees[keep]
+            indptr = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])[indptr]
         probs /= degrees
-        return TransitionStructure(self.num_objects, indptr, targets, probs, z == 0.0)
+        return TransitionStructure(self.num_objects, indptr, targets, probs,
+                                   ~table.any(axis=1)[self.set_of])
 
 
 def build_transition(graph: ObjectGraph, ppf: PpfAssignment) -> TransitionStructure:
@@ -201,6 +216,16 @@ def _check_prior(prior: np.ndarray, num_objects: int, name: str = "prior") -> np
     return prior
 
 
+def _check_pairs(pairs, num_objects: int) -> tuple[np.ndarray, ...]:
+    sides = tuple(np.asarray(side) for side in pairs)
+    if (len(sides) != 2 or sides[0].shape != sides[1].shape or sides[0].ndim != 1
+            or any(side.dtype.kind not in "iu" or side.size and not 0 <= side.min()
+                   <= side.max() < num_objects for side in sides)):
+        raise ConfigError("pairs must be two equal-length 1-d integer arrays of object ids "
+                          f"in [0, {num_objects})")
+    return sides
+
+
 def poprank_from_transition(
     transition: TransitionStructure,
     prior: np.ndarray,
@@ -216,7 +241,7 @@ def poprank_from_transition(
     the same tolerance). Raises ConfigError if the scores come out
     non-finite, so no command reports NaN scores.
 
-    ``pairs``, two int64 arrays (high, low) of object ids, is for callers
+    ``pairs``, two integer arrays (high, low) of object ids, is for callers
     that read only the order of those pairs, as ``learn`` does: the solve
     may then stop before the tolerance, once each pair's order is the one
     a solve to the tolerance would end with (``_kernels.power_iteration``
@@ -228,7 +253,7 @@ def poprank_from_transition(
     prior = _check_prior(prior, transition.num_objects)
     extra = {} if start is None else {"r0": _check_prior(start, transition.num_objects, "start")}
     if pairs is not None:
-        extra["pairs"] = pairs
+        extra["pairs"] = _check_pairs(pairs, transition.num_objects)
     alpha = 1.0 - cfg.epsilon
     r, iterations, residual = _kernels.power_iteration(
         transition.indptr,

@@ -77,14 +77,14 @@ def simulate(
     for the start, then a (restart, choice) pair per step.
     """
     prior = _check_prior(prior, transition.num_objects)
-    prior_cdf = np.cumsum(prior)
-    link_cdf = transition.link_cdf()
+    # the CDFs are passed inline, so that the walk frees them once it has
+    # copied them into its own table
     counts = _kernels.random_walk(
         transition.indptr,
         transition.targets,
-        link_cdf,
+        transition.link_cdf(),
         transition.dangling,
-        prior_cdf,
+        np.cumsum(prior),
         float(cfg.epsilon),
         int(cfg.steps),
         int(cfg.burn_in),

@@ -476,19 +476,40 @@ class TestFlagsBeforeCorpus:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def imports_of(*argv) -> tuple[str, list[str]]:
+    """stdout of ``python -X importtime -m poprank *argv``, which must exit
+    0, and the modules it imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "poprank", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    return proc.stdout, [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                         if line.startswith("import time:")]
+
+
+def heavy(imported: list[str]) -> list[str]:
+    """The modules among ``imported`` that only some commands need."""
+    names = ("multiprocessing", "hashlib", "concurrent.futures", "json", "subprocess")
+    return [m for m in imported if any(m == h or m.startswith(h + ".") for h in names)]
+
+
 def test_version_imports_nothing_heavy():
     """Start-up stays lean: modules only some commands need are imported
     where they are used, not on the import path of every command."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "poprank", "--version"],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0 and proc.stdout.startswith("poprank ")
-    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")]
-    assert "poprank.cli" in imported
-    heavy = ("multiprocessing", "hashlib", "concurrent.futures", "json", "subprocess")
-    assert [m for m in imported if any(m == h or m.startswith(h + ".") for h in heavy)] == []
+    out, imported = imports_of("--version")
+    assert out.startswith("poprank ") and "poprank.cli" in imported
+    assert heavy(imported) == []
+
+
+def test_learn_imports_nothing_heavy(oracle_corpus, tmp_path):
+    """The learn memo is keyed by exact factor ratios, so no hash library
+    joins the command's start-up, nor anything else heavy on a small corpus."""
+    expert = tmp_path / "expert.tsv"
+    expert.write_text("paper:t2\npaper:t0\npaper:t3\n")
+    out, imported = imports_of("learn", oracle_corpus, "--expert", expert)
+    assert "# command\tlearn\n" in out and "poprank.learning" in imported
+    assert heavy(imported) == []
 
 
 class TestDeterminism:

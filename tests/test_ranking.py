@@ -134,7 +134,55 @@ def reweight_cases(draw):
     return n, links, vectors
 
 
+@st.composite
+def ratio_cases(draw):
+    """(objects, links by type, factor vectors) for 1-8 objects and 1-4
+    relationship types, some of them without links. Factors come mostly
+    from a few levels, so distinct vectors often have equal ratios tables."""
+    n = draw(st.integers(1, 8))
+    names = [f"rel{i}" for i in range(draw(st.integers(1, 4)))]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    links = {name: draw(st.lists(pair, max_size=draw(st.sampled_from([0, 2 * n]))))
+             for name in names}
+    factor = st.one_of(st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]), st.floats(0.01, 1.0))
+    vector = st.fixed_dictionaries({name: factor for name in names}).filter(
+        lambda factors: any(factors.values()))
+    return n, links, draw(st.lists(vector, min_size=2, max_size=8))
+
+
 class TestLinkStructure:
+    @settings(max_examples=300, deadline=None)
+    @given(ratio_cases())
+    def test_equal_ratios_give_bit_identical_transitions(self, case):
+        n, links, vectors = case
+        structure = LinkStructure.from_graph(simple_graph(n, links))
+        seen = {}
+        for factors in vectors:
+            ppf = PpfAssignment(factors)
+            t = structure.reweight(ppf)
+            arrays = [(a.dtype.str, a.shape, a.tobytes())
+                      for a in (t.indptr, t.targets, t.probs, t.dangling)]
+            assert seen.setdefault(structure.ratios(ppf).tobytes(), arrays) == arrays
+
+    @pytest.mark.parametrize("num_types", [3, 70])
+    def test_type_sets_hold_each_objects_followable_types(self, num_types):
+        # object i links out in the types t with t % (i + 1) == 0; object 5 has no links
+        links = {f"rel{t}": [(i, 0) for i in range(5) if t % (i + 1) == 0]
+                 for t in range(num_types)}
+        structure = LinkStructure.from_graph(simple_graph(6, links))
+        want = [[t % (i + 1) == 0 and i < 5 for t in range(num_types)] for i in range(6)]
+        assert structure.type_sets[structure.set_of].tolist() == want
+        assert len(structure.type_sets) == len({tuple(row) for row in want})
+
+    def test_ratios_are_each_types_share_of_its_set(self):
+        structure = LinkStructure.from_graph(
+            simple_graph(3, {"a": [(0, 1), (1, 2)], "b": [(0, 2)], "c": []}))
+        table = structure.ratios(PpfAssignment({"a": 0.25, "b": 0.5, "c": 1.0}))
+        by_set = dict(zip(map(tuple, structure.type_sets.tolist()), table.tolist()))
+        assert by_set == {(True, True, False): [0.25 / 0.75, 0.5 / 0.75, 0.0],
+                          (True, False, False): [1.0, 0.0, 0.0],
+                          (False, False, False): [0.0, 0.0, 0.0]}
+
     @settings(max_examples=300, deadline=None)
     @given(reweight_cases())
     def test_reweight_matches_the_reference_bit_for_bit(self, case):
@@ -311,6 +359,15 @@ class TestPopRank:
                 PopRankConfig(tol=1e-15, max_iter=2),
             )
         assert not result.converged
+
+    @pytest.mark.parametrize("pairs", [([-1], [0]), ([0], [3]), ([0, 1], [1]), ([0.0], [1.0]),
+                                       ([[0]], [[1]]), ([0],), ([0], [1], [2])])
+    def test_bad_pairs_rejected(self, pairs):
+        # ids outside [0, 3), unequal lengths, floats, 2-d arrays, not two sides
+        t = build_transition(simple_graph(3, {"cites": [(0, 1), (1, 2)]}),
+                             PpfAssignment({"cites": 1.0}))
+        with pytest.raises(ConfigError, match="pairs"):
+            poprank_from_transition(t, np.full(3, 1 / 3), pairs=tuple(map(np.array, pairs)))
 
 
 class TestRankingPositions:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from poprank import (
     PopRankConfig,
     PpfAssignment,
     SimConfig,
+    TransitionStructure,
+    _kernels,
     build_transition,
     poprank_from_transition,
     simulate,
@@ -120,3 +125,35 @@ def test_tv_distance_basics():
     assert tv_distance(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
     with pytest.raises(ConfigError):
         tv_distance(np.array([1.0]), np.array([0.5, 0.5]))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 the caller's frame keeps a call's arguments alive")
+def test_the_walk_frees_the_cdfs_it_copies():
+    """simulate holds the link and prior CDFs only until the walk has
+    copied them: its peak is that of a walk given CDFs built beforehand,
+    not one CDF more."""
+    rng = np.random.default_rng(5)
+    n, degree = 20_000, 5
+    t = TransitionStructure(n, np.arange(0, degree * (n + 1), degree, dtype=np.int64),
+                            rng.integers(0, n, degree * n), np.full(degree * n, 1 / degree),
+                            np.zeros(n, bool))
+    prior = np.full(n, 1 / n)
+    cfg = SimConfig(steps=1000, rng_seed=1)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            counts = run()
+            return tracemalloc.get_traced_memory()[1], counts
+        finally:
+            tracemalloc.stop()
+
+    cdf, prior_cdf = t.link_cdf(), np.cumsum(prior)
+    walk_peak, walk_counts = peak(lambda: _kernels.random_walk(
+        t.indptr, t.targets, cdf, t.dangling, prior_cdf, cfg.epsilon, cfg.steps, 0,
+        np.random.default_rng(cfg.rng_seed)))
+    del cdf, prior_cdf
+    sim_peak, hist = peak(lambda: simulate(t, prior, cfg))
+    assert (hist.counts == walk_counts).all()
+    assert sim_peak < walk_peak + t.probs.nbytes // 2
