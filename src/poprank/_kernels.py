@@ -8,7 +8,8 @@ the byte interner that feeds the loader.
   and group edges by source into CSR arrays.
 * ``power_iteration`` -- one power-iteration solve with restart and
   dangling-mass redistribution, from the prior or from a given start, to
-  a tolerance or until the order of given pairs of entries is settled.
+  a tolerance, until the order of given pairs of entries is settled, or
+  until enough of those pairs are settled the wrong way round.
 * ``random_walk`` -- the restart walk driven by a seeded generator, its
   restart segments advanced together with numpy in chunks sized from the
   restart probability, tallying visits into an int64 histogram. Links
@@ -207,7 +208,7 @@ def csr(n: int, src: np.ndarray, tgt: np.ndarray, probs: np.ndarray):
 
 
 def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter, r0=None,
-                    pairs=None):
+                    pairs=None, reject=None):
     """Iterate r <- alpha * (pull(r) + dangling_mass * v) + (1 - alpha) * v
     from r0 (v when None) until the L1 change drops below tol.
 
@@ -226,6 +227,12 @@ def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter, r
     ``pairs`` ends on. The stop is off when such a run is not certain to
     end within max_iter iterations, so the iteration then ends where it
     does without ``pairs``.
+
+    ``reject``, a count, adds a third stop under the same bound and the
+    same guards: stop once at least ``reject`` pairs have r[high] - r[low]
+    < -(c * (delta + tol) + margin). Each such pair is strictly reversed
+    in this iterate and in any iterate a run to tol can end on, so a run
+    to tol would get at least ``reject`` pairs wrong.
     """
     n = v.shape[0]
     sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
@@ -243,8 +250,12 @@ def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter, r
         r = r_new
         if delta < tol:
             break
-        if rule is not None and np.all(np.abs(r[high] - r[low]) > c * (delta + tol) + margin):
-            break
+        if rule is not None:
+            gap = r[high] - r[low]
+            bound = c * (delta + tol) + margin
+            if np.all(np.abs(gap) > bound) or (
+                    reject is not None and np.count_nonzero(gap < -bound) >= reject):
+                break
     return r, it, delta
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from collections import Counter
 from datetime import datetime, timezone
 from itertools import count
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__, formats
 from .corpus import CorpusBundle, CorpusPaths, load_corpus, resolve_expert
-from .errors import ConfigError, PopRankError
+from .errors import ConfigError, NonConvergenceWarning, PopRankError
 from .learning import LearnConfig, kendall_tau, learn_ppf
 from .ranking import (
     PopRankConfig,
@@ -151,13 +152,14 @@ def _convergence_meta(name: str, result: RankResult | None) -> list[tuple[str, s
     ]
 
 
-def _check_convergence(args, *results: RankResult | None) -> int:
+class _NotConverged(Exception):
+    """A solve did not converge under --fail-on-nonconverge: exit 3, after the report."""
+
+
+def _check_convergence(args, *results: RankResult | None) -> None:
     failed = [r for r in results if r is not None and not r.converged]
     if failed and args.fail_on_nonconverge:
-        print(f"error: power iteration did not converge (residual {failed[0].residual:.3e})",
-              file=sys.stderr)
-        return 3
-    return 0
+        raise _NotConverged(f"power iteration did not converge (residual {failed[0].residual:.3e})")
 
 
 def _write_report(args, meta, lines: list[str]) -> None:
@@ -167,7 +169,7 @@ def _write_report(args, meta, lines: list[str]) -> None:
         formats.write_report(args.out, meta, lines)
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> None:
     bundle = _load(args)
     graph = bundle.graph
     lines = [f"objects\t{graph.num_objects}", f"pages\t{bundle.page_graph.num_pages}",
@@ -177,7 +179,6 @@ def cmd_ingest(args) -> int:
     lines += [f"links[{rt.rel_name}]\t{len(graph.links[rt.rel_name])}"
               for rt in graph.relationship_types]
     _write_report(args, _base_meta(args, "ingest"), lines)
-    return 0
 
 
 def _in_order(bundle: CorpusBundle, order: np.ndarray, *columns: np.ndarray) -> tuple[list, ...]:
@@ -188,7 +189,7 @@ def _in_order(bundle: CorpusBundle, order: np.ndarray, *columns: np.ndarray) -> 
     return ([refs[i] for i in order.tolist()], *(column[order].tolist() for column in columns))
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> None:
     bundle, ppf, _, page_result, _, result = _solve(args, _poprank_config(args))
 
     meta = _base_meta(args, "rank")
@@ -199,10 +200,10 @@ def cmd_rank(args) -> int:
     meta += _convergence_meta("poprank", result)
     refs, scores = _in_order(bundle, ranking_order(result.scores), result.scores)
     _write_report(args, meta, [f"{k}\t{ref}\t{s!r}" for k, ref, s in zip(count(1), refs, scores)])
-    return _check_convergence(args, page_result, result)
+    _check_convergence(args, page_result, result)
 
 
-def cmd_learn(args) -> int:
+def cmd_learn(args) -> None:
     cfg = LearnConfig(
         grid_resolution=args.grid_resolution,
         refine_iters=args.refine_iters,
@@ -229,14 +230,12 @@ def cmd_learn(args) -> int:
         formats.write_report(sys.stdout, meta, [f"{n}\t{g!r}" for n, g in factors.items()])
     else:
         formats.write_ppf(args.out, factors, meta)
-    code = _check_convergence(args, page_result)
-    if not code and result.nonconverged and args.fail_on_nonconverge:
-        print(f"error: {result.nonconverged} poprank solve(s) did not converge", file=sys.stderr)
-        return 3
-    return code
+    _check_convergence(args, page_result)
+    if result.nonconverged and args.fail_on_nonconverge:
+        raise _NotConverged(f"{result.nonconverged} poprank solve(s) did not converge")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     cfg = None if args.epsilon == 1.0 else _poprank_config(args)
     sim_cfg = SimConfig(steps=args.steps, rng_seed=args.seed, epsilon=args.epsilon,
                         burn_in=args.burn_in)
@@ -254,10 +253,10 @@ def cmd_simulate(args) -> int:
                         hist.counts)
     _write_report(args, meta, [f"{k}\t{ref}\t{s!r}\t{e!r}\t{c}"
                                for k, ref, s, e, c in zip(count(1), *columns)])
-    return _check_convergence(args, page_result, analytic)
+    _check_convergence(args, page_result, analytic)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     bundle, _, prior, page_result, _, result = _solve(args, _poprank_config(args))
 
     object_positions = ranking_positions(result.scores)
@@ -273,7 +272,7 @@ def cmd_compare(args) -> int:
                         page_positions + 1)
     _write_report(args, meta, [f"{ref}\t{s!r}\t{k}\t{p!r}\t{page_k}"
                                for k, ref, s, p, page_k in zip(count(1), *columns)])
-    return _check_convergence(args, page_result, result)
+    _check_convergence(args, page_result, result)
 
 
 _COMMANDS = {
@@ -285,17 +284,41 @@ _COMMANDS = {
 }
 
 
+def _emit_warnings(caught: list[warnings.WarningMessage]) -> None:
+    """One ``diag`` line per kind of solve that did not converge, with its
+    count and worst residual, in one write; any other warning as Python
+    shows it."""
+    failed: dict[str, tuple[int, float]] = {}
+    for w in caught:
+        if isinstance(w.message, NonConvergenceWarning):
+            solves, worst = failed.get(w.message.solver, (0, 0.0))
+            failed[w.message.solver] = solves + 1, max(worst, w.message.residual)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    sys.stderr.write("".join(
+        f"diag\tnonconverged\t{solver}\tcount={solves}\tworst-residual={worst!r}\n"
+        for solver, (solves, worst) in failed.items()))
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its convergence warnings become ``diag`` lines,
+    written before any ``error:`` line."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except PopRankError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NonConvergenceWarning)
+        try:
+            _COMMANDS[args.command](args)
+            code = 0
+        except _NotConverged as err:
+            code, error = 3, err
+        except (PopRankError, OSError) as err:
+            code, error = 2, err
+    _emit_warnings(caught)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

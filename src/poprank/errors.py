@@ -27,4 +27,13 @@ class FormatError(PopRankError):
 
 
 class NonConvergenceWarning(UserWarning):
-    """Power iteration hit max_iter with the residual still above tol."""
+    """Power iteration hit max_iter with the residual still above tol.
+
+    ``solver`` names the solve (``pagerank`` or ``poprank``); ``iterations``
+    and ``residual`` say where it stopped.
+    """
+
+    def __init__(self, solver: str, iterations: int, residual: float):
+        super().__init__(f"{solver} stopped after {iterations} iterations "
+                         f"with residual {residual:.3e}")
+        self.solver, self.iterations, self.residual = solver, iterations, residual

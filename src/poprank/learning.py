@@ -7,22 +7,29 @@ factors, so the search is derivative-free: an exhaustive factor grid
 followed by coordinate-wise local refinement with a shrinking step.
 
 Each evaluation is one PopRank solve on the same graph. The graph's
-``LinkStructure`` is built once and reweighted per factor vector; each
-solve starts from the scores of the previous one (a warm start), and it
-stops as soon as the order of every expert pair is settled: the
-objective reads only those signs, and the stop is taken only where they
-are already those of a solve run to the tolerance (see
-``poprank_from_transition``). A solve is memoized by the vector's
-``LinkStructure.ratios`` table, each type's share of the factors an
-object can follow, of which the reweighted arrays are a function: a
-repeated vector, or one that changes only the factor of a type no object
-follows together with another, is neither reweighted nor solved again.
-``evaluations`` still counts every call of the objective.
+``LinkStructure`` is built once and reweighted per factor vector. Each
+solve starts from the scores of the nearest of the last NEAREST_STARTS
+vectors solved, by L1 distance between factors divided by their sum (a
+warm start), and it stops as soon as the order of every expert pair is
+settled: the objective reads only those signs, and the stop is taken
+only where they are already those of a solve run to the tolerance (see
+``poprank_from_transition``). A vector is kept only when it violates
+fewer pairs than the incumbent, so each solve is also passed the
+incumbent's violations as ``reject``: it stops, under the same bound and
+guards, once that many pairs are settled the wrong way round, where the
+vector provably cannot win. Why the memo needs no flag for such a solve
+is argued at the memo in ``learn_ppf``. A solve is memoized by the
+vector's ``LinkStructure.ratios`` table, each type's share of the
+factors an object can follow, of which the reweighted arrays are a
+function: a repeated vector, or one that changes only the factor of a
+type no object follows together with another, is neither reweighted nor
+solved again. ``evaluations`` still counts every call of the objective.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -39,6 +46,7 @@ from .ranking import (  # noqa: F401 -- perfbench/traced.py patches build_transi
 )
 
 GRID_EVAL_CAP = 10_000
+NEAREST_STARTS = 8  # score vectors kept to start solves from
 
 
 @dataclass(frozen=True)
@@ -195,19 +203,35 @@ def learn_ppf(
     k = len(names)
     links = LinkStructure.from_graph(graph)
     evaluations = nonconverged = 0
-    # violations per ratios table solved so far, and the latest scores
+    # The violations of the scores each ratios table's solve stopped on. A
+    # vector is kept only when it gets fewer pairs wrong than the incumbent,
+    # so each solve is passed the incumbent's violations as ``reject``. A
+    # solve that stops by reject stores a count at or above that threshold,
+    # and a solve to the tolerance would get at least as many pairs wrong;
+    # any other stop stores the count of a solve to the tolerance. The
+    # incumbent's violations never rise, so a stored count is at or above
+    # every later threshold wherever it is not exact: each comparison with
+    # it answers as a solve to the tolerance would, a rejected vector never
+    # becomes the incumbent, and no entry needs a flag or a second solve.
     violations_of: dict[bytes, int] = {}
-    start: np.ndarray | None = None
+    # (factors / factors.sum(), scores) of the latest solves, rejected ones
+    # included; each solve starts from the scores of the nearest in L1
+    solved: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=NEAREST_STARTS)
 
-    def objective(vector: Sequence[float]) -> int:
-        nonlocal evaluations, nonconverged, start
+    def objective(vector: Sequence[float], reject: int | None) -> int:
+        nonlocal evaluations, nonconverged
         evaluations += 1
         ppf = PpfAssignment(dict(zip(names, vector)))
         key = links.ratios(ppf).tobytes()
         if key not in violations_of:
+            shares = np.array(vector, np.float64)
+            shares /= shares.sum()
+            # min keeps the first of equals: the latest solve wins a tie
+            _, start = min(reversed(solved), key=lambda pair: np.abs(pair[0] - shares).sum(),
+                           default=(None, None))
             result = poprank_from_transition(links.reweight(ppf), prior, cfg.poprank_cfg, start,
-                                             pairs=(expert.high, expert.low))
-            start = result.scores
+                                             pairs=(expert.high, expert.low), reject=reject)
+            solved.append((shares, result.scores))
             nonconverged += not result.converged
             violations_of[key], _ = rank_disagreement(result.scores, expert)
         return violations_of[key]
@@ -215,7 +239,7 @@ def learn_ppf(
     best_vec: tuple[float, ...] | None = None
     best_violations = -1
     for vec in _grid_combinations(cfg, k):
-        violations = objective(vec)
+        violations = objective(vec, None if best_vec is None else best_violations)
         if best_vec is None or violations < best_violations:
             best_vec, best_violations = vec, violations
             if violations == 0:
@@ -239,7 +263,7 @@ def learn_ppf(
                     continue
                 trial = list(current)
                 trial[i] = candidate
-                violations = objective(trial)
+                violations = objective(trial, current_violations)
                 refine_evals += 1
                 evaluated_any = True
                 if violations < current_violations:

@@ -12,8 +12,9 @@ The fixed point of
 
 is the popularity vector, computed by power iteration from the prior
 (or from a given start vector: ``learn`` warm-starts each solve from the
-scores of the previous factor vector, and stops it once the order of
-every expert pair is settled).
+scores of a nearby factor vector, and stops it once the order of every
+expert pair is settled, or once enough pairs are settled the wrong way
+round that the vector cannot win).
 
 A factor vector changes only one scale per relationship type and source
 object, so the transition is built in two steps. ``LinkStructure`` holds
@@ -232,6 +233,7 @@ def poprank_from_transition(
     cfg: PopRankConfig = PopRankConfig(),
     start: np.ndarray | None = None,
     pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    reject: int | None = None,
 ) -> RankResult:
     """Power-iterate the restart walk on a prebuilt transition structure.
 
@@ -249,11 +251,27 @@ def poprank_from_transition(
     settle, such as a tie, keeps the iteration going to the tolerance.
     Such a stop counts as converged and does not warn; a solve that runs
     to max_iter warns as without ``pairs``.
+
+    ``reject``, a count of at least 1 given with ``pairs``, is for callers
+    that keep a solve only when it gets fewer than ``reject`` pairs wrong,
+    as ``learn`` does: the solve may also stop once at least ``reject``
+    pairs are settled the wrong way round (high strictly below low in
+    every iterate a solve to the tolerance can end on, by the same
+    bound). The scores it stops on then get at least ``reject`` pairs
+    wrong, and so would a solve to the tolerance. The reject is off
+    wherever the settled stop is off, and such a stop also counts as
+    converged.
     """
     prior = _check_prior(prior, transition.num_objects)
     extra = {} if start is None else {"r0": _check_prior(start, transition.num_objects, "start")}
     if pairs is not None:
         extra["pairs"] = _check_pairs(pairs, transition.num_objects)
+    if reject is not None:
+        if pairs is None:
+            raise ConfigError("reject needs pairs")
+        if not isinstance(reject, (int, np.integer)) or isinstance(reject, bool) or reject < 1:
+            raise ConfigError(f"reject must be an integer >= 1, got {reject!r}")
+        extra["reject"] = int(reject)
     alpha = 1.0 - cfg.epsilon
     r, iterations, residual = _kernels.power_iteration(
         transition.indptr,
@@ -269,14 +287,10 @@ def poprank_from_transition(
     scores = r / r.sum()
     if not np.all(np.isfinite(scores)):
         raise ConfigError(f"poprank scores are not finite (residual {residual:.3e})")
-    # before max_iter the iteration stops only at the tolerance or with every pair settled
+    # before max_iter the iteration stops only at the tolerance or with the pairs settled
     converged = residual < cfg.tol or iterations < cfg.max_iter
     if not converged:
-        warnings.warn(
-            f"poprank stopped after {iterations} iterations with residual {residual:.3e}",
-            NonConvergenceWarning,
-            stacklevel=2,
-        )
+        warnings.warn(NonConvergenceWarning("poprank", iterations, residual), stacklevel=2)
     return RankResult(scores, iterations, float(residual), converged)
 
 

@@ -94,11 +94,7 @@ def pagerank(
     )
     converged = residual < tol
     if not converged:
-        warnings.warn(
-            f"pagerank stopped after {iterations} iterations with residual {residual:.3e}",
-            NonConvergenceWarning,
-            stacklevel=2,
-        )
+        warnings.warn(NonConvergenceWarning("pagerank", iterations, residual), stacklevel=2)
     return RankResult(r / r.sum(), iterations, float(residual), converged)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,6 @@ import pytest
 
 from conftest import SRC, dense_poprank
 from poprank import PpfAssignment, _kernels, build_transition, web_popularity
-from poprank.errors import NonConvergenceWarning
 from poprank.cli import main
 from poprank.corpus import CorpusPaths, load_corpus
 from poprank.formats import read_ppf, read_report
@@ -139,16 +139,22 @@ class TestRank:
         _, rows = read_report(out)
         assert [float(r[3]) for r in rows] == [0.5, 0.5]
 
-    def test_fail_on_nonconverge_exits_3(self, oracle_corpus, tmp_path):
+    def test_fail_on_nonconverge_exits_3(self, oracle_corpus, tmp_path, capsys):
         out = tmp_path / "report.tsv"
-        with pytest.warns(Warning):
-            code = run_cli(
-                "rank", oracle_corpus, "--ppf", oracle_corpus / "gamma.tsv",
-                "--tol", "1e-15", "--max-iter", "1", "--fail-on-nonconverge", "--out", out,
-            )
+        code = run_cli(
+            "rank", oracle_corpus, "--ppf", oracle_corpus / "gamma.tsv",
+            "--tol", "1e-15", "--max-iter", "1", "--fail-on-nonconverge", "--out", out,
+        )
         assert code == 3
         meta, _ = read_report(out)  # report still written
         assert meta["poprank-converged"] == "false"
+        # one diag line per solve kind, before the error
+        err = capsys.readouterr().err.splitlines()
+        assert err[-3:] == [
+            f"diag\tnonconverged\tpagerank\tcount=1\tworst-residual={meta['pagerank-residual']}",
+            f"diag\tnonconverged\tpoprank\tcount=1\tworst-residual={meta['poprank-residual']}",
+            "error: power iteration did not converge (residual 2.833e-01)",
+        ]
 
     def test_nan_tol_exits_2(self, oracle_corpus, capsys):
         code = run_cli("rank", oracle_corpus, "--ppf", oracle_corpus / "gamma.tsv", "--tol", "nan")
@@ -245,20 +251,27 @@ class TestLearn:
         assert code == 2
         assert "error: rng_seed must be >= 0, got -5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [[], ["--epsilon", "1e-300"], ["--max-iter", "3"]],
-                             ids=["defaults", "alpha-rounds-to-one", "max-iter-3"])
+    @pytest.mark.parametrize("extra", [[], ["--epsilon", "1e-300"], ["--max-iter", "3"],
+                                       ["--tol", "1e-17"]],
+                             ids=["defaults", "alpha-rounds-to-one", "max-iter-3", "tol-1e-17"])
     def test_settled_stop_leaves_the_output_unchanged(self, oracle_corpus, tmp_path, capsys,
                                                       monkeypatch, extra):
-        expert = tmp_path / "expert.tsv"
-        expert.write_text("paper:t3\npaper:t0\npaper:t2\npaper:t1\n")
+        """The early stops of learn's solves (settled pairs, then the reject)
+        change no output; where a full solve may not reach the tolerance
+        they are off, and every solve takes the iterations of a full one.
+        The first expert order is reached without a violation, the second
+        is not, so that its search rejects vectors."""
+        experts = [tmp_path / "reached.tsv", tmp_path / "missed.tsv"]
+        experts[0].write_text("paper:t3\npaper:t0\npaper:t2\npaper:t1\n")
+        experts[1].write_text("paper:t3\npaper:t1\npaper:t2\npaper:t0\n")
         power_iteration = _kernels.power_iteration
 
-        def run(pairs: bool):
+        def run(expert, *dropped: str):
             iterations = []
 
             def counted(*args, **kwargs):
-                if not pairs:
-                    kwargs.pop("pairs", None)
+                for name in dropped:
+                    kwargs.pop(name, None)
                 result = power_iteration(*args, **kwargs)
                 iterations.append(result[1])
                 return result
@@ -268,20 +281,26 @@ class TestLearn:
                 warnings.simplefilter("always")
                 code = run_cli("learn", oracle_corpus, "--expert", expert, *extra)
             out, err = capsys.readouterr()
-            shown = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-            return (code, out, err, shown), sum(iterations)
+            assert caught == []  # the CLI reports non-convergence as diag lines
+            return (code, out, err), iterations
 
-        stopped, stopped_iterations = run(pairs=True)
-        full, full_iterations = run(pairs=False)
-        assert stopped == full
-        assert stopped[0] == 0 and stopped[1].startswith("# command\tlearn")
-        if extra:
-            # a full solve is not certain to reach the tolerance: no early stop
-            assert stopped_iterations == full_iterations
-        else:
-            assert stopped_iterations < full_iterations
-        if "--max-iter" in extra:
-            assert any("stopped after 3 iterations" in message for _, message, _, _ in stopped[3])
+        for expert in experts:
+            stopped, stopped_iterations = run(expert)
+            settled, settled_iterations = run(expert, "reject")
+            full, full_iterations = run(expert, "reject", "pairs")
+            assert stopped == settled == full
+            assert stopped[0] == 0 and stopped[1].startswith("# command\tlearn")
+            if extra:
+                # a full solve is not certain to reach the tolerance: no early stop
+                assert stopped_iterations == settled_iterations == full_iterations
+            elif expert == experts[0]:
+                assert sum(stopped_iterations) == sum(settled_iterations) < sum(full_iterations)
+            else:
+                assert sum(stopped_iterations) < sum(settled_iterations) < sum(full_iterations)
+            if "--max-iter" in extra:
+                nonconverged = [line.split("\t")[2:4] for line in stopped[2].splitlines()
+                                if line.startswith("diag\tnonconverged\t")]
+                assert [kind for kind, _ in nonconverged] == ["pagerank", "poprank"]
 
     def test_fail_on_nonconverge_counts_the_learn_solves(self, tmp_path, capsys):
         """Without pages there is no PageRank, so only learn's own solves
@@ -296,8 +315,7 @@ class TestLearn:
         expert.write_text("paper:t2\npaper:t0\npaper:t1\n")
         outputs = []
         for flag in ([], ["--fail-on-nonconverge"]):
-            with pytest.warns(NonConvergenceWarning):
-                code = run_cli("learn", d, "--expert", expert, "--max-iter", "2", *flag)
+            code = run_cli("learn", d, "--expert", expert, "--max-iter", "2", *flag)
             outputs.append((code, *capsys.readouterr()))
         (code, out, err), (flagged, flagged_out, flagged_err) = outputs
         assert (code, flagged) == (0, 3)
@@ -305,6 +323,7 @@ class TestLearn:
         solves = int(flagged_err.rpartition("error: ")[2].split()[0])
         assert flagged_err == err + f"error: {solves} poprank solve(s) did not converge\n"
         assert solves >= 1
+        assert f"diag\tnonconverged\tpoprank\tcount={solves}\tworst-residual=" in err
 
     def test_single_type_warns_unidentifiable(self, symmetric_corpus, tmp_path, capsys):
         expert = tmp_path / "expert.tsv"
@@ -528,6 +547,31 @@ class TestDeterminism:
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_nonconvergence_stderr_does_not_depend_on_the_checkout(self, oracle_corpus,
+                                                                  tmp_path):
+        """Solves that stop at --max-iter are reported as diag lines that name
+        no file, line or source, so two copies of the package at paths of
+        different lengths write the same stderr."""
+        expert = tmp_path / "expert.tsv"
+        expert.write_text("paper:t3\npaper:t1\npaper:t2\npaper:t0\n")
+        commands = [["learn", "--expert", str(expert), "--max-iter", "3"],
+                    ["simulate", "--ppf", str(oracle_corpus / "gamma.tsv"), "--epsilon", "0.01",
+                     "--max-iter", "40", "--steps", "1000"]]
+        errors = []
+        for name in ("a", "a-copy-at-a-longer-path"):
+            package = tmp_path / name / "poprank"
+            shutil.copytree(SRC / "poprank", package, ignore=shutil.ignore_patterns("__pycache__"))
+            env = dict(os.environ)
+            env["PYTHONPATH"] = str(package.parent)
+            errors.append([
+                subprocess.run([sys.executable, "-m", "poprank", command, str(oracle_corpus), *rest],
+                               env=env, check=True, capture_output=True, text=True).stderr
+                for command, *rest in commands])
+        assert errors[0] == errors[1]
+        for err in errors[0]:
+            assert "diag\tnonconverged\tpoprank\tcount=" in err
+            assert "Warning" not in err and "poprank/" not in err
 
     def test_timestamp_flag_adds_metadata(self, symmetric_corpus, tmp_path):
         out = tmp_path / "report.tsv"

@@ -185,7 +185,7 @@ class TestLearnPpf:
         corpora.append((graph, prior, PartialRanking(tuple((b, a) for a, b in expert.pairs))))
         warm = [learn_ppf(graph, prior, expert, cfg) for graph, prior, expert in corpora]
 
-        def cold(transition, prior, cfg, start=None, pairs=None):
+        def cold(transition, prior, cfg, start=None, pairs=None, reject=None):
             return poprank_from_transition(transition, prior, cfg)
 
         monkeypatch.setattr(learning, "poprank_from_transition", cold)
@@ -216,9 +216,10 @@ class TestLearnPpf:
         graph = simple_graph(4, {"cites": [(0, 1), (1, 0), (2, 3), (3, 2)]})
         solves = []
 
-        def spy(transition, prior, cfg, start=None, pairs=None):
+        def spy(transition, prior, cfg, start=None, pairs=None, reject=None):
             solves.append(start)
-            return poprank_from_transition(transition, prior, cfg, start, pairs=pairs)
+            return poprank_from_transition(transition, prior, cfg, start, pairs=pairs,
+                                           reject=reject)
 
         monkeypatch.setattr(learning, "poprank_from_transition", spy)
         result = learn_ppf(graph, np.full(4, 0.25), PartialRanking(((0, 1),)),
@@ -350,6 +351,30 @@ def test_settled_stop_keeps_the_violations_of_a_full_solve(case, epsilon, tol):
         # no stop before the tolerance: the iterates of the full solve
         assert stopped.scores.tobytes() == full.scores.tobytes()
         assert stopped.iterations == full.iterations
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=solves_with_pairs(), epsilon=st.sampled_from([0.05, 0.15, 0.5]),
+       tol=st.sampled_from([1e-6, 1e-10, 1e-12]), data=st.data())
+def test_reject_bounds_the_violations_of_a_full_solve(case, epsilon, tol, data):
+    transition, prior, start, expert = case
+    reject = data.draw(st.integers(1, len(expert.pairs)), label="reject")
+    cfg = PopRankConfig(epsilon=epsilon, tol=tol)
+    pairs = (expert.high, expert.low)
+    rejected = poprank_from_transition(transition, prior, cfg, start, pairs=pairs, reject=reject)
+    settled = poprank_from_transition(transition, prior, cfg, start, pairs=pairs)
+    full = poprank_from_transition(transition, prior, cfg, start)
+    violations, _ = rank_disagreement(rejected.scores, expert)
+    full_violations, _ = rank_disagreement(full.scores, expert)
+    assert rejected.converged
+    assert rejected.iterations <= settled.iterations
+    if rejected.iterations < settled.iterations:
+        # stopped by the reject: what learn stores, and a full solve, are both
+        # at or above the threshold
+        assert violations >= reject and full_violations >= reject
+    else:
+        assert rejected.scores.tobytes() == settled.scores.tobytes()
+        assert violations == full_violations
 
 
 class TestMemoKey:

@@ -369,6 +369,26 @@ class TestPopRank:
         with pytest.raises(ConfigError, match="pairs"):
             poprank_from_transition(t, np.full(3, 1 / 3), pairs=tuple(map(np.array, pairs)))
 
+    @pytest.fixture()
+    def line(self):
+        return build_transition(simple_graph(3, {"cites": [(0, 1), (1, 2)]}),
+                                PpfAssignment({"cites": 1.0}))
+
+    def test_reject_without_pairs_rejected(self, line):
+        with pytest.raises(ConfigError, match="reject needs pairs"):
+            poprank_from_transition(line, np.full(3, 1 / 3), reject=1)
+
+    @pytest.mark.parametrize("reject", [1.0, 2.5, "1", True, np.float64(1.0)])
+    def test_reject_that_is_not_an_integer_rejected(self, line, reject):
+        with pytest.raises(ConfigError, match="reject must be an integer"):
+            poprank_from_transition(line, np.full(3, 1 / 3), pairs=([2], [0]), reject=reject)
+
+    @pytest.mark.parametrize("reject", [0, -1, np.int64(0)])
+    def test_reject_below_one_rejected(self, line, reject):
+        # a reject of 0 would stop every solve after its first iteration
+        with pytest.raises(ConfigError, match="reject must be an integer >= 1"):
+            poprank_from_transition(line, np.full(3, 1 / 3), pairs=([2], [0]), reject=reject)
+
 
 class TestRankingPositions:
     def test_descending_with_id_tiebreak(self):
