@@ -33,7 +33,7 @@ from .ranking import (
     ranking_positions,
 )
 from .simulate import SimConfig, simulate, tv_distance
-from .webpop import RankResult, pagerank, web_popularity
+from .webpop import RankResult, check_damping, pagerank, web_popularity
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,14 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_diagnostics(bundle: CorpusBundle) -> None:
-    """Every ``diag`` line to stderr, in one write."""
-    sys.stderr.write("".join(f"diag\t{line}\n" for line in bundle.diagnostics))
-
-
 def _load(args) -> CorpusBundle:
+    """The corpus, after writing its ``diag`` lines to stderr in one write."""
     bundle = load_corpus(CorpusPaths.in_dir(args.corpus), strict=args.strict)
-    _emit_diagnostics(bundle)
+    sys.stderr.write("".join(f"diag\t{line}\n" for line in bundle.diagnostics))
     return bundle
 
 
@@ -104,18 +100,24 @@ def _prior(bundle: CorpusBundle, args) -> tuple[np.ndarray, RankResult | None]:
     """PageRank over pages, projected through the page-object map."""
     if bundle.graph.num_objects == 0:
         raise ConfigError("corpus contains no objects")
-    page_result: RankResult | None = None
-    if bundle.page_graph.num_pages > 0:
-        page_result = pagerank(bundle.page_graph, args.damping, args.tol, args.max_iter)
-        page_scores = page_result.scores
+    page_result = (pagerank(bundle.page_graph, args.damping, args.tol, args.max_iter)
+                   if bundle.page_graph.num_pages else None)
+    page_scores = np.empty(0) if page_result is None else page_result.scores
+    return web_popularity(bundle.graph.num_objects, page_scores, bundle.page_map), page_result
+
+
+def _poprank_config(args) -> PopRankConfig | None:
+    """The solve's config, or None for simulate's restart-only walk
+    (epsilon 1). Every solver flag is checked here, --damping as pagerank
+    checks it, so a bad one is reported before the corpus is read."""
+    if args.command == "simulate" and args.epsilon == 1.0:
+        # nothing is solved, but tol and max_iter are checked all the same
+        PopRankConfig(tol=args.tol, max_iter=args.max_iter)
+        cfg = None
     else:
-        page_scores = np.empty(0)
-    prior = web_popularity(bundle.graph.num_objects, page_scores, bundle.page_map)
-    return prior, page_result
-
-
-def _poprank_config(args) -> PopRankConfig:
-    return PopRankConfig(epsilon=args.epsilon, tol=args.tol, max_iter=args.max_iter)
+        cfg = PopRankConfig(epsilon=args.epsilon, tol=args.tol, max_iter=args.max_iter)
+    check_damping(args.damping)
+    return cfg
 
 
 def _solve(args, cfg: PopRankConfig | None):
@@ -128,10 +130,8 @@ def _solve(args, cfg: PopRankConfig | None):
     ppf = _load_ppf(args.ppf, bundle)
     prior, page_result = _prior(bundle, args)
     transition = build_transition(bundle.graph, ppf)
-    if cfg is None:
-        result = RankResult(prior, 0, 0.0, True)
-    else:
-        result = poprank_from_transition(transition, prior, cfg)
+    result = (RankResult(prior, 0, 0.0, True) if cfg is None
+              else poprank_from_transition(transition, prior, cfg))
     return bundle, ppf, prior, page_result, transition, result
 
 
@@ -145,11 +145,9 @@ def _base_meta(args, command: str) -> list[tuple[str, str]]:
 def _convergence_meta(name: str, result: RankResult | None) -> list[tuple[str, str]]:
     if result is None:
         return []
-    return [
-        (f"{name}-iterations", str(result.iterations)),
-        (f"{name}-residual", repr(result.residual)),
-        (f"{name}-converged", str(result.converged).lower()),
-    ]
+    return [(f"{name}-iterations", str(result.iterations)),
+            (f"{name}-residual", repr(result.residual)),
+            (f"{name}-converged", str(result.converged).lower())]
 
 
 class _NotConverged(Exception):
@@ -163,10 +161,7 @@ def _check_convergence(args, *results: RankResult | None) -> None:
 
 
 def _write_report(args, meta, lines: list[str]) -> None:
-    if args.out is None:
-        formats.write_report(sys.stdout, meta, lines)
-    else:
-        formats.write_report(args.out, meta, lines)
+    formats.write_report(sys.stdout if args.out is None else args.out, meta, lines)
 
 
 def cmd_ingest(args) -> None:
@@ -174,7 +169,7 @@ def cmd_ingest(args) -> None:
     graph = bundle.graph
     lines = [f"objects\t{graph.num_objects}", f"pages\t{bundle.page_graph.num_pages}",
              f"hyperlinks\t{bundle.page_graph.num_edges}",
-             f"map-entries\t{len(bundle.page_map.entries)}", f"links\t{graph.num_links}"]
+             f"map-entries\t{len(bundle.page_map.pages)}", f"links\t{graph.num_links}"]
     lines += [f"objects[{name}]\t{n}" for name, n in sorted(Counter(graph.objects.type_names).items())]
     lines += [f"links[{rt.rel_name}]\t{len(graph.links[rt.rel_name])}"
               for rt in graph.relationship_types]
@@ -225,18 +220,15 @@ def cmd_learn(args) -> None:
         warning = ("warning", "single relationship type: factors are unidentifiable up to scale")
         meta.append(warning)
         print(f"diag\t{warning[0]}\t{warning[1]}", file=sys.stderr)
-    factors = {name: float(g) for name, g in result.assignment.factors.items()}
-    if args.out is None:
-        formats.write_report(sys.stdout, meta, [f"{n}\t{g!r}" for n, g in factors.items()])
-    else:
-        formats.write_ppf(args.out, factors, meta)
+    _write_report(args, meta, [f"{name}\t{float(g)!r}"
+                               for name, g in result.assignment.factors.items()])
     _check_convergence(args, page_result)
     if result.nonconverged and args.fail_on_nonconverge:
         raise _NotConverged(f"{result.nonconverged} poprank solve(s) did not converge")
 
 
 def cmd_simulate(args) -> None:
-    cfg = None if args.epsilon == 1.0 else _poprank_config(args)
+    cfg = _poprank_config(args)
     sim_cfg = SimConfig(steps=args.steps, rng_seed=args.seed, epsilon=args.epsilon,
                         burn_in=args.burn_in)
     bundle, _, prior, page_result, transition, analytic = _solve(args, cfg)

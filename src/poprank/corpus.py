@@ -5,11 +5,13 @@ objects, links, pages, page-object map; see formats). Loading merges
 records into deduplicated objects, resolves links, containment entries
 and expert rankings against the one key index (object reference ->
 object id), and collects structured diagnostics for everything lenient
-mode drops. Records, objects and links are columns (RecordTable,
-ObjectTable, LinkTable), and a graph is written back from the same
-tables. Relationship types are declared by their first appearance in
-the links file; a later line disagreeing on endpoint types is an error,
-as is a link naming an unregistered object type (reported first).
+mode drops. Records, objects, links and the page map are columns
+(RecordTable, ObjectTable, LinkTable, PageObjectMap), link endpoints
+and map entries are resolved by one helper (objects.lookup), and a
+graph is written back from the same tables. Relationship types are
+declared by their first appearance in the links file; a later line
+disagreeing on endpoint types is an error, as is a link naming an
+unregistered object type (reported first).
 
 The links file, the largest, is parsed by one forked worker process
 while this process parses the others (see load_corpus); only its
@@ -41,6 +43,7 @@ from .objects import (
     RelationshipType,
     SchemaRegistry,
     build_graph,
+    lookup,
     merge_records,
 )
 from .webpop import PageGraph, PageObjectMap
@@ -119,11 +122,9 @@ def _link_table(path: Path) -> LinkTable:
     return formats.read_links(path)
 
 
-def _page_data(
-    pages_path: Path, map_path: Path
-) -> tuple[dict[str, int], np.ndarray, list[tuple[str, str, float | None]]]:
+def _page_data(pages_path: Path, map_path: Path) -> tuple[dict[str, int], np.ndarray, tuple]:
     """The page index, the (m, 2) hyperlink array before deduplication,
-    and the page map's rows."""
+    and the page map's columns."""
     page_ids, src, tgt = formats.read_pages(pages_path)
     page_index = dict(zip(page_ids, range(len(page_ids))))
     return page_index, np.column_stack((src, tgt)), formats.read_page_map(map_path)
@@ -186,32 +187,30 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
 
     rel_types = _infer_relationship_types(links, registry)
     graph, report = build_graph(objects, rel_types, links, strict=strict)
-    for message in report.dropped:
-        diagnostics.append(f"link-dropped\t{message}")
+    diagnostics += [f"link-dropped\t{message}" for message in report.dropped]
     if report.duplicate_count:
         diagnostics.append(f"link-duplicates\tcount={report.duplicate_count}")
 
     if isinstance(page_data, Exception):
         raise page_data
-    page_index, hyperlinks, map_rows = page_data
+    page_index, hyperlinks, map_columns = page_data
     page_graph = PageGraph.build(len(page_index), hyperlinks)
     deduped = len(hyperlinks) - page_graph.num_edges
     if deduped:
         diagnostics.append(f"hyperlink-duplicates\tcount={deduped}")
 
-    entries: list[tuple[int, int, float | None]] = []
-    for page_id, ref, weight in map_rows:
-        page = page_index.get(page_id)
-        obj = graph.key_index.get(ref)
-        if page is None or obj is None:
-            what = f"page {page_id!r}" if page is None else f"object {formats.format_object_ref(ref)!r}"
-            message = f"map entry references unknown {what}"
-            if strict:
-                raise GraphError(message)
-            diagnostics.append(f"map-dropped\t{message}")
-            continue
-        entries.append((page, obj, weight))
-    page_map = PageObjectMap(entries)
+    page_ids, refs, weights = map_columns
+    pages, objs = lookup(page_index, page_ids), lookup(graph.key_index, refs)
+    unresolved = (pages < 0) | (objs < 0)
+    for row in np.flatnonzero(unresolved).tolist():
+        what = (f"page {page_ids[row]!r}" if pages[row] < 0
+                else f"object {formats.format_object_ref(refs[row])!r}")
+        message = f"map entry references unknown {what}"
+        if strict:
+            raise GraphError(message)
+        diagnostics.append(f"map-dropped\t{message}")
+    kept = ~unresolved
+    page_map = PageObjectMap(pages[kept], objs[kept], weights[kept])
 
     return CorpusBundle(
         paths=paths,
@@ -229,10 +228,10 @@ def write_corpus(
     registry: SchemaRegistry,
     graph: ObjectGraph,
     page_rows: list[tuple[str, list[str]]] | None = None,
-    map_entries: list[tuple[str, str, float | None]] | None = None,
+    page_map: tuple[list[str], list[str], np.ndarray] | None = None,
 ) -> CorpusPaths:
-    """Serialize a graph (plus optional page data and (page_id, object ref,
-    weight) map entries) as a corpus directory; object i is record ``r<i>``."""
+    """Serialize a graph (plus optional page rows and page map columns as
+    read_page_map returns them) as a corpus directory; object i is record ``r<i>``."""
     paths = CorpusPaths.in_dir(directory)
     Path(directory).mkdir(parents=True, exist_ok=True)
     objects, rels = graph.objects, graph.relationship_types
@@ -246,7 +245,7 @@ def write_corpus(
         np.repeat(np.arange(len(rels)), [len(e) for e in edges]),
         list(objects.index), pairs[:, 0], pairs[:, 1]))
     formats.write_pages(paths.pages, page_rows or [])
-    formats.write_page_map(paths.page_map, map_entries or [])
+    formats.write_page_map(paths.page_map, page_map or ([], [], []))
     return paths
 
 

@@ -19,14 +19,14 @@ ppf        rel_name <TAB> gamma
 expert     either one object reference per line (full order, best first),
            or pair lines: object_ref <TAB> > <TAB> object_ref
 
-The three large files are read as columns, with no object per line:
-``read_objects`` returns a RecordTable, ``read_links`` a LinkTable of
-interned int64 ids (see objects), and ``read_pages`` the page ids with
-int64 source and target page numbers. ``read_links`` and ``read_pages``
-check each block of lines as text, then intern its fields as bytes
-(``_kernels.SpanInterner``). The other readers return lists. The writers
-take what the readers return, except ``write_pages``, which takes
-(page id, out-link ids) rows.
+The four corpus data files are read as columns, with no object per
+line: ``read_objects`` returns a RecordTable, ``read_links`` a LinkTable
+of interned int64 ids (see objects), ``read_pages`` the page ids with
+int64 source and target page numbers, and ``read_page_map`` the page
+ids, object refs and float64 block weights. ``read_links`` and
+``read_pages`` check each block of lines as text, then intern its fields
+as bytes (``_kernels.SpanInterner``). The writers take what the readers
+return, except ``write_pages``, which takes (page id, out-link ids) rows.
 
 Reports are TSV rows preceded by a ``#``-prefixed metadata block of
 ``# key <TAB> value`` lines; scores are written with full round-trip
@@ -35,10 +35,8 @@ precision so reports parse back losslessly.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
-from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from sys import intern
@@ -409,34 +407,36 @@ def write_pages(path: Path, rows: Iterable[tuple[str, Sequence[str]]]) -> None:
                 fh.write(f"{page_id}\n")
 
 
-def read_page_map(path: Path) -> list[tuple[str, str, float | None]]:
-    """(page_id, object ref, block weight or None) per data line."""
-    entries = []
+def read_page_map(path: Path) -> tuple[list[str], list[str], np.ndarray]:
+    """The page ids, object refs and float64 block weights of the data
+    lines, as three columns; an absent or empty weight reads as 1.0."""
+    page_ids, refs, weights = [], [], []
     for lineno, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) not in (3, 4):
             _fail(path, lineno, f"expected 3 or 4 fields, got {len(fields)}")
-        weight: float | None = None
+        weight = 1.0
         if len(fields) == 4 and fields[3] != "":
             try:
                 weight = float(fields[3])
             except ValueError:
                 _fail(path, lineno, f"bad block weight {fields[3]!r}")
-            if not 0.0 <= weight < math.inf:
+            if not 0.0 <= weight < np.inf:
                 _fail(path, lineno, f"block weight must be finite and non-negative, got {weight}")
         if not fields[1] or not fields[2]:
             _fail(path, lineno, "empty object type or key")
-        entries.append((fields[0], f"{fields[1]}\t{fields[2]}", weight))
-    return entries
+        page_ids.append(fields[0])
+        refs.append(f"{fields[1]}\t{fields[2]}")
+        weights.append(weight)
+    return page_ids, refs, np.array(weights, np.float64)
 
 
-def write_page_map(path: Path, entries: Iterable[tuple[str, str, float | None]]) -> None:
+def write_page_map(path: Path, columns: tuple[Sequence[str], Sequence[str], np.ndarray]) -> None:
+    """One line ``page_id TAB ref TAB weight`` per row of read_page_map's columns."""
+    page_ids, refs, weights = columns
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for page_id, ref, weight in entries:
-            line = f"{page_id}\t{ref}"
-            if weight is not None:
-                line += f"\t{weight!r}"
-            fh.write(line + "\n")
+        fh.writelines(f"{page_id}\t{ref}\t{weight!r}\n"
+                      for page_id, ref, weight in zip(page_ids, refs, np.asarray(weights).tolist()))
 
 
 def read_ppf(path: Path) -> dict[str, float]:

@@ -11,7 +11,8 @@ dense integers so the numeric modules can index score vectors directly.
 Tables are columns, not an object per line: merge_records turns a
 RecordTable of records into an ObjectTable whose row i is object i, and
 build_graph resolves a LinkTable of interned link lines against that
-table's index, the one key index (ObjectGraph.key_index).
+table's index, the one key index (ObjectGraph.key_index), with lookup,
+the helper that resolves the page map's columns too (see corpus).
 """
 
 from __future__ import annotations
@@ -275,6 +276,11 @@ class ObjectGraph:
                 raise GraphError(f"{rel_name}: {dropped} duplicate link(s)")
 
 
+def lookup(index: dict[str, int], keys: Sequence[str]) -> np.ndarray:
+    """``index[key]`` for each key as int64, or -1 for a key not in index."""
+    return np.fromiter(map(index.get, keys, repeat(-1)), np.int64, len(keys))
+
+
 def build_graph(
     objects: ObjectTable,
     rel_types: Sequence[RelationshipType],
@@ -311,7 +317,7 @@ def build_graph(
             )
         else:
             problems.append(None)
-    ref_ids = np.fromiter(map(objects.index.get, links.refs, repeat(-1)), np.int64, len(links.refs))
+    ref_ids = lookup(objects.index, links.refs)
     src, tgt = ref_ids[links.src], ref_ids[links.tgt]
     unresolved = (src < 0) | (tgt < 0)
     bad = np.flatnonzero(np.array([p is not None for p in problems], bool)[links.codes])

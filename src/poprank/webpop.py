@@ -62,6 +62,12 @@ class PageGraph:
         return len(self.edges)
 
 
+def check_damping(damping: float) -> None:
+    """Raise ConfigError unless 0 < damping < 1, as pagerank does."""
+    if not 0.0 < damping < 1.0:
+        raise ConfigError(f"damping must lie in (0, 1), got {damping}")
+
+
 def pagerank(
     graph: PageGraph,
     damping: float = 0.85,
@@ -78,8 +84,7 @@ def pagerank(
     """
     if graph.num_pages == 0:
         raise GraphError("pagerank needs a non-empty page graph")
-    if not 0.0 < damping < 1.0:
-        raise ConfigError(f"damping must lie in (0, 1), got {damping}")
+    check_damping(damping)
     if not 0.0 < tol < np.inf:
         raise ConfigError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
@@ -100,41 +105,41 @@ def pagerank(
 
 @dataclass
 class PageObjectMap:
-    """Page -> object containment entries with block weights.
-
-    Weights are per-page shares: explicit weights are normalized to sum
-    to 1 within each page. An entry without a weight counts as 1.0
-    before normalization, so a page listing k unweighted objects splits
-    its score evenly. A page whose explicit weights sum to 0 also splits
-    evenly.
+    """Page -> object containment entries as columns: entry i shows object
+    ``objects[i]`` on page ``pages[i]`` with block weight ``weights[i]``
+    (int64, int64, float64). Raises GraphError for ids that are not
+    integers, columns of unequal length, a negative page, or a weight that
+    is not finite and non-negative. Weights are per-page shares, normalized
+    to sum to 1 within each page: a page listing k objects of weight 1.0
+    (the page map's weight when none is given) or 0 splits its score evenly.
     """
 
-    entries: list[tuple[int, int, float | None]]
+    pages: np.ndarray
+    objects: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        pages, objects = np.asarray(self.pages), np.asarray(self.objects)
+        if any(ids.size and ids.dtype.kind not in "iu" for ids in (pages, objects)):
+            raise GraphError("page-object map ids must be integers")
+        self.pages, self.objects = pages.astype(np.int64), objects.astype(np.int64)
+        self.weights = weights = np.asarray(self.weights, np.float64)
+        if not pages.shape == objects.shape == weights.shape or pages.ndim != 1:
+            raise GraphError("page-object map columns must be 1-d and of equal length")
+        bad = np.flatnonzero(~((weights >= 0.0) & (weights < np.inf)))
+        if bad.size:
+            raise GraphError(f"block weight must be finite and non-negative, got {weights[bad[0]]}")
+        if np.any(pages < 0):
+            raise GraphError("page-object map references an unknown page")
 
     def resolved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (pages, objects, weights) with per-page normalization applied."""
-        if not self.entries:
-            empty = np.empty(0, np.int64)
-            return empty, empty.copy(), np.empty(0, np.float64)
-        pages = np.array([e[0] for e in self.entries], np.int64)
-        objs = np.array([e[1] for e in self.entries], np.int64)
-        weights = np.empty(len(self.entries), np.float64)
-        for i, (_, _, w) in enumerate(self.entries):
-            if w is None:
-                weights[i] = 1.0
-            elif not 0.0 <= w < np.inf:
-                raise GraphError(f"block weight must be finite and non-negative, got {w}")
-            else:
-                weights[i] = float(w)
-        if pages.min() < 0:
-            raise GraphError("page-object map references an unknown page")
-        page_sums = np.bincount(pages, weights=weights, minlength=int(pages.max()) + 1)
-        page_counts = np.bincount(pages, minlength=int(pages.max()) + 1)
-        sums = page_sums[pages]
+        pages, weights = self.pages, self.weights.copy()
+        sums = np.bincount(pages, weights=weights)[pages]
         zero = sums == 0.0
-        weights[zero] = 1.0 / page_counts[pages[zero]]
-        weights[~zero] = weights[~zero] / sums[~zero]
-        return pages, objs, weights
+        weights[zero] = 1.0 / np.bincount(pages)[pages[zero]]
+        weights[~zero] /= sums[~zero]
+        return pages, self.objects, weights
 
 
 def web_popularity(
@@ -145,10 +150,10 @@ def web_popularity(
     """Per-object web-popularity prior from page scores and block weights.
 
     Each object's raw score accumulates page_score * block_weight over
-    its containment entries; objects on no page get 0. The raw vector is
-    normalized to sum to 1; if nothing is covered at all, the prior is
-    uniform over all objects. Raises ConfigError for page scores that are
-    not finite and non-negative.
+    its containment entries, in entry order; objects on no page get 0.
+    The raw vector is normalized to sum to 1; if nothing is covered at
+    all, the prior is uniform over all objects. Raises ConfigError for
+    page scores that are not finite and non-negative.
     """
     if num_objects < 1:
         raise GraphError("web_popularity needs at least one object")
@@ -157,13 +162,11 @@ def web_popularity(
         raise ConfigError("prior must be a probability distribution over the objects: "
                           "page scores must be finite and non-negative")
     pages, objs, weights = page_map.resolved()
-    raw = np.zeros(num_objects, np.float64)
-    if pages.size:
-        if pages.max() >= page_scores.shape[0]:
-            raise GraphError("page-object map references an unknown page")
-        if objs.min() < 0 or objs.max() >= num_objects:
-            raise GraphError("page-object map references an unknown object")
-        np.add.at(raw, objs, page_scores[pages] * weights)
+    if np.any(pages >= len(page_scores)):
+        raise GraphError("page-object map references an unknown page")
+    if np.any((objs < 0) | (objs >= num_objects)):
+        raise GraphError("page-object map references an unknown object")
+    raw = np.bincount(objs, weights=page_scores[pages] * weights, minlength=num_objects)
     total = raw.sum()
     if total <= 0.0:
         return np.full(num_objects, 1.0 / num_objects)

@@ -18,6 +18,7 @@ from poprank import (  # noqa: E402
     LinkTable,
     ObjectGraph,
     ObjectTypeSchema,
+    PageObjectMap,
     PpfAssignment,
     RecordTable,
     RelationshipType,
@@ -87,6 +88,19 @@ def link_table(rows) -> LinkTable:
         path = Path(d) / "links.tsv"
         path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
         return formats.read_links(path)
+
+
+def page_object_map(entries) -> PageObjectMap:
+    """The PageObjectMap of (page, object, weight or None) triples; an
+    absent weight is 1.0, as read_page_map reads it."""
+    entries = list(entries)
+    return PageObjectMap(np.array([e[0] for e in entries]), np.array([e[1] for e in entries]),
+                         np.array([1.0 if e[2] is None else e[2] for e in entries], np.float64))
+
+
+def map_columns(page_map: PageObjectMap) -> tuple[list, list, list]:
+    """A PageObjectMap's pages, objects and weights as lists, to compare."""
+    return page_map.pages.tolist(), page_map.objects.tolist(), page_map.weights.tolist()
 
 
 def simple_graph(num_objects: int, links_by_type: dict[str, list[tuple[int, int]]]) -> ObjectGraph:

@@ -488,11 +488,32 @@ class TestFlagsBeforeCorpus:
         ("simulate", ["--epsilon", "1.5"], "epsilon must lie in (0, 1), got 1.5"),
         ("learn", ["--refine-step", "0"], "refine_step must lie in (0, 1], got 0.0"),
         ("learn", ["--tol", "inf"], "tol must be positive and finite, got inf"),
-    ], ids=["rank", "compare", "simulate-steps", "simulate-epsilon", "learn", "learn-tol"])
+        ("rank", ["--damping", "nan"], "damping must lie in (0, 1), got nan"),
+        ("compare", ["--damping", "1"], "damping must lie in (0, 1), got 1.0"),
+        ("simulate", ["--damping", "0"], "damping must lie in (0, 1), got 0.0"),
+        ("learn", ["--damping", "1.5"], "damping must lie in (0, 1), got 1.5"),
+        ("simulate", ["--epsilon", "1.0", "--tol", "nan"], "tol must be positive and finite, got nan"),
+        ("simulate", ["--epsilon", "1", "--max-iter", "0"], "max_iter must be >= 1, got 0"),
+    ], ids=["rank", "compare", "simulate-steps", "simulate-epsilon", "learn", "learn-tol",
+            "rank-damping", "compare-damping", "simulate-damping", "learn-damping",
+            "simulate-restart-only-tol", "simulate-restart-only-max-iter"])
     def test_bad_flag_exits_2_before_loading(self, tmp_path, capsys, command, extra, message):
         source = "--expert" if command == "learn" else "--ppf"
         assert run_cli(command, tmp_path / "missing", source, tmp_path / "x.tsv", *extra) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("rank", ["--damping", "nan"]),
+        ("simulate", ["--epsilon", "1.0", "--tol", "nan", "--max-iter", "0", "--damping", "7"]),
+    ], ids=["rank", "simulate-restart-only"])
+    def test_bad_flag_exits_2_on_a_corpus_without_pages(self, tmp_path, capsys, command, extra):
+        """No PageRank runs without pages, yet the flags are still checked."""
+        d = write_corpus_dir(tmp_path / "nopages", schemas="paper\ttitle\ttitle\n",
+                             objects="r1\tpaper\ttitle=A\n", links="", pages="", page_map="")
+        (d / "gamma.tsv").write_text("cites\t0.5\n")
+        assert run_cli(command, d, "--ppf", d / "gamma.tsv", *extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("\n") and err.count("error: ") == 1
 
 
 def imports_of(*argv) -> tuple[str, list[str]]:

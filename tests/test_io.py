@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import map_columns
 from test_digests import write_dirty_corpus, write_edge_corpus
 
 from poprank import FormatError, GraphError, PartialRanking
@@ -148,7 +149,7 @@ class TestLoadCorpus:
     def test_map_unknown_object_lenient_then_strict(self, tmp_path):
         paths = write_minimal_corpus(tmp_path, page_map="p1\tpaper\tNope\t1.0\n")
         bundle = load_corpus(paths)
-        assert not bundle.page_map.entries
+        assert map_columns(bundle.page_map) == ([], [], [])
         assert any(d.startswith("map-dropped") for d in bundle.diagnostics)
         with pytest.raises(GraphError):
             load_corpus(paths, strict=True)
@@ -188,7 +189,9 @@ class TestRoundTrip:
 
         out = tmp_path / "rewritten"
         page_ids, refs = list(bundle.page_index), list(bundle.graph.key_index)
-        map_entries = [(page_ids[p], refs[o], w) for p, o, w in bundle.page_map.entries]
+        page_map = bundle.page_map
+        map_entries = ([page_ids[p] for p in page_map.pages.tolist()],
+                       [refs[o] for o in page_map.objects.tolist()], page_map.weights)
         page_rows = []
         adjacency: dict[int, list[int]] = {}
         for s, t in bundle.page_graph.edges:
@@ -208,7 +211,7 @@ class TestRoundTrip:
             rt.rel_name for rt in bundle.graph.relationship_types
         ]
         assert reloaded.page_graph.edges.tolist() == bundle.page_graph.edges.tolist()
-        assert reloaded.page_map.entries == bundle.page_map.entries
+        assert map_columns(reloaded.page_map) == map_columns(bundle.page_map)
 
     def test_ppf_roundtrip(self, tmp_path):
         path = tmp_path / "gamma.tsv"
@@ -428,6 +431,64 @@ def test_load_corpus_matches_plain_python_reference(tmp_path, data):
     assert counted == ([f"link-duplicates\tcount={duplicates}"] if duplicates else [])
 
 
+_MAP_PAGES = {"w1": 0, "w2": 1, "w3": 2}  # w3 only as a link target of w1
+_MAP_FIELDS = {"page": ["w1", "w2", "w3", "w9"], "type": ["paper", "event"],
+               "key": ["a", "b", "c", "z"], "weight": [None, "", "0", "0.5", "2.25", "1e-3"]}
+
+
+def _reference_page_map(path, key_index, strict):
+    """The page map resolved by the loop the loader once ran: each data
+    line in file order, kept as (page, object, weight) or dropped with a
+    diagnostic, or in strict mode the first bad line's message."""
+    pages, objects, weights, dropped = [], [], [], []
+    for _, line in _reference_lines(path):
+        page_id, type_name, key, *weight = line.split("\t")
+        page, obj = _MAP_PAGES.get(page_id), key_index.get(f"{type_name}\t{key}")
+        if page is None or obj is None:
+            what = f"page {page_id!r}" if page is None else f"object {type_name + ':' + key!r}"
+            if strict:
+                return f"map entry references unknown {what}"
+            dropped.append(f"map-dropped\tmap entry references unknown {what}")
+            continue
+        pages.append(page)
+        objects.append(obj)
+        weights.append(float(weight[0]) if weight and weight[0] else 1.0)
+    return (pages, objects, weights), dropped
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_page_map_matches_plain_python_reference(tmp_path, data):
+    """Unknown pages and objects, weights given, empty or absent: the map's
+    columns, its map-dropped lines and the strict error are the loop's."""
+    papers = data.draw(st.lists(st.sampled_from(_MAP_FIELDS["key"][:3]), max_size=4))
+    rows = data.draw(st.lists(st.fixed_dictionaries(
+        {name: st.sampled_from(values) for name, values in _MAP_FIELDS.items()}), max_size=12))
+    filler = data.draw(st.lists(st.sampled_from(["", "# note"]), min_size=len(rows),
+                                max_size=len(rows)))
+    map_text = "".join(
+        "\t".join([row["page"], row["type"], row["key"]]
+                  + ([] if row["weight"] is None else [row["weight"]])) + "\n" + extra
+        for row, extra in zip(rows, filler))
+    paths = write_minimal_corpus(
+        tmp_path, objects="".join(f"r{i}\tpaper\ttitle={k}\n" for i, k in enumerate(papers)),
+        links="", pages="w1\tw3\nw2\n", page_map=map_text)
+    key_index = {f"paper\t{k}": i for i, k in enumerate(dict.fromkeys(papers))}
+
+    bundle = load_corpus(paths)
+    assert bundle.page_index == _MAP_PAGES
+    columns, dropped = _reference_page_map(paths.page_map, key_index, strict=False)
+    assert map_columns(bundle.page_map) == columns
+    assert [d for d in bundle.diagnostics if d.startswith("map-dropped")] == dropped
+    expected = _reference_page_map(paths.page_map, key_index, strict=True)
+    if isinstance(expected, str):
+        with pytest.raises(GraphError) as err:
+            load_corpus(paths, strict=True)
+        assert str(err.value) == expected
+    else:
+        assert map_columns(load_corpus(paths, strict=True).page_map) == columns
+
+
 # ---- the interning readers against plain-Python references ---------------------
 
 def _reference_lines(path):
@@ -550,7 +611,7 @@ def _bundle_state(bundle):
             objects.merged_record_counts, objects.conflict_counts, graph.relationship_types,
             {rel: edges.tolist() for rel, edges in graph.links.items()},
             bundle.page_graph.num_pages, bundle.page_graph.edges.tolist(), bundle.page_index,
-            bundle.page_map.entries, bundle.diagnostics)
+            map_columns(bundle.page_map), bundle.diagnostics)
 
 
 @pytest.mark.parametrize("write", [write_dirty_corpus, write_edge_corpus], ids=["dirty", "edge"])

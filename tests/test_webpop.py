@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import dense_pagerank
+from conftest import dense_pagerank, page_object_map
 from poprank import (
     ConfigError,
     GraphError,
@@ -128,13 +128,13 @@ class TestPageRank:
 class TestWebPopularity:
     def test_single_mapped_object_takes_everything(self):
         page_scores = np.array([0.4, 0.6])
-        pom = PageObjectMap([(0, 0, 1.0)])
+        pom = page_object_map([(0, 0, 1.0)])
         prior = web_popularity(1, page_scores, pom)
         np.testing.assert_allclose(prior, [1.0])
 
     def test_weighted_split(self):
         page_scores = np.array([1.0])
-        pom = PageObjectMap([(0, 0, 0.75), (0, 1, 0.25)])
+        pom = page_object_map([(0, 0, 0.75), (0, 1, 0.25)])
         np.testing.assert_allclose(web_popularity(2, page_scores, pom), [0.75, 0.25])
 
     def test_random_map_matches_bruteforce(self):
@@ -146,7 +146,7 @@ class TestWebPopularity:
             entries.append(
                 (int(rng.integers(0, 5)), int(rng.integers(0, 8)), float(rng.uniform(0.1, 2.0)))
             )
-        pom = PageObjectMap(entries)
+        pom = page_object_map(entries)
 
         # brute-force accumulation over all (page, object, weight) triples
         per_page: dict[int, float] = {}
@@ -160,57 +160,57 @@ class TestWebPopularity:
         np.testing.assert_allclose(web_popularity(8, page_scores, pom), expected, atol=1e-12)
 
     def test_zero_coverage_falls_back_to_uniform(self):
-        prior = web_popularity(4, np.array([1.0]), PageObjectMap([]))
+        prior = web_popularity(4, np.array([1.0]), page_object_map([]))
         np.testing.assert_allclose(prior, [0.25, 0.25, 0.25, 0.25])
 
     def test_unmapped_objects_get_zero(self):
-        prior = web_popularity(3, np.array([1.0]), PageObjectMap([(0, 1, None)]))
+        prior = web_popularity(3, np.array([1.0]), page_object_map([(0, 1, None)]))
         np.testing.assert_allclose(prior, [0.0, 1.0, 0.0])
 
     def test_unknown_page_rejected(self):
         with pytest.raises(GraphError):
-            web_popularity(2, np.array([1.0]), PageObjectMap([(3, 0, 1.0)]))
+            web_popularity(2, np.array([1.0]), page_object_map([(3, 0, 1.0)]))
 
     def test_negative_page_rejected(self):
         with pytest.raises(GraphError, match="unknown page"):
-            web_popularity(2, np.array([1.0]), PageObjectMap([(-1, 0, 1.0)]))
+            web_popularity(2, np.array([1.0]), page_object_map([(-1, 0, 1.0)]))
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), -0.5])
     def test_bad_page_scores_rejected(self, score):
         # page 0 maps to no object, so its score would not even reach the prior
         with pytest.raises(ConfigError, match="page scores must be finite and non-negative"):
-            web_popularity(2, np.array([score, 1.0]), PageObjectMap([(1, 0, None)]))
+            web_popularity(2, np.array([score, 1.0]), page_object_map([(1, 0, None)]))
 
     def test_unknown_object_rejected(self):
         with pytest.raises(GraphError):
-            web_popularity(2, np.array([1.0]), PageObjectMap([(0, 5, 1.0)]))
+            web_popularity(2, np.array([1.0]), page_object_map([(0, 5, 1.0)]))
 
     def test_uniform_proliferation(self):
         # one distinct object per page, no explicit weights: the prior is
         # exactly the normalized page score vector
         graph = PageGraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         page_scores = pagerank(graph, tol=1e-13).scores
-        pom = PageObjectMap([(p, p, None) for p in range(4)])
+        pom = page_object_map([(p, p, None) for p in range(4)])
         np.testing.assert_allclose(web_popularity(4, page_scores, pom), page_scores, atol=1e-12)
 
     def test_missing_weights_split_evenly(self):
-        pom = PageObjectMap([(0, 0, None), (0, 1, None), (0, 2, None)])
+        pom = page_object_map([(0, 0, None), (0, 1, None), (0, 2, None)])
         pages, objs, weights = pom.resolved()
         np.testing.assert_allclose(weights, [1 / 3, 1 / 3, 1 / 3])
 
     def test_zero_weight_page_splits_evenly(self):
-        pom = PageObjectMap([(0, 0, 0.0), (0, 1, 0.0)])
+        pom = page_object_map([(0, 0, 0.0), (0, 1, 0.0)])
         _, _, weights = pom.resolved()
         np.testing.assert_allclose(weights, [0.5, 0.5])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(GraphError):
-            PageObjectMap([(0, 0, -0.5)]).resolved()
+            page_object_map([(0, 0, -0.5)]).resolved()
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_non_finite_weight_rejected(self, weight):
         with pytest.raises(GraphError):
-            PageObjectMap([(0, 0, weight)]).resolved()
+            page_object_map([(0, 0, weight)]).resolved()
 
     def test_prior_is_distribution(self):
         rng = np.random.default_rng(2)
@@ -223,6 +223,48 @@ class TestWebPopularity:
                  float(rng.uniform(0, 1)))
                 for _ in range(int(rng.integers(0, 8)))
             ]
-            prior = web_popularity(n_objects, scores, PageObjectMap(entries))
+            prior = web_popularity(n_objects, scores, page_object_map(entries))
             assert abs(prior.sum() - 1.0) < 1e-12
             assert (prior >= 0).all()
+
+
+class TestPageObjectMapColumns:
+    @pytest.mark.parametrize("pages, objects", [([0.0], [0]), ([0], [1.5])],
+                             ids=["float-pages", "float-objects"])
+    def test_float_ids_rejected(self, pages, objects):
+        # casting to int64 would silently keep 1.5 as object 1
+        with pytest.raises(GraphError, match="ids must be integers"):
+            PageObjectMap(np.array(pages), np.array(objects), np.ones(1))
+
+    @pytest.mark.parametrize("pages, objects, weights", [
+        ([0, 1], [0], [1.0]), ([0], [0, 1], [1.0]), ([0], [0], [1.0, 1.0]),
+        ([[0]], [[0]], [[1.0]]),
+    ], ids=["pages", "objects", "weights", "2-d"])
+    def test_unequal_columns_rejected(self, pages, objects, weights):
+        with pytest.raises(GraphError, match="1-d and of equal length"):
+            PageObjectMap(np.array(pages), np.array(objects), np.array(weights))
+
+    @pytest.mark.parametrize("weight", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_bad_weight_rejected(self, weight):
+        with pytest.raises(GraphError, match="block weight must be finite and non-negative"):
+            PageObjectMap(np.array([0, 0]), np.array([0, 1]), np.array([1.0, weight]))
+
+    def test_columns_are_int64_and_float64(self):
+        pom = PageObjectMap([0, 1], np.array([2, 3], np.int32), [1, 2])
+        assert (pom.pages.dtype, pom.objects.dtype, pom.weights.dtype) == (
+            np.int64, np.int64, np.float64)
+        assert (pom.pages.tolist(), pom.objects.tolist(), pom.weights.tolist()) == (
+            [0, 1], [2, 3], [1.0, 2.0])
+
+    def test_prior_adds_in_entry_order(self):
+        """np.bincount adds each object's terms in entry order, as np.add.at
+        does, so the prior is bit-identical to that accumulation."""
+        rng = np.random.default_rng(5)
+        pages, objs = rng.integers(0, 7, 200), rng.integers(0, 30, 200)
+        weights = rng.uniform(0.0, 3.0, 200)
+        page_scores = rng.dirichlet(np.ones(7))
+        pom = PageObjectMap(pages, objs, weights)
+        _, _, shares = pom.resolved()
+        raw = np.zeros(30)
+        np.add.at(raw, objs, page_scores[pages] * shares)
+        assert web_popularity(30, page_scores, pom).tolist() == (raw / raw.sum()).tolist()
