@@ -63,6 +63,17 @@ def _span_hashes(words: np.ndarray, word_index: np.ndarray, word_starts: np.ndar
     return _mix((sums[ends] - sums[word_starts]) ^ _mix(lengths.astype(np.uint64) ^ salt))
 
 
+def room(array: np.ndarray, size: int, used: int) -> np.ndarray:
+    """``array``, or when it is shorter than ``size``, a zeroed array of at
+    least twice its length holding its first ``used`` items: growth by
+    doubling, so that appending a block copies the whole array seldom."""
+    if size <= len(array):
+        return array
+    grown = np.zeros(max(2 * len(array), size), array.dtype)
+    grown[:used] = array[:used]
+    return grown
+
+
 def _padded_words(data: np.ndarray) -> np.ndarray:
     """The little-endian 8-byte word at every byte offset of ``data``, a
     uint8 array with at least 7 bytes past the last offset that is read:
@@ -101,8 +112,10 @@ class SpanInterner:
     byte spans of the values in it, and returns each span's id. A value
     is found by a 64-bit hash of its bytes, read 8 at a time through an
     unaligned word view and seeded with its length and ``seed``, in a
-    sorted table of the hashes seen so far; every span is then compared
-    word for word with the bytes stored for its id. When two different
+    sorted table of the hashes seen so far (a large part and a recent one,
+    merged once the recent part is an eighth of the large one, so that a
+    block seldom copies the whole table); every span is then compared word
+    for word with the bytes stored for its id. When two different
     values share a hash the comparison fails and HashCollision is raised:
     the caller starts again with another seed, so ids never depend on the
     hash. Memory grows with the distinct values, not with the blocks.
@@ -113,15 +126,18 @@ class SpanInterner:
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._hashes = np.empty(0, np.uint64)  # sorted
-        self._hash_ids = np.empty(0, np.int64)  # the id of each hash
-        self._offsets = np.empty(0, np.int64)  # per id, where its bytes start in _store
-        self._lengths = np.empty(0, np.int64)
-        self._store = np.zeros(1 << 16, np.uint8)  # values, each followed by a newline
+        # sorted hashes with the id of each: the large part, then the recent
+        self._tables = [(np.empty(0, np.uint64), np.empty(0, np.int64))] * 2
+        self._count = 0
+        # per id, where its bytes start in _store, and their length; with
+        # room to grow, as has the store of values, each followed by a newline
+        self._offsets = np.empty(1 << 10, np.int64)
+        self._lengths = np.empty(1 << 10, np.int64)
+        self._store = np.zeros(1 << 16, np.uint8)
         self._size = 0
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return self._count
 
     def intern(self, data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """The int64 id of each span ``data[starts[i]:ends[i]]``; a value
@@ -141,26 +157,35 @@ class SpanInterner:
         hashes = _span_hashes(words, word_index, word_starts, lengths, self.seed)
 
         distinct, first, inverse = unique_first(hashes)
-        at = np.searchsorted(self._hashes, distinct)
-        known = at < len(self._hashes)
-        known[known] = self._hashes[at[known]] == distinct[known]
-        distinct_ids = np.empty(len(distinct), np.int64)
-        distinct_ids[known] = self._hash_ids[at[known]]
-        new = np.flatnonzero(~known)
-        new = new[np.argsort(first[new])]  # by first appearance
-        distinct_ids[new] = np.arange(len(self), len(self) + len(new))
-        self._store_new(buf, starts, lengths, first[new])
-        ascending = np.sort(new)  # so that np.insert keeps the table sorted
-        self._hashes = np.insert(self._hashes, at[ascending], distinct[ascending])
-        self._hash_ids = np.insert(self._hash_ids, at[ascending], distinct_ids[ascending])
+        distinct_ids = np.full(len(distinct), -1)
+        for table, table_ids in self._tables:
+            at = np.searchsorted(table, distinct)
+            hit = at < len(table)
+            hit[hit] = table[at[hit]] == distinct[hit]
+            distinct_ids[hit] = table_ids[at[hit]]
+        new = np.flatnonzero(distinct_ids < 0)  # ascending, as distinct is sorted
+        distinct_ids[new[np.argsort(first[new])]] = np.arange(len(self), len(self) + len(new))
+        self._store_new(buf, starts, lengths, np.sort(first[new]))  # by first appearance
+        self._add(distinct[new], distinct_ids[new])
         ids = distinct_ids[inverse]
-
         if not np.array_equal(self._lengths[ids], lengths):
             raise HashCollision
         stored = _padded_words(self._store)[np.repeat(self._offsets[ids], counts) + place] & mask
         if not np.array_equal(stored, words):
             raise HashCollision
         return ids
+
+    def _add(self, hashes: np.ndarray, ids: np.ndarray) -> None:
+        """Put sorted new hashes and their ids in the recent table, and merge
+        it into the large one once it holds an eighth as many."""
+        (large, large_ids), (recent, recent_ids) = self._tables
+        at = np.searchsorted(recent, hashes)
+        recent, recent_ids = np.insert(recent, at, hashes), np.insert(recent_ids, at, ids)
+        if len(recent) > len(large) >> 3:
+            at = np.searchsorted(large, recent)
+            large, large_ids = np.insert(large, at, recent), np.insert(large_ids, at, recent_ids)
+            recent, recent_ids = recent[:0], recent_ids[:0]
+        self._tables = [(large, large_ids), (recent, recent_ids)]
 
     def _store_new(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
                    spans: np.ndarray) -> None:
@@ -170,21 +195,45 @@ class SpanInterner:
         sizes = lengths + 1
         offsets = self._size + np.cumsum(sizes) - sizes
         end = self._size + int(sizes.sum())
-        if end + 8 > len(self._store):
-            grown = np.zeros(max(2 * len(self._store), end + 8), np.uint8)
-            grown[:self._size] = self._store[:self._size]
-            self._store = grown
-        self._store[self._size:end] = ord("\n")
-        before = np.cumsum(lengths) - lengths
-        source = np.arange(int(lengths.sum())) + np.repeat(starts - before, lengths)
-        self._store[source + np.repeat(offsets - starts, lengths)] = buf[source]
-        self._offsets = np.concatenate((self._offsets, offsets))
-        self._lengths = np.concatenate((self._lengths, lengths))
-        self._size = end
+        count = self._count + len(spans)
+        self._store = room(self._store, end + 8, self._size)
+        self._offsets = room(self._offsets, count, self._count)
+        self._lengths = room(self._lengths, count, self._count)
+        self._store[self._size:end] = join_spans(buf, starts, starts + lengths)
+        self._offsets[self._count:count] = offsets
+        self._lengths[self._count:count] = lengths
+        self._size, self._count = end, count
+
+    def data(self) -> bytes:
+        """The distinct values' bytes, each followed by a newline, in id order."""
+        return self._store[:self._size].tobytes()
 
     def values(self) -> list[str]:
         """The distinct values decoded, in id order."""
-        return self._store[:self._size].tobytes().decode("utf-8").split("\n")[:-1]
+        return self.data().decode("utf-8").split("\n")[:-1]
+
+
+def line_spans(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the newline-ended lines of a uint8 array; a line's
+    end is the offset of its newline."""
+    ends = np.flatnonzero(data == ord("\n"))
+    return np.append(0, ends[:-1] + 1)[:len(ends)], ends
+
+
+def gather_spans(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The spans ``data[starts[i]:starts[i] + lengths[i]]`` of a uint8
+    array, concatenated."""
+    before = np.cumsum(lengths) - lengths
+    return data[np.arange(int(lengths.sum())) + np.repeat(starts - before, lengths)]
+
+
+def join_spans(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The spans ``data[starts[i]:ends[i]]`` of a uint8 array, each followed
+    by a newline, as one uint8 array."""
+    newline = np.full(len(starts), len(data))  # the offset of a newline appended to data
+    return gather_spans(np.append(data, np.uint8(ord("\n"))),
+                        np.column_stack((starts, newline)).ravel(),
+                        np.column_stack((ends - starts, np.ones_like(newline))).ravel())
 
 
 def unique_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray, int]:

@@ -6,10 +6,11 @@ records into deduplicated objects, resolves links, containment entries
 and expert rankings against the one key index (object reference ->
 object id), and collects structured diagnostics for everything lenient
 mode drops. Records, objects, links and the page map are columns
-(RecordTable, ObjectTable, LinkTable, PageObjectMap), link endpoints
-and map entries are resolved by one helper (objects.lookup), and a
-graph is written back from the same tables. Relationship types are
-declared by their first appearance in the links file; a later line
+(RecordTable, ObjectTable, LinkTable, PageObjectMap): objects.tsv is read
+into interned columns and merged on them, with no object per record;
+link endpoints and map entries are resolved by one helper
+(objects.lookup); and a graph is written back from the same tables.
+Relationship types are declared by their first appearance in the links file; a later line
 disagreeing on endpoint types is an error, as is a link naming an
 unregistered object type (reported first).
 
@@ -177,7 +178,7 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
     with _links_job(paths.links) as links_result:
         num_records, objects = _merged_objects(paths.objects, registry)
         diagnostics.append(f"merge\trecords={num_records}\tobjects={len(objects)}"
-                           f"\tconflicts={sum(objects.conflict_counts)}")
+                           f"\tconflicts={objects.conflicts.sum()}")
         # parsed while the links are, but an error is raised after theirs
         try:
             page_data = _page_data(paths.pages, paths.page_map)
@@ -238,8 +239,9 @@ def write_corpus(
     edges = [graph.links[rt.rel_name] for rt in rels]
     pairs = np.concatenate([np.empty((0, 2), np.int64), *edges])
     formats.write_schemas(paths.schemas, list(registry))
-    formats.write_objects(paths.objects, RecordTable(
-        [f"r{i}" for i in range(len(objects))], objects.type_names, objects.attribute_values))
+    formats.write_objects(paths.objects, RecordTable.from_rows(
+        (f"r{i}", type_name, values) for i, (type_name, values)
+        in enumerate(zip(objects.type_names, objects.attribute_values))))
     formats.write_links(paths.links, LinkTable(
         [(rt.rel_name, rt.source_type, rt.target_type) for rt in rels],
         np.repeat(np.arange(len(rels)), [len(e) for e in edges]),

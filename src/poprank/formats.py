@@ -10,6 +10,7 @@ object reference is the pair of columns links.tsv and the page map carry,
 write it ``type_name:key1|key2|...``. Escaping is out of scope.
 
 schemas    type_name <TAB> attr1,attr2,... <TAB> key1,key2,...
+           (attribute names must not contain ``=`` or ``;``)
 objects    record_id <TAB> type_name <TAB> attr=value;attr=value;... [<TAB> source_page]
            (values must not contain ``;``; escaping is out of scope)
 links      source_type <TAB> source_keytuple <TAB> rel_name <TAB> target_type <TAB> target_keytuple
@@ -20,13 +21,19 @@ expert     either one object reference per line (full order, best first),
            or pair lines: object_ref <TAB> > <TAB> object_ref
 
 The four corpus data files are read as columns, with no object per
-line: ``read_objects`` returns a RecordTable, ``read_links`` a LinkTable
-of interned int64 ids (see objects), ``read_pages`` the page ids with
-int64 source and target page numbers, and ``read_page_map`` the page
-ids, object refs and float64 block weights. ``read_links`` and
-``read_pages`` check each block of lines as text, then intern its fields
-as bytes (``_kernels.SpanInterner``). The writers take what the readers
-return, except ``write_pages``, which takes (page id, out-link ids) rows.
+line: ``read_objects`` returns a RecordTable of interned ids, ``read_links``
+a LinkTable of interned int64 ids (see objects), ``read_pages`` the page
+ids with int64 source and target page numbers, and ``read_page_map`` the
+page ids, object refs and float64 block weights. ``read_objects``,
+``read_links`` and ``read_pages`` read the file as bytes, in blocks of
+about BLOCK_BYTES (four times that for links) cut after a line end
+(``_byte_blocks``); numpy finds the
+separators of each block's lines and ``_kernels.SpanInterner`` interns
+their fields as bytes. Only a block that is not pure ASCII, holds a CR,
+or has an empty, blank, indented or ``#`` line is decoded and split as
+text (as the other readers read every line), and its data lines are
+encoded again. The writers take what the readers return, except
+``write_pages``, which takes (page id, out-link ids) rows.
 
 Reports are TSV rows preceded by a ``#``-prefixed metadata block of
 ``# key <TAB> value`` lines; scores are written with full round-trip
@@ -39,7 +46,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from sys import intern
 from typing import TypeVar
 
 import numpy as np
@@ -50,7 +56,11 @@ from .objects import LinkTable, ObjectTypeSchema, RecordTable
 
 T = TypeVar("T")
 
-_TAB, _NEWLINE, _COMMA = (ord(c) for c in "\t\n,")
+# bytes per block of the block readers; a block's arrays are a few times
+# its size, so this bounds the parse's memory
+BLOCK_BYTES = 1 << 18
+
+_TAB, _NEWLINE, _COMMA, _SEMICOLON, _EQUALS = (ord(c) for c in "\t\n,;=")
 _LINK_CUTS = np.array([_TAB] * 4 + [_NEWLINE], np.uint8)  # the separators of a links line
 
 
@@ -67,29 +77,51 @@ def _undecodable(block: str) -> int | None:
     return None
 
 
-def _line_blocks(path: Path, size: int = 1 << 20) -> Iterator[tuple[int, list[str]]]:
-    """(number of the first line, lines without their newline) for
-    consecutive blocks of about ``size`` characters; CRLF and CR line
-    endings read as LF. A line that is not UTF-8 raises FormatError after
-    the lines before it have been yielded."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        lineno, pieces = 1, []  # pieces of a line that spans blocks
-        while block := fh.read(size):
-            lines = block.split("\n")
-            if (bad := _undecodable(block)) is not None:
-                lines[0] = "".join(pieces) + lines[0]
-                if bad:
-                    yield lineno, lines[:bad]
-                _fail(path, lineno + bad, "not valid UTF-8")
-            if len(lines) == 1:
-                pieces.append(block)
+def _raw_blocks(path: Path, size: int) -> Iterator[bytes]:
+    """Consecutive blocks of about ``size`` bytes of the file, each cut
+    after a line end: a LF, or a CR not followed by one; a last line
+    without one gets a LF, and a line longer than ``size`` is joined once.
+    A CR that ends a chunk is read with the byte after it, so a CRLF stays
+    whole."""
+    with open(path, "rb") as fh:
+        pieces = []  # pieces of a line that spans blocks
+        while chunk := fh.read(size):
+            if chunk.endswith(b"\r"):
+                chunk += fh.read(1)
+            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+            if not cut:
+                pieces.append(chunk)
                 continue
-            lines[0] = "".join(pieces) + lines[0]
-            pieces = [lines.pop()]
-            yield lineno, lines
-            lineno += len(lines)
-        if tail := "".join(pieces):
-            yield lineno, [tail]
+            yield b"".join((*pieces, chunk[:cut]))
+            pieces = [chunk[cut:]]
+        if tail := b"".join(pieces):
+            yield tail + b"\n"
+
+
+def _text_lines(block: bytes) -> tuple[list[str], int | None]:
+    """The lines of a raw block, decoded, with CRLF and CR read as LF, and
+    the index of the first line with a byte that is not UTF-8, or None."""
+    text = block.decode("utf-8", "surrogateescape")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    lines.pop()  # the block ends with a newline
+    return lines, _undecodable(text)
+
+
+def _line_blocks(path: Path, size: int = BLOCK_BYTES) -> Iterator[tuple[int, list[str]]]:
+    """(number of the first line, lines without their newline) for
+    consecutive blocks of about ``size`` bytes; CRLF and CR line endings
+    read as LF. A line that is not UTF-8 raises FormatError after the
+    lines before it have been yielded."""
+    lineno = 1
+    for block in _raw_blocks(path, size):
+        lines, bad = _text_lines(block)
+        if bad is not None:
+            yield lineno, lines[:bad]
+            _fail(path, lineno + bad, "not valid UTF-8")
+        yield lineno, lines
+        lineno += len(lines)
 
 
 def _is_data(line: str) -> bool:
@@ -102,19 +134,44 @@ def _all_data(lines: list[str]) -> bool:
     return all(lines) and not any(c.isspace() or c == "#" for c in set(map(itemgetter(0), lines)))
 
 
-def _data_blocks(path: Path, size: int = 1 << 20) -> Iterator[tuple[Sequence[int], list[str]]]:
-    """(line numbers, data lines) for each block of ``_line_blocks``."""
-    for first, lines in _line_blocks(path, size):
-        if _all_data(lines):
-            yield range(first, first + len(lines)), lines
-        else:
-            numbered = [(lineno, line) for lineno, line in enumerate(lines, first) if _is_data(line)]
-            yield [lineno for lineno, _ in numbered], [line for _, line in numbered]
-
-
 def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
-    for numbers, data in _data_blocks(path):
-        yield from zip(numbers, data)
+    for first, lines in _line_blocks(path):
+        if _all_data(lines):
+            yield from enumerate(lines, first)
+        else:
+            yield from ((lineno, line) for lineno, line in enumerate(lines, first)
+                        if _is_data(line))
+
+
+# the first bytes of a line that only the text path reads: whitespace
+# (blank, empty or indented lines) and '#'
+_TEXT_START = np.zeros(256, bool)
+_TEXT_START[[ord(c) for c in map(chr, range(128)) if c.isspace() or c == "#"]] = True
+
+
+def _byte_blocks(path: Path, size: int = BLOCK_BYTES) -> Iterator[tuple[Sequence[int], bytes]]:
+    """(line numbers, data lines) for consecutive blocks of about ``size``
+    bytes of the file: the data lines as UTF-8 bytes, each followed by a
+    newline. A block of ASCII lines without CR, none of them empty or
+    starting with whitespace or ``#``, is passed on as read. Any other
+    block takes the text path of ``_line_blocks`` and its data lines are
+    encoded again; a line that is not UTF-8 raises FormatError after the
+    data lines before it have been yielded."""
+    lineno = 1
+    for block in _raw_blocks(path, size):
+        buf = np.frombuffer(block, np.uint8)
+        starts, _ = _kernels.line_spans(buf)
+        if block.isascii() and b"\r" not in block and not _TEXT_START[buf[starts]].any():
+            yield range(lineno, lineno + len(starts)), block
+            lineno += len(starts)
+            continue
+        lines, bad = _text_lines(block)
+        numbered = [(n, line) for n, line in enumerate(lines[:bad], lineno) if _is_data(line)]
+        data = "".join(line + "\n" for _, line in numbered).encode("utf-8")
+        yield [n for n, _ in numbered], data
+        if bad is not None:
+            _fail(path, lineno + bad, "not valid UTF-8")
+        lineno += len(lines)
 
 
 def _with_hash_seeds(read: Callable[[int], T]) -> T:
@@ -169,34 +226,92 @@ def write_schemas(path: Path, schemas: Iterable[ObjectTypeSchema]) -> None:
 
 
 def read_objects(path: Path) -> RecordTable:
-    """One RecordTable row per data line; the optional source page field
-    is checked for the field count but not kept. Type and attribute names
-    are interned, so each name is held once however many rows use it."""
-    table = RecordTable()
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) not in (3, 4):
-            _fail(path, lineno, f"expected 3 or 4 fields, got {len(fields)}")
-        values: dict[str, str] = {}
-        if fields[2]:
-            for segment in fields[2].split(";"):
-                attr, sep, value = segment.partition("=")
-                if not sep or not attr:
-                    _fail(path, lineno, f"bad attribute segment {segment!r}")
-                if attr in values:
-                    _fail(path, lineno, f"attribute {attr!r} given twice")
-                values[intern(attr)] = value
-        table.record_ids.append(fields[0])
-        table.type_names.append(intern(fields[1]))
-        table.attribute_values.append(values)
-    return table
+    """The objects file as a RecordTable, streamed block by block; no
+    object is built per line. The optional source page field is checked
+    for the field count but not kept.
+
+    In each block, numpy finds every line's fields, the ``;``-separated
+    segments of its third field and the first ``=`` of each segment; then
+    type names, attribute names and values are interned as bytes
+    (``_kernels.SpanInterner``) and record ids are kept as bytes.
+    """
+    return _with_hash_seeds(partial(_intern_objects, path))
+
+
+def _intern_objects(path: Path, seed: int) -> RecordTable:
+    types, attributes, values = (_kernels.SpanInterner(seed) for _ in range(3))
+    record_ids, type_ids, segments = [], [np.empty(0, np.int64)], [np.empty((0, 3), np.int64)]
+    num_records = 0
+    for numbers, data in _byte_blocks(path):
+        buf = np.frombuffer(data, np.uint8)
+        line_starts, (type_starts, type_ends), (starts, equals, ends, lines, attribute_ids) = \
+            _object_spans(path, numbers, data, attributes)
+        record_ids.append(_kernels.join_spans(buf, line_starts, type_starts - 1))
+        type_ids.append(types.intern(data, type_starts, type_ends))
+        segments.append(np.column_stack(
+            (num_records + lines, attribute_ids, values.intern(data, equals + 1, ends))))
+        num_records += len(line_starts)
+    return RecordTable(np.concatenate([np.empty(0, np.uint8), *record_ids]).tobytes(),
+                       types.values(), np.concatenate(type_ids), attributes.values(),
+                       values.data(), np.concatenate(segments))
+
+
+def _object_spans(path: Path, numbers: Sequence[int], data: bytes,
+                  attributes: _kernels.SpanInterner):
+    """The spans of a block of objects data lines, after checking them in
+    line order: each line's start, its type's ``(start, end)``, and each
+    attribute segment's ``(start, '=' offset, end, line, attribute id)``,
+    the ids interned by ``attributes``."""
+    buf = np.frombuffer(data, np.uint8)
+    line_starts, line_ends = _kernels.line_spans(buf)
+    tabs = np.flatnonzero(buf == _TAB)
+    counts = np.bincount(np.searchsorted(line_ends, tabs), minlength=len(line_ends))
+    miscounted = (counts < 2) | (counts > 3)
+    # the lines before the first with a wrong field count
+    good = int(np.argmax(miscounted)) if miscounted.any() else len(line_ends)
+    first = (np.cumsum(counts) - counts)[:good]  # each line's first TAB
+    type_starts, type_ends = tabs[first] + 1, tabs[first + 1]
+    field_ends = np.where(counts[:good] == 3, tabs[np.minimum(first + 2, len(tabs) - 1)],
+                          line_ends[:good])
+    # the segments of a third field that is not empty: it is cut at each ';'
+    cuts = np.flatnonzero(buf == _SEMICOLON)
+    cut_lines = np.searchsorted(line_ends, cuts)
+    inside = cut_lines < good
+    inside[inside] = ((cuts[inside] > type_ends[cut_lines[inside]])
+                      & (cuts[inside] < field_ends[cut_lines[inside]]))
+    cuts = cuts[inside]
+    filled = field_ends > type_ends + 1
+    # each is two sorted runs, which a stable sort merges
+    starts = np.sort(np.concatenate((type_ends[filled] + 1, cuts + 1)), kind="stable")
+    ends = np.sort(np.concatenate((field_ends[filled], cuts)), kind="stable")
+    lines = np.searchsorted(line_ends, starts)
+    # the first '=' of each segment, which must follow a non-empty name
+    equals = np.append(np.flatnonzero(buf == _EQUALS), len(buf))
+    equals = equals[np.searchsorted(equals, starts)]
+    malformed = (equals == starts) | (equals >= ends)
+    well = np.flatnonzero(~malformed)
+    ids = np.full(len(starts), -1)
+    ids[well] = attributes.intern(data, starts[well], equals[well])
+    # a name given twice on a line: a repeat in line order (a stable sort,
+    # fast here, as the keys are sorted by line)
+    key = lines[well] * len(attributes) + ids[well]
+    order = np.argsort(key, kind="stable")
+    twice = np.zeros(len(starts), bool)
+    twice[well[order[1:][key[order[1:]] == key[order[:-1]]]]] = True
+    errors = malformed | twice
+    if errors.any():
+        i = int(np.argmax(errors))
+        segment = data[starts[i]:ends[i]].decode("utf-8")
+        _fail(path, numbers[lines[i]], f"bad attribute segment {segment!r}" if malformed[i]
+              else f"attribute {segment.partition('=')[0]!r} given twice")
+    if good < len(line_ends):
+        _fail(path, numbers[good], f"expected 3 or 4 fields, got {counts[good] + 1}")
+    return line_starts, (type_starts, type_ends), (starts, equals, ends, lines, ids)
 
 
 def write_objects(path: Path, records: RecordTable) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record_id, type_name, values in zip(
-            records.record_ids, records.type_names, records.attribute_values
-        ):
+        for record_id, type_name, values in records.rows():
             for attr, value in values.items():
                 if "\t" in value or ";" in value:
                     raise FormatError(
@@ -210,18 +325,21 @@ def _link_blocks(path: Path) -> Iterator[tuple[bytes, np.ndarray]]:
     """Each block of data lines of a links file as UTF-8 bytes, with the
     ``(lines, 5)`` byte offsets of each line's four TABs and its newline,
     after checking that every line has 5 fields."""
-    for numbers, data in _data_blocks(path):
-        if not data:
-            continue
-        text = ("\n".join(data) + "\n").encode("utf-8")
-        buf = np.frombuffer(text, np.uint8)
+    # larger blocks: a links line holds fewer spans per byte than an objects
+    # or pages line, and the links are parsed in the worker, whose memory
+    # stays below the calling process's (at 200k, 1.85 s against 2.3 s with
+    # BLOCK_BYTES, the per-block work being the difference)
+    for numbers, data in _byte_blocks(path, 4 * BLOCK_BYTES):
+        buf = np.frombuffer(data, np.uint8)
         cuts = np.flatnonzero((buf == _TAB) | (buf == _NEWLINE))
-        if len(cuts) != 5 * len(data) or not np.all(buf[cuts].reshape(-1, 5) == _LINK_CUTS):
-            for lineno, line in zip(numbers, data):
-                found = line.count("\t") + 1
-                if found != 5:
-                    _fail(path, lineno, f"expected 5 fields, got {found}")
-        yield text, cuts.reshape(-1, 5)
+        if len(cuts) != 5 * len(numbers) or not np.all(buf[cuts].reshape(-1, 5) == _LINK_CUTS):
+            line_ends = np.flatnonzero(buf == _NEWLINE)
+            tabs = np.bincount(np.searchsorted(line_ends, np.flatnonzero(buf == _TAB)),
+                               minlength=len(line_ends))
+            i = int(np.argmax(tabs != 4))
+            _fail(path, numbers[i], f"expected 5 fields, got {tabs[i] + 1}")
+        if len(numbers):
+            yield data, cuts.reshape(-1, 5)
 
 
 def read_links(path: Path) -> LinkTable:
@@ -238,7 +356,7 @@ def read_links(path: Path) -> LinkTable:
 
 def _intern_links(path: Path, seed: int) -> LinkTable:
     refs, rels, types = (_kernels.SpanInterner(seed) for _ in range(3))
-    ref_types = np.empty(0, np.int64)  # per ref, the id of its type
+    ref_types = np.empty(1 << 10, np.int64)  # per ref, the id of its type (room to grow)
     triples: dict[tuple[int, int, int], int] = {}
     codes, src, tgt = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for text, cuts in _link_blocks(path):
@@ -252,7 +370,8 @@ def _intern_links(path: Path, seed: int) -> LinkTable:
         running = np.maximum.accumulate(np.maximum(ids, known - 1))
         first = np.flatnonzero(np.diff(running, prepend=known - 1))
         type_ends = np.column_stack((cuts[:, 0], cuts[:, 3])).ravel()
-        ref_types = np.concatenate((ref_types, types.intern(text, starts[first], type_ends[first])))
+        ref_types = _kernels.room(ref_types, len(refs), known)
+        ref_types[known:len(refs)] = types.intern(text, starts[first], type_ends[first])
         rel = rels.intern(text, cuts[:, 1] + 1, cuts[:, 2])
         source_type, target_type = ref_types[ids[0::2]], ref_types[ids[1::2]]
         # the distinct (rel, source type, target type) of the block, by first line
@@ -301,24 +420,20 @@ _BLANK = np.zeros(256, bool)
 _BLANK[[ord(c) for c in map(chr, range(128)) if c.isspace() and c not in "\t\n"]] = True
 
 
-def _page_spans(data: list[str]):
-    """The UTF-8 bytes of pages lines and the index of the first line with
-    an empty page id or more than 2 fields, or None; when there is none,
-    also each line's page id span and each out-link's span and line:
+def _page_spans(raw: bytes):
+    """The index of the first of the pages lines ``raw`` (UTF-8, each
+    followed by a newline) with an empty page id or more than 2 fields,
+    or None; when there is none, also each line's page id span and each
+    out-link's span and line:
     ``(ids_start, ids_end), (targets_start, targets_end, targets_line)``."""
-    if not data:
-        none = np.empty(0, np.int64)
-        return b"", None, ((none, none), (none, none, none))
-    raw = ("\n".join(data) + "\n").encode("utf-8")
     buf = np.frombuffer(raw, np.uint8)
-    line_ends = np.flatnonzero(buf == _NEWLINE)
-    line_starts = np.concatenate(([0], line_ends[:-1] + 1))
+    line_starts, line_ends = _kernels.line_spans(buf)
     tabs = np.flatnonzero(buf == _TAB)
     tab_lines = np.searchsorted(line_ends, tabs)
     bad = np.concatenate((tab_lines[1:][tab_lines[1:] == tab_lines[:-1]],
                           tab_lines[tabs == line_starts[tab_lines]]))
     if bad.size:
-        return raw, int(bad.min()), None
+        return int(bad.min()), None
     id_ends = line_ends.copy()
     id_ends[tab_lines] = tabs
     # a line's TAB and the commas after it start its out-links
@@ -329,23 +444,27 @@ def _page_spans(data: list[str]):
     ends = line_ends[cut_lines]
     same_line = cut_lines[1:] == cut_lines[:-1]
     ends[:-1][same_line] = cuts[1:][same_line]
-    return raw, None, ((line_starts, id_ends), (cuts + 1, ends, cut_lines))
+    return None, ((line_starts, id_ends), (cuts + 1, ends, cut_lines))
 
 
-def _page_block(data: list[str]):
-    """The lines of a block of pages data lines before the first one with
-    an empty page id or more than 2 fields, with their out-links as
-    ``_split_csv`` reads them; that line's index or None; and the lines'
-    bytes and spans (see _page_spans)."""
-    raw, bad, spans = _page_spans(data)
+def _page_block(raw: bytes):
+    """The lines of a block of pages data lines (UTF-8, each followed by a
+    newline) before the first one with an empty page id or more than 2
+    fields, with their out-links as ``_split_csv`` reads them; that line's
+    index and error, or None; and the lines' spans (see _page_spans)."""
+    bad, spans = _page_spans(raw)
     if bad is not None:
-        data = data[:bad]
-        raw, _, spans = _page_spans(data)
+        line_starts, line_ends = _kernels.line_spans(np.frombuffer(raw, np.uint8))
+        start = int(line_starts[bad])
+        bad = bad, _page_line_error(raw[start:line_ends[bad]].decode("utf-8"))
+        raw = raw[:start]
+        _, spans = _page_spans(raw)
     _, (starts, ends, _) = spans
     if not raw.isascii() or _BLANK[np.frombuffer(raw, np.uint8)].any() or (ends == starts).any():
-        data = [_clean_page_line(line) for line in data]
-        raw, _, spans = _page_spans(data)
-    return data, bad, raw, spans
+        lines = raw.decode("utf-8").split("\n")[:-1]
+        raw = "".join(_clean_page_line(line) + "\n" for line in lines).encode("utf-8")
+        _, spans = _page_spans(raw)
+    return raw, bad, spans
 
 
 def read_pages(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -367,27 +486,25 @@ def _intern_pages(path: Path, seed: int) -> tuple[list[str], np.ndarray, np.ndar
     listed = np.zeros(0, bool)  # per id, whether the page has a line
     rows, src, tgt = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     num_rows = 0
-    # a pages line holds about 4 times as many interned spans per byte as a
-    # links line, so its blocks are smaller, which bounds the kernel's arrays
-    for numbers, data in _data_blocks(path, 1 << 18):
-        good, bad, raw, ((id_starts, id_ends), (starts, ends, lines)) = _page_block(data)
+    for numbers, data in _byte_blocks(path):
+        raw, bad, ((id_starts, id_ends), (starts, ends, lines)) = _page_block(data)
         ids = pages.intern(raw, np.concatenate((id_starts, starts)), np.concatenate((id_ends, ends)))
-        row_ids = ids[:len(good)]
+        row_ids = ids[:len(id_starts)]
         listed = np.concatenate((listed, np.zeros(len(pages) - len(listed), bool)))
-        repeated = np.ones(len(good), bool)  # but for a page's first line in the block
+        repeated = np.ones(len(row_ids), bool)  # but for a page's first line in the block
         repeated[_kernels.unique_first(row_ids)[1]] = False
         repeated |= listed[row_ids]
         if repeated.any():
             i = int(np.argmax(repeated))
-            page_id = good[i].partition("\t")[0]
+            page_id = raw[id_starts[i]:id_ends[i]].decode("utf-8")
             _fail(path, numbers[i], f"page {page_id!r} listed twice")
         if bad is not None:
-            _fail(path, numbers[bad], _page_line_error(data[bad]))
+            _fail(path, numbers[bad[0]], bad[1])
         listed[row_ids] = True
         src.append(num_rows + lines)
         rows.append(row_ids)
-        num_rows += len(good)
-        tgt.append(ids[len(good):])
+        num_rows += len(row_ids)
+        tgt.append(ids[len(row_ids):])
     rows = np.concatenate(rows)
     others = np.flatnonzero(~listed)
     number = np.empty(len(pages), np.int64)

@@ -9,7 +9,9 @@ disagreement is counted so the merge stays auditable. Object ids are
 dense integers so the numeric modules can index score vectors directly.
 
 Tables are columns, not an object per line: merge_records turns a
-RecordTable of records into an ObjectTable whose row i is object i, and
+RecordTable of records (interned type, attribute and value ids, the
+values kept as bytes) into an ObjectTable whose row i is object i, with
+one value-id column per attribute; values are decoded only when read.
 build_graph resolves a LinkTable of interned link lines against that
 table's index, the one key index (ObjectGraph.key_index), with lookup,
 the helper that resolves the page map's columns too (see corpus).
@@ -17,7 +19,7 @@ the helper that resolves the page map's columns too (see corpus).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -46,6 +48,11 @@ class ObjectTypeSchema:
             raise SchemaError("schema requires a non-empty type_name")
         if "\t" in self.type_name:
             raise SchemaError(f"type name {self.type_name!r} contains TAB")
+        for name in self.attributes:
+            for sep, shown in (("=", "'='"), (";", "';'"), ("\t", "TAB"), ("\n", "a newline")):
+                if sep in name:
+                    raise SchemaError(f"{self.type_name}: attribute name {name!r} contains "
+                                      f"{shown}, a separator of objects.tsv")
         if len(set(self.attributes)) != len(self.attributes):
             raise SchemaError(f"{self.type_name}: duplicate attribute names")
         if not self.key_attributes:
@@ -86,34 +93,112 @@ class SchemaRegistry:
         return len(self._schemas)
 
 
-@dataclass
-class RecordTable:
-    """Records as columns, one row per record: record ids, type names and
-    attribute values (attribute -> value, empty values included)."""
+def _lines(data: bytes) -> list[str]:
+    """The newline-ended UTF-8 strings of ``data``, decoded."""
+    return data.decode("utf-8").split("\n")[:-1]
 
-    record_ids: list[str] = field(default_factory=list)
-    type_names: list[str] = field(default_factory=list)
-    attribute_values: list[dict[str, str]] = field(default_factory=list)
+
+def _joined(strings: Iterable[str]) -> bytes:
+    return "".join(f"{text}\n" for text in strings).encode("utf-8")
+
+
+@dataclass(frozen=True)
+class RecordTable:
+    """Records as interned columns, one row per record.
+
+    record_ids holds each record's id as UTF-8 bytes followed by a
+    newline. type_ids[i] indexes types, the distinct type names.
+    segments holds one int64 row (record, attribute id, value id) per
+    ``attr=value`` segment, in record order: the attribute id indexes
+    attributes, the distinct attribute names, and the value id the
+    distinct values, each stored as UTF-8 bytes followed by a newline in
+    values (the empty value included).
+    """
+
+    record_ids: bytes
+    types: list[str]
+    type_ids: np.ndarray
+    attributes: list[str]
+    values: bytes
+    segments: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.record_ids)
+        return len(self.type_ids)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, str, dict[str, str]]]) -> "RecordTable":
+        """The table of (record_id, type_name, {attribute: value}) rows.
+        Raises RecordError for a record id or value with a newline."""
+        ids: list[str] = []
+        types: dict[str, int] = {}
+        attributes: dict[str, int] = {}
+        values: dict[str, int] = {}
+        type_ids, segments = [], []
+        for record, (record_id, type_name, row) in enumerate(rows):
+            for text in (record_id, *row.values()):
+                if "\n" in text:
+                    raise RecordError(f"record {record_id!r}: {text!r} contains a newline")
+            ids.append(record_id)
+            type_ids.append(types.setdefault(type_name, len(types)))
+            segments += [(record, attributes.setdefault(attr, len(attributes)),
+                          values.setdefault(value, len(values))) for attr, value in row.items()]
+        return cls(_joined(ids), list(types), np.array(type_ids, np.int64), list(attributes),
+                   _joined(values), np.array(segments, np.int64).reshape(-1, 3))
+
+    def rows(self) -> Iterator[tuple[str, str, dict[str, str]]]:
+        """The (record_id, type_name, {attribute: value}) rows, decoded."""
+        values = _lines(self.values)
+        bounds = np.searchsorted(self.segments[:, 0], np.arange(len(self) + 1)).tolist()
+        segments = self.segments[:, 1:].tolist()
+        for record, (record_id, type_id) in enumerate(zip(_lines(self.record_ids),
+                                                          self.type_ids.tolist())):
+            yield record_id, self.types[type_id], {
+                self.attributes[attr]: values[value]
+                for attr, value in segments[bounds[record]:bounds[record + 1]]}
 
 
 @dataclass
 class ObjectTable:
-    """Merged objects as columns; row i is object i. index maps each
-    object's reference ``type_name<TAB>key text`` to its row, keys in row
-    order; the other columns hold one entry per row (attribute_values
-    without empty values)."""
+    """Merged objects as columns; row i is object i.
 
-    index: dict[str, int] = field(default_factory=dict)
-    type_names: list[str] = field(default_factory=list)
-    attribute_values: list[dict[str, str]] = field(default_factory=list)
-    merged_record_counts: list[int] = field(default_factory=list)
-    conflict_counts: list[int] = field(default_factory=list)
+    index maps each object's reference ``type_name<TAB>key text`` to its
+    row, keys in row order. type_ids[i] indexes types. value_ids holds one
+    column per attribute of attributes, a value id per row (-1 for none),
+    and values the distinct values, each as UTF-8 bytes followed by a
+    newline. merged and conflicts count each row's records and
+    disagreements. The list properties decode these columns when read.
+    """
+
+    index: dict[str, int]
+    types: list[str]
+    type_ids: np.ndarray
+    attributes: list[str]
+    value_ids: np.ndarray
+    values: bytes
+    merged: np.ndarray
+    conflicts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.type_names)
+        return len(self.type_ids)
+
+    @property
+    def type_names(self) -> list[str]:
+        return [self.types[i] for i in self.type_ids.tolist()]
+
+    @property
+    def attribute_values(self) -> list[dict[str, str]]:
+        """Each row's non-empty values, as attribute -> value."""
+        values = _lines(self.values)
+        return [{attr: values[value] for attr, value in zip(self.attributes, row) if value >= 0}
+                for row in self.value_ids.tolist()]
+
+    @property
+    def merged_record_counts(self) -> list[int]:
+        return self.merged.tolist()
+
+    @property
+    def conflict_counts(self) -> list[int]:
+        return self.conflicts.tolist()
 
 
 def _reject_key(record_id: str, key_attributes: Sequence[str], key: Sequence[str]) -> None:
@@ -124,6 +209,23 @@ def _reject_key(record_id: str, key_attributes: Sequence[str], key: Sequence[str
             if sep in value:
                 raise RecordError(f"record {record_id!r}: key attribute {attr!r} value {value!r} "
                                   f"contains {name}")
+
+
+def _reject_record(records: RecordTable, registry: SchemaRegistry, record: int) -> None:
+    """Raise the RecordError of one record that merge_records rejects:
+    its type, then its attributes, then its key are checked."""
+    record_id = _lines(records.record_ids)[record]
+    type_name = records.types[records.type_ids[record]]
+    if type_name not in registry:
+        raise RecordError(f"record {record_id!r}: unregistered type {type_name!r}")
+    schema = registry.get(type_name)
+    values = _lines(records.values)
+    row = records.segments[records.segments[:, 0] == record, 1:].tolist()
+    row = {records.attributes[attr]: values[value] for attr, value in row}
+    unknown = [a for a in row if a not in schema.attributes]
+    if unknown:
+        raise RecordError(f"record {record_id!r}: attributes {unknown} not in schema {type_name!r}")
+    _reject_key(record_id, schema.key_attributes, [row.get(a, "") for a in schema.key_attributes])
 
 
 def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable:
@@ -138,47 +240,104 @@ def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable
 
     Raises RecordError for an unregistered type, an attribute not in the
     type's schema, or a key attribute that is missing, empty or contains
-    ``|`` or TAB (the separators of references).
+    ``|`` or TAB (the separators of references); the first such record
+    is named.
+
+    The merge works on the table's columns: records are grouped by type
+    and key value ids, and each (object, attribute)'s first non-empty
+    value and its disagreements are found with one sort. No value is
+    decoded; the index's references are composed as bytes.
     """
-    schemas = {s.type_name: (frozenset(s.attributes), s.key_attributes) for s in registry}
-    table = ObjectTable()
-    index, stored_values = table.index, table.attribute_values
-    merged, conflicts = table.merged_record_counts, table.conflict_counts
-    for record_id, type_name, values in zip(
-        records.record_ids, records.type_names, records.attribute_values
-    ):
-        if type_name not in schemas:
-            raise RecordError(f"record {record_id!r}: unregistered type {type_name!r}")
-        attributes, key_attributes = schemas[type_name]
-        if not attributes.issuperset(values):
-            unknown = [a for a in values if a not in attributes]
-            raise RecordError(
-                f"record {record_id!r}: attributes {unknown} not in schema {type_name!r}"
-            )
-        key = [values.get(a, "") for a in key_attributes]
-        text = "|".join(key)
-        if "" in key or text.count("|") >= len(key) or "\t" in text:
-            _reject_key(record_id, key_attributes, key)
-        ref = f"{type_name}\t{text}"
-        row = index.get(ref)
-        if row is None:
-            index[ref] = len(stored_values)
-            table.type_names.append(type_name)
-            stored_values.append({a: v for a, v in values.items() if v != ""})
-            merged.append(1)
-            conflicts.append(0)
-        else:
-            merged[row] += 1
-            stored = stored_values[row]
-            for attr, value in values.items():
-                if value == "":
-                    continue
-                seen = stored.get(attr)
-                if seen is None:
-                    stored[attr] = value
-                elif seen != value:
-                    conflicts[row] += 1
-    return table
+    schemas = list(registry)
+    attributes = list(dict.fromkeys(a for s in schemas for a in s.attributes))
+    column = {a: i for i, a in enumerate(attributes)}
+    position = {s.type_name: i for i, s in enumerate(schemas)}
+    # allowed[s, c]: whether schema s has attribute c; key_at[s, c]: the
+    # place of c in s's key, or -1. The last row and column stand for an
+    # unregistered type and an attribute no schema has.
+    allowed = np.zeros((len(schemas) + 1, len(attributes) + 1), bool)
+    key_at = np.full((len(schemas) + 1, len(attributes) + 1), -1)
+    for i, s in enumerate(schemas):
+        allowed[i, [column[a] for a in s.attributes]] = True
+        key_at[i, [column[a] for a in s.key_attributes]] = np.arange(len(s.key_attributes))
+    key_sizes = np.array([len(s.key_attributes) for s in schemas] + [0])
+    width = int(key_sizes.max())
+
+    schema = np.array([position.get(t, -1) for t in records.types], np.int64)[records.type_ids]
+    record, attribute, value = records.segments.T
+    col = np.array([column.get(a, -1) for a in records.attributes], np.int64)[attribute]
+    unknown = ~allowed[schema[record], col]
+    place = key_at[schema[record], col]
+    keys = np.full((len(records), width), -1)  # each record's key value ids
+    in_key = place >= 0
+    keys[record[in_key], place[in_key]] = value[in_key]
+    del place, in_key
+    # per value id, and last for no value (-1): empty, or holds '|' or TAB
+    buf = np.frombuffer(records.values, np.uint8)
+    spans = _kernels.line_spans(buf)
+    empty = np.append(spans[0] == spans[1], True)
+    separated = np.zeros(len(empty), bool)
+    separators = np.flatnonzero((buf == ord("|")) | (buf == ord("\t")))
+    separated[np.searchsorted(spans[1], separators)] = True
+    needed = np.arange(width) < key_sizes[schema][:, None]
+    failed = (schema < 0) | (needed & (empty[keys] | separated[keys])).any(axis=1)
+    failed[record[unknown]] = True
+    if failed.any():
+        _reject_record(records, registry, int(np.argmax(failed)))
+
+    # records with one type and the same key value ids share a reference
+    code, first = schema, np.arange(len(records))
+    for j in range(width):
+        _, first, code = _kernels.unique_first(
+            code * len(empty) + np.where(keys[:, j] < 0, len(empty) - 1, keys[:, j]))
+    order = np.argsort(first)
+    row_of = np.empty(len(first), np.int64)
+    row_of[order] = np.arange(len(first))
+    first, obj = first[order], row_of[code]  # each row's first record; each record's row
+
+    # the non-empty values by (row, attribute) cell, in record order within
+    # a cell (a stable sort, fast as rows mostly grow with records): a
+    # cell's first value is kept, and each later one that differs is a conflict
+    filled = ~empty[value]
+    cell = obj[record[filled]] * len(attributes) + col[filled]
+    order = np.argsort(cell, kind="stable")
+    cell, value = cell[order], value[filled][order]
+    new_cell = np.ones(len(cell), bool)
+    np.not_equal(cell[1:], cell[:-1], out=new_cell[1:])
+    kept = value[new_cell]
+    value_ids = np.full((len(first), len(attributes)), -1)
+    value_ids.ravel()[cell[new_cell]] = kept
+    conflicted = value != kept[np.cumsum(new_cell) - 1]
+    conflicts = np.bincount(cell[conflicted] // max(len(attributes), 1), minlength=len(first))
+    type_ids = records.type_ids[first]
+    refs = _references(records, type_ids, keys[first], key_sizes[schema[first]], spans)
+    return ObjectTable(dict(zip(refs, range(len(refs)))), records.types, type_ids, attributes,
+                       value_ids, records.values, np.bincount(obj, minlength=len(first)),
+                       conflicts)
+
+
+def _references(records: RecordTable, type_ids: np.ndarray, keys: np.ndarray,
+                sizes: np.ndarray, value_spans: tuple[np.ndarray, np.ndarray]) -> list[str]:
+    """Each row's reference ``type_name<TAB>key1|key2...`` from its type id,
+    its key value ids (the first ``sizes`` of each row) and the spans of
+    records.values, composed as bytes and decoded at once."""
+    type_data = _joined(records.types)
+    type_starts, type_ends = _kernels.line_spans(np.frombuffer(type_data, np.uint8))
+    at_values, at_separators = len(type_data), len(type_data) + len(records.values)
+    data = np.frombuffer(type_data + records.values + b"\t|\n", np.uint8)
+    value_starts, value_ends = (np.append(side, 0) for side in value_spans)  # -1: none
+    # pieces of a row: its type name, a separator and a value per key place
+    # (empty past the row's key), and a newline
+    n, width = keys.shape
+    in_key = np.arange(width) < sizes[:, None]
+    starts = np.empty((n, 2 * width + 2), np.int64)
+    lengths = np.zeros((n, 2 * width + 2), np.int64)
+    starts[:, 0], lengths[:, 0] = type_starts[type_ids], (type_ends - type_starts)[type_ids]
+    starts[:, 1:-1:2], lengths[:, 1:-1:2] = at_separators + (np.arange(width) > 0), in_key
+    starts[:, 2:-1:2] = at_values + value_starts[keys]
+    lengths[:, 2:-1:2] = np.where(in_key, (value_ends - value_starts)[keys], 0)
+    starts[:, -1], lengths[:, -1] = at_separators + 2, 1
+    return _lines(_kernels.gather_spans(data, starts.ravel(), lengths.ravel()).tobytes())
 
 
 @dataclass(frozen=True)
@@ -255,7 +414,7 @@ class ObjectGraph:
             if rt.rel_name in rels:
                 raise GraphError(f"duplicate relationship type {rt.rel_name!r}")
             rels[rt.rel_name] = rt
-        types = np.array(self.objects.type_names, dtype=str)
+        types, type_ids = self.objects.types, self.objects.type_ids
         for rel_name, edges in self.links.items():
             rt = rels.get(rel_name)
             if rt is None:
@@ -266,11 +425,12 @@ class ObjectGraph:
                 raise GraphError(f"{rel_name}: link ({src}, {tgt}) points outside the graph")
             for column, side, expected in ((0, "source", rt.source_type),
                                            (1, "target", rt.target_type)):
-                wrong = np.flatnonzero(types[edges[:, column]] != expected)
+                expected_id = types.index(expected) if expected in types else -1
+                wrong = np.flatnonzero(type_ids[edges[:, column]] != expected_id)
                 if wrong.size:
                     obj = int(edges[wrong[0], column])
                     raise GraphError(f"{rel_name}: {side} object {obj} has type "
-                                     f"{self.objects.type_names[obj]!r}, expected {expected!r}")
+                                     f"{types[type_ids[obj]]!r}, expected {expected!r}")
             _, dropped = _kernels.unique_edges(edges, n)
             if dropped:
                 raise GraphError(f"{rel_name}: {dropped} duplicate link(s)")

@@ -77,8 +77,7 @@ def paper_registry() -> SchemaRegistry:
 
 def record_table(rows) -> RecordTable:
     """The RecordTable of (record_id, type_name, attribute values) rows."""
-    rows = list(rows)
-    return RecordTable([r[0] for r in rows], [r[1] for r in rows], [dict(r[2]) for r in rows])
+    return RecordTable.from_rows((r[0], r[1], dict(r[2])) for r in rows)
 
 
 def link_table(rows) -> LinkTable:

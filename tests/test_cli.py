@@ -188,6 +188,22 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "error: record 'r1': key attribute 'title' value 'a|b' contains '|'" in err
 
+    @pytest.mark.parametrize("schemas, expected", [
+        ("paper\tti=tle\tti=tle\n", "paper: attribute name 'ti=tle' contains '='"),
+        ("paper\ttitle;x\ttitle;x\n", "paper: attribute name 'title;x' contains ';'"),
+        # not a key attribute: such a schema loaded before, though no line could give it
+        ("# types\npaper\ttitle,a;b\ttitle\n", "paper: attribute name 'a;b' contains ';'"),
+    ], ids=["equals-in-key", "semicolon-in-key", "semicolon-outside-key"])
+    def test_separator_in_a_schema_attribute_name_exits_2(self, tmp_path, capsys, schemas,
+                                                          expected):
+        d = write_corpus_dir(tmp_path / "c", schemas=schemas, objects="r1\tpaper\ttitle=A\n",
+                             links="", pages="", page_map="")
+        assert run_cli("ingest", d) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {d}/schemas.tsv:{schemas.count(chr(10))}: {expected}, "
+                                "a separator of objects.tsv\n")
+
     def test_summary(self, oracle_corpus, capsys):
         assert run_cli("ingest", oracle_corpus) == 0
         output = capsys.readouterr().out

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import map_columns
 from test_digests import write_dirty_corpus, write_edge_corpus
 
-from poprank import FormatError, GraphError, PartialRanking
+from poprank import FormatError, GraphError, PartialRanking, RecordError
 from poprank import corpus, formats
 from poprank.corpus import (
     CorpusPaths,
@@ -347,6 +347,39 @@ def test_line_blocks_match_line_iteration(tmp_path, text, size):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pieces=st.lists(st.sampled_from([b"a", b"\n", b"\r", b"\r\n"]), max_size=60),
+       size=st.integers(1, 9))
+def test_raw_blocks_cut_at_every_kind_of_line_end(tmp_path, pieces, size):
+    """The blocks rejoin to the file, ending with a line end; each ends
+    with a LF or a CR that no LF follows in the file, so a CRLF is never
+    split and a CR-only file is cut as often as a LF one."""
+    data = b"".join(pieces)
+    path = tmp_path / "lines.tsv"
+    path.write_bytes(data)
+    blocks = list(formats._raw_blocks(path, size))
+    joined = b"".join(blocks)
+    assert joined in (data, data + b"\n") and (not data or joined.endswith((b"\n", b"\r")))
+    end = 0
+    for block in blocks:
+        end += len(block)
+        assert block.endswith(b"\n") or data[end:end + 1] != b"\n"
+    longest = max((len(line) for line in data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                   .split(b"\n")), default=0)
+    assert all(len(block) <= size + longest + 2 for block in blocks)
+
+
+def test_a_cr_only_objects_file_is_read_in_bounded_blocks(tmp_path):
+    lines = [f"r{i}\tpaper\ttitle=p{i};year={i % 5}" for i in range(400)]
+    cr, lf = tmp_path / "cr.tsv", tmp_path / "lf.tsv"
+    cr.write_bytes("".join(line + "\r" for line in lines).encode("utf-8"))
+    lf.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    assert len(list(formats._raw_blocks(cr, 1024))) > 1
+    raw_blocks = formats._raw_blocks
+    with mock.patch.object(formats, "_raw_blocks", lambda path, size: raw_blocks(path, 1024)):
+        assert list(formats.read_objects(cr).rows()) == list(formats.read_objects(lf).rows())
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(pieces=st.lists(st.sampled_from([b"a", b"#", b"\t", b"\n", b"\r", b"\xc3", b"\xa9", b"\xff"]),
                        max_size=40),
        size=st.integers(1, 9))
@@ -570,8 +603,8 @@ def test_read_links_matches_plain_python_reference(tmp_path, data, block):
     link_line = st.lists(field, min_size=5, max_size=5).map("\t".join)
     _fuzzed_file(data, path, link_line)
     expected = _outcome(_reference_link_table, path)
-    blocks = formats._line_blocks
-    with mock.patch.object(formats, "_line_blocks", lambda p, size: blocks(p, block)):
+    raw_blocks = formats._raw_blocks
+    with mock.patch.object(formats, "_raw_blocks", lambda p, size: raw_blocks(p, block)):
         got = _outcome(formats.read_links, path)
     if isinstance(expected, str):
         assert got == expected
@@ -592,8 +625,8 @@ def test_read_pages_matches_plain_python_reference(tmp_path, data, block):
         lambda row: row[0] + ("\t" + ",".join(row[1]) if row[1] else ""))
     _fuzzed_file(data, path, page_line)
     expected = _outcome(_reference_page_columns, path)
-    blocks = formats._line_blocks
-    with mock.patch.object(formats, "_line_blocks", lambda p, size: blocks(p, block)):
+    raw_blocks = formats._raw_blocks
+    with mock.patch.object(formats, "_raw_blocks", lambda p, size: raw_blocks(p, block)):
         got = _outcome(formats.read_pages, path)
     if isinstance(expected, str):
         assert got == expected
@@ -601,6 +634,168 @@ def test_read_pages_matches_plain_python_reference(tmp_path, data, block):
     page_ids, src, tgt = got
     assert (page_ids, src.tolist(), tgt.tolist()) == expected
     assert src.dtype == tgt.dtype == np.int64
+
+
+def _reference_records(path):
+    """(record_id, type_name, {attribute: value}) per data line, read with
+    str methods one line at a time, as read_objects once read them."""
+    text = path.read_bytes().decode("utf-8", "surrogateescape")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FormatError(f"{path}:{lineno}: not valid UTF-8") from None
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (3, 4):
+            raise FormatError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(fields)}")
+        values: dict[str, str] = {}
+        if fields[2]:
+            for segment in fields[2].split(";"):
+                attr, sep, value = segment.partition("=")
+                if not sep or not attr:
+                    raise FormatError(f"{path}:{lineno}: bad attribute segment {segment!r}")
+                if attr in values:
+                    raise FormatError(f"{path}:{lineno}: attribute {attr!r} given twice")
+                values[attr] = value
+        rows.append((fields[0], fields[1], values))
+    return rows
+
+
+def _reference_merge(rows, registry):
+    """(index, type names, attribute dicts, record counts, conflict counts)
+    by a dict per object, as merge_records once merged them."""
+    schemas = {s.type_name: (frozenset(s.attributes), s.key_attributes) for s in registry}
+    index, types, stored_values, merged, conflicts = {}, [], [], [], []
+    for record_id, type_name, values in rows:
+        if type_name not in schemas:
+            raise RecordError(f"record {record_id!r}: unregistered type {type_name!r}")
+        attributes, key_attributes = schemas[type_name]
+        unknown = [a for a in values if a not in attributes]
+        if unknown:
+            raise RecordError(f"record {record_id!r}: attributes {unknown} not in schema "
+                              f"{type_name!r}")
+        key = [values.get(a, "") for a in key_attributes]
+        for attr, value in zip(key_attributes, key):
+            if value == "":
+                raise RecordError(f"record {record_id!r}: key attribute {attr!r} is missing or "
+                                  "empty")
+            for sep, name in (("|", "'|'"), ("\t", "TAB")):
+                if sep in value:
+                    raise RecordError(f"record {record_id!r}: key attribute {attr!r} value "
+                                      f"{value!r} contains {name}")
+        ref = f"{type_name}\t{'|'.join(key)}"
+        row = index.setdefault(ref, len(index))
+        if row == len(types):
+            types.append(type_name)
+            stored_values.append({a: v for a, v in values.items() if v != ""})
+            merged.append(1)
+            conflicts.append(0)
+            continue
+        merged[row] += 1
+        for attr, value in values.items():
+            if value == "":
+                continue
+            seen = stored_values[row].setdefault(attr, value)
+            conflicts[row] += seen != value
+    return index, types, stored_values, merged, conflicts
+
+
+_OBJECT_SCHEMAS = "paper\ttitle,year,venue\ttitle\nauthor\tname,k1,k2\tk1,k2\n"
+# keys and values that repeat, so records merge and disagree: '=' inside
+# values, empty values, non-ASCII text, and blanks that str.strip removes
+_OBJECT_KEYS = st.sampled_from(["A", "B", "é", "x=y", " A"])
+_OBJECT_VALUES = st.sampled_from(["1", "2", "", "a|b", "x=y", "ü", "\x0b"])
+# one fault of a line: field count, segment form, repeated, unknown or
+# missing attributes, unregistered type, empty key, '|' in a key
+_OBJECT_FAULTS = ["fields", "segment", "twice", "unknown", "type", "missing", "empty", "pipe"]
+
+
+def _object_line(data, fault):
+    """An objects line of a registered type with its key, or with ``fault``;
+    ';' and '=' in record ids and ';' in the optional fourth field."""
+    type_name = data.draw(st.sampled_from(["paper", "author"]))
+    if type_name == "paper":
+        attrs = {"title": data.draw(_OBJECT_KEYS)}
+        optional = ["year", "venue"]
+    else:
+        attrs = {"k1": data.draw(_OBJECT_KEYS), "k2": data.draw(_OBJECT_KEYS)}
+        optional = ["name"]
+    for name in data.draw(st.lists(st.sampled_from(optional), unique=True)):
+        attrs[name] = data.draw(_OBJECT_VALUES)
+    segments = data.draw(st.permutations([f"{a}={v}" for a, v in attrs.items()]))
+    key = "title" if type_name == "paper" else data.draw(st.sampled_from(["k1", "k2"]))
+    if fault == "segment":
+        segments.insert(data.draw(st.integers(0, len(segments))),
+                        data.draw(st.sampled_from(["title", "=A", "", "k2A"])))
+    elif fault == "twice":
+        segments.append(data.draw(st.sampled_from(segments)))
+    elif fault == "unknown":
+        segments.append(data.draw(st.sampled_from(["zz=1", "name=N" if type_name == "paper"
+                                                   else "venue=V"])))
+    elif fault == "type":
+        type_name = data.draw(st.sampled_from(["book", "", "Paper"]))
+    elif fault in ("missing", "empty", "pipe"):
+        segments = [seg for seg in segments if not seg.startswith(f"{key}=")]
+        if fault != "missing":
+            segments.append(f"{key}=" + ("" if fault == "empty" else "k|1"))
+    fields = [data.draw(st.sampled_from(["r1", "r;2", "r=3", "é4", ""])), type_name,
+              ";".join(segments)]
+    fields += data.draw(st.sampled_from([[], [], ["w1"], ["w;1"], [""]]))
+    if fault == "fields":
+        fields = data.draw(st.sampled_from([fields[:2], fields + ["x", "y"][:5 - len(fields)]]))
+    return "\t".join(fields)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), block=st.integers(1, 64))
+def test_objects_read_and_merged_as_by_plain_python(tmp_path, data, block):
+    """read_objects and merge_records, through load_corpus, against the
+    line-by-line reader and dict-per-object merge they replace: the same
+    table and ``diag merge`` line, or the same first error."""
+    faults = data.draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))  # the share of faulty lines
+    lines = []
+    for _ in range(data.draw(st.integers(0, 24))):
+        kind = data.draw(st.sampled_from(["line"] * 4 + ["blank"]))
+        if kind == "blank":
+            lines.append(data.draw(st.sampled_from(["", "  ", "# note", " \t# x"])))
+            continue
+        fault = (data.draw(st.sampled_from(_OBJECT_FAULTS))
+                 if data.draw(st.floats(0.0, 1.0)) < faults else None)
+        line = _object_line(data, fault)
+        lines.append(data.draw(st.sampled_from(["", "", "", " "])) + line)  # some indented
+    text = b"".join(line.encode("utf-8") + data.draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+                    for line in lines)
+    if text and data.draw(st.integers(0, 9)) == 0:  # a byte that is not UTF-8
+        at = data.draw(st.integers(0, len(text) - 1))
+        text = text[:at] + b"\xff" + text[at:]
+    paths = write_minimal_corpus(tmp_path, schemas=_OBJECT_SCHEMAS, objects="", links="",
+                                 pages="", page_map="")
+    paths.objects.write_bytes(text)
+    registry = corpus.SchemaRegistry(formats.read_schemas(paths.schemas))
+    try:
+        rows = _reference_records(paths.objects)
+        expected = _reference_merge(rows, registry)
+    except (FormatError, RecordError) as err:
+        expected = str(err)
+    raw_blocks = formats._raw_blocks
+    with mock.patch.object(formats, "_raw_blocks", lambda path, size: raw_blocks(path, block)):
+        try:
+            bundle = load_corpus(paths)
+        except (FormatError, RecordError) as err:
+            assert str(err) == expected
+            return
+    assert not isinstance(expected, str), expected
+    objects = bundle.graph.objects
+    assert (objects.index, objects.type_names, objects.attribute_values,
+            objects.merged_record_counts, objects.conflict_counts) == expected
+    assert bundle.diagnostics[0] == (f"merge\trecords={len(rows)}\tobjects={len(expected[0])}"
+                                     f"\tconflicts={sum(expected[4])}")
 
 
 # ---- where the links task runs -------------------------------------------------

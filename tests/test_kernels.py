@@ -359,6 +359,23 @@ def test_span_interner_matches_dict_interning(data, seed):
     assert len(interner) == len(expected)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_span_interner_over_blocks_matches_dict_interning(data):
+    """Pools of up to 60 values over up to 6 blocks, so that new values
+    go to the recent hash table and are merged into the large one."""
+    pool = data.draw(st.lists(st.text(_SPAN_ALPHABET, max_size=20), min_size=1, max_size=60,
+                              unique=True))
+    interner = _kernels.SpanInterner(0)
+    expected: dict[str, int] = {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        values = data.draw(st.lists(st.sampled_from(pool), max_size=40))
+        ids = interner.intern(*_spans(values, [""] * len(values)))
+        assert ids.tolist() == [expected.setdefault(v, len(expected)) for v in values]
+    assert interner.values() == list(expected)
+    assert interner.data() == "".join(f"{v}\n" for v in expected).encode("utf-8")
+
+
 def _colliding_first_seed(monkeypatch):
     """Every hash of seed 0 is 0; returns the seeds hashed with."""
     real, seeds = _kernels._span_hashes, []
@@ -395,6 +412,21 @@ def test_a_forced_collision_gives_the_same_tables(tmp_path, monkeypatch):
         page_ids, src, tgt = formats.read_pages(pages)
         return (table.triples, table.codes.tolist(), table.refs, table.src.tolist(),
                 table.tgt.tolist(), page_ids, src.tolist(), tgt.tolist())
+
+    before = read()
+    seeds = _colliding_first_seed(monkeypatch)
+    assert read() == before
+    assert set(seeds) == {0, 1}
+
+
+def test_a_forced_collision_gives_the_same_record_table(tmp_path, monkeypatch):
+    objects = tmp_path / "objects.tsv"
+    objects.write_text("".join(f"r{i}\tpaper\ttitle=p{i % 7};year={i % 3}\n" for i in range(30))
+                       + "a1\tauthor\tname=N;x=\n")
+    from poprank import formats
+
+    def read():
+        return list(formats.read_objects(objects).rows())
 
     before = read()
     seeds = _colliding_first_seed(monkeypatch)

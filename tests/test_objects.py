@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -20,6 +23,7 @@ from poprank import (
     SchemaError,
     SchemaRegistry,
     build_graph,
+    formats,
     merge_records,
 )
 
@@ -53,6 +57,14 @@ class TestSchemaRegistry:
         # a reference is type<TAB>key, so a TAB in the type would make two refs collide
         with pytest.raises(SchemaError, match=r"type name 'pa\\tper' contains TAB"):
             ObjectTypeSchema("pa\tper", ("title",), ("title",))
+
+    @pytest.mark.parametrize("name, shown", [("ti=tle", "'='"), ("title;x", "';'"),
+                                             ("ti\ttle", "TAB"), ("ti\ntle", "a newline")])
+    def test_separator_of_objects_lines_in_attribute_name_rejected(self, name, shown):
+        # objects.tsv reads "name=value;name=value", so such a name could never be given
+        with pytest.raises(SchemaError, match=f"attribute name {re.escape(repr(name))} "
+                                              f"contains {shown}, a separator of objects.tsv"):
+            ObjectTypeSchema("paper", ("title", name), ("title",))
 
     def test_unknown_type_lookup(self):
         with pytest.raises(SchemaError):
@@ -145,6 +157,41 @@ class TestMergeRecords:
         with pytest.raises(RecordError):
             merge_records(record_table([("a", "paper", {"title": "X", "isbn": "1"})]),
                           paper_registry())
+
+    def test_newline_in_a_row_rejected(self):
+        # a RecordTable keeps record ids and values newline-separated
+        for row in [("a\nb", "paper", {"title": "X"}), ("a", "paper", {"title": "X\nY"})]:
+            with pytest.raises(RecordError, match="contains a newline"):
+                record_table([row])
+
+    def test_rows_read_back(self):
+        rows = [("a", "paper", {"title": "X", "year": ""}), ("b", "book", {}),
+                ("c", "paper", {"year": "2004", "title": "é"})]
+        assert list(record_table(rows).rows()) == rows
+
+
+def test_object_table_retains_few_bytes_per_object(tmp_path):
+    """The merged table of a generated corpus, read from its file, holds
+    its values as interned columns, not a dict per object: at most 300
+    bytes per object, against about 470 with one dict per object."""
+    n = 20_000
+    rng = np.random.default_rng(5)
+    ids = np.concatenate((np.arange(n), rng.integers(0, n, n // 7)))  # some records repeat
+    path = tmp_path / "objects.tsv"
+    path.write_text("".join(f"r{i}\tpaper\ttitle=p{k};year={1950 + k % 60};venue=v{k % 300}\n"
+                            for i, k in enumerate(ids.tolist())))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        records = formats.read_objects(path)
+        objects = merge_records(records, paper_registry())
+        del records
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(objects) == n
+    assert retained / n < 300
 
 
 records_strategy = st.lists(
