@@ -32,10 +32,6 @@ def backend() -> str:
     return "numpy"
 
 
-class HashCollision(Exception):
-    """Two different spans got one hash; intern again with the next seed."""
-
-
 _ALL_BITS = np.uint64(2**64 - 1)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -114,11 +110,13 @@ class SpanInterner:
     unaligned word view and seeded with its length and ``seed``, in a
     sorted table of the hashes seen so far (a large part and a recent one,
     merged once the recent part is an eighth of the large one, so that a
-    block seldom copies the whole table); every span is then compared word
-    for word with the bytes stored for its id. When two different
-    values share a hash the comparison fails and HashCollision is raised:
-    the caller starts again with another seed, so ids never depend on the
-    hash. Memory grows with the distinct values, not with the blocks.
+    block seldom copies the whole table); every span is then compared, by
+    length and then word for word, with the bytes stored for its id. When
+    two different values share a hash the comparison fails and the
+    interner starts over under ``seed + 1``: it interns the values it held
+    before the block, in id order, and then the block, so ids never depend
+    on the hash and a collision costs a re-intern of the held values.
+    Memory grows with the distinct values, not with the blocks.
 
     Values must not contain a newline byte: the stored values are kept
     newline-separated, and ``values`` decodes them with one split.
@@ -142,6 +140,18 @@ class SpanInterner:
     def intern(self, data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """The int64 id of each span ``data[starts[i]:ends[i]]``; a value
         not seen before gets the next id, in the order of the spans."""
+        held = self._size
+        ids = self._intern(data, starts, ends)
+        if ids is None:  # a hash collision: start over under the next seed
+            store = self._store[:held].tobytes()
+            self.__init__(self.seed + 1)
+            self.intern(store, *line_spans(np.frombuffer(store, np.uint8)))
+            ids = self.intern(data, starts, ends)
+        return ids
+
+    def _intern(self, data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+        """``intern``'s ids, or None when a span differs from the value
+        stored under its hash."""
         buf = np.frombuffer(data + bytes(8), np.uint8)
         starts = np.asarray(starts, np.int64)
         lengths = np.asarray(ends, np.int64) - starts
@@ -168,12 +178,11 @@ class SpanInterner:
         self._store_new(buf, starts, lengths, np.sort(first[new]))  # by first appearance
         self._add(distinct[new], distinct_ids[new])
         ids = distinct_ids[inverse]
+        # lengths first: a span longer than its stored value would read past it
         if not np.array_equal(self._lengths[ids], lengths):
-            raise HashCollision
+            return None
         stored = _padded_words(self._store)[np.repeat(self._offsets[ids], counts) + place] & mask
-        if not np.array_equal(stored, words):
-            raise HashCollision
-        return ids
+        return ids if np.array_equal(stored, words) else None
 
     def _add(self, hashes: np.ndarray, ids: np.ndarray) -> None:
         """Put sorted new hashes and their ids in the recent table, and merge

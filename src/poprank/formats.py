@@ -20,20 +20,23 @@ ppf        rel_name <TAB> gamma
 expert     either one object reference per line (full order, best first),
            or pair lines: object_ref <TAB> > <TAB> object_ref
 
+Every reader reads its file as bytes, in blocks of about BLOCK_BYTES
+(four times that for links) cut after a line end (``_byte_blocks``). A
+block that holds a CR has its CRLF and CR turned into LF; a block that is
+not pure ASCII is checked with one strict UTF-8 decode. A line is decoded
+and checked for being data only when its first byte is whitespace, ``#``
+or not ASCII; every other line is data as read.
+
 The four corpus data files are read as columns, with no object per
 line: ``read_objects`` returns a RecordTable of interned ids, ``read_links``
 a LinkTable of interned int64 ids (see objects), ``read_pages`` the page
 ids with int64 source and target page numbers, and ``read_page_map`` the
-page ids, object refs and float64 block weights. ``read_objects``,
-``read_links`` and ``read_pages`` read the file as bytes, in blocks of
-about BLOCK_BYTES (four times that for links) cut after a line end
-(``_byte_blocks``); numpy finds the
-separators of each block's lines and ``_kernels.SpanInterner`` interns
-their fields as bytes. Only a block that is not pure ASCII, holds a CR,
-or has an empty, blank, indented or ``#`` line is decoded and split as
-text (as the other readers read every line), and its data lines are
-encoded again. The writers take what the readers return, except
-``write_pages``, which takes (page id, out-link ids) rows.
+page ids, object refs and float64 block weights. For objects, links and
+pages numpy finds the separators of each block's data lines and
+``_kernels.SpanInterner`` interns their fields as bytes; the other
+readers decode the data lines (``_data_lines``). The writers take what
+the readers return, except ``write_pages``, which takes (page id,
+out-link ids) rows.
 
 Reports are TSV rows preceded by a ``#``-prefixed metadata block of
 ``# key <TAB> value`` lines; scores are written with full round-trip
@@ -42,11 +45,8 @@ precision so reports parse back losslessly.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import partial
-from operator import itemgetter
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
-from typing import TypeVar
 
 import numpy as np
 
@@ -54,27 +54,12 @@ from . import _kernels
 from .errors import FormatError, PopRankError
 from .objects import LinkTable, ObjectTypeSchema, RecordTable
 
-T = TypeVar("T")
-
 # bytes per block of the block readers; a block's arrays are a few times
 # its size, so this bounds the parse's memory
 BLOCK_BYTES = 1 << 18
 
 _TAB, _NEWLINE, _COMMA, _SEMICOLON, _EQUALS = (ord(c) for c in "\t\n,;=")
 _LINK_CUTS = np.array([_TAB] * 4 + [_NEWLINE], np.uint8)  # the separators of a links line
-
-
-def _undecodable(block: str) -> int | None:
-    """The number of newlines before the first byte of ``block`` that was
-    not UTF-8, or None. Such bytes are read as lone surrogates, which no
-    UTF-8 text decodes to."""
-    if block.isascii():
-        return None
-    try:
-        block.encode("utf-8")
-    except UnicodeEncodeError as err:
-        return block.count("\n", 0, err.start)
-    return None
 
 
 def _raw_blocks(path: Path, size: int) -> Iterator[bytes]:
@@ -98,91 +83,56 @@ def _raw_blocks(path: Path, size: int) -> Iterator[bytes]:
             yield tail + b"\n"
 
 
-def _text_lines(block: bytes) -> tuple[list[str], int | None]:
-    """The lines of a raw block, decoded, with CRLF and CR read as LF, and
-    the index of the first line with a byte that is not UTF-8, or None."""
-    text = block.decode("utf-8", "surrogateescape")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    lines.pop()  # the block ends with a newline
-    return lines, _undecodable(text)
-
-
-def _line_blocks(path: Path, size: int = BLOCK_BYTES) -> Iterator[tuple[int, list[str]]]:
-    """(number of the first line, lines without their newline) for
-    consecutive blocks of about ``size`` bytes; CRLF and CR line endings
-    read as LF. A line that is not UTF-8 raises FormatError after the
-    lines before it have been yielded."""
-    lineno = 1
-    for block in _raw_blocks(path, size):
-        lines, bad = _text_lines(block)
-        if bad is not None:
-            yield lineno, lines[:bad]
-            _fail(path, lineno + bad, "not valid UTF-8")
-        yield lineno, lines
-        lineno += len(lines)
-
-
 def _is_data(line: str) -> bool:
     return bool(line.strip()) and not line.lstrip().startswith("#")
 
 
-def _all_data(lines: list[str]) -> bool:
-    """True when no line is blank or starts with whitespace or ``#``, so
-    every line is data without a check per line."""
-    return all(lines) and not any(c.isspace() or c == "#" for c in set(map(itemgetter(0), lines)))
-
-
-def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
-    for first, lines in _line_blocks(path):
-        if _all_data(lines):
-            yield from enumerate(lines, first)
-        else:
-            yield from ((lineno, line) for lineno, line in enumerate(lines, first)
-                        if _is_data(line))
-
-
-# the first bytes of a line that only the text path reads: whitespace
-# (blank, empty or indented lines) and '#'
-_TEXT_START = np.zeros(256, bool)
-_TEXT_START[[ord(c) for c in map(chr, range(128)) if c.isspace() or c == "#"]] = True
+# the first bytes of a line that is decoded and checked with _is_data:
+# ASCII whitespace (blank, empty or indented lines), '#' and every byte
+# that is not ASCII (Unicode whitespace, say); a line starting with any
+# other byte is data
+_CHECKED_START = np.zeros(256, bool)
+_CHECKED_START[[i for i in range(128) if chr(i).isspace() or chr(i) == "#"]] = True
+_CHECKED_START[128:] = True
 
 
 def _byte_blocks(path: Path, size: int = BLOCK_BYTES) -> Iterator[tuple[Sequence[int], bytes]]:
     """(line numbers, data lines) for consecutive blocks of about ``size``
     bytes of the file: the data lines as UTF-8 bytes, each followed by a
-    newline. A block of ASCII lines without CR, none of them empty or
-    starting with whitespace or ``#``, is passed on as read. Any other
-    block takes the text path of ``_line_blocks`` and its data lines are
-    encoded again; a line that is not UTF-8 raises FormatError after the
-    data lines before it have been yielded."""
+    newline, with CRLF and CR read as LF. A line that is not UTF-8 raises
+    FormatError after the data lines before it have been yielded."""
     lineno = 1
     for block in _raw_blocks(path, size):
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        bad = None
+        if not block.isascii():
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as err:  # keep the lines before the bad one
+                block = block[:block.rfind(b"\n", 0, err.start) + 1]
+                bad = lineno + block.count(b"\n")
         buf = np.frombuffer(block, np.uint8)
-        starts, _ = _kernels.line_spans(buf)
-        if block.isascii() and b"\r" not in block and not _TEXT_START[buf[starts]].any():
+        starts, ends = _kernels.line_spans(buf)
+        keep = np.ones(len(starts), bool)
+        checked = np.flatnonzero(_CHECKED_START[buf[starts]])
+        keep[checked] = [_is_data(block[a:b].decode("utf-8"))
+                         for a, b in zip(starts[checked].tolist(), ends[checked].tolist())]
+        if keep.all():
             yield range(lineno, lineno + len(starts)), block
-            lineno += len(starts)
-            continue
-        lines, bad = _text_lines(block)
-        numbered = [(n, line) for n, line in enumerate(lines[:bad], lineno) if _is_data(line)]
-        data = "".join(line + "\n" for _, line in numbered).encode("utf-8")
-        yield [n for n, _ in numbered], data
+        else:
+            yield (np.flatnonzero(keep) + lineno,
+                   _kernels.join_spans(buf, starts[keep], ends[keep]).tobytes())
         if bad is not None:
-            _fail(path, lineno + bad, "not valid UTF-8")
-        lineno += len(lines)
+            _fail(path, bad, "not valid UTF-8")
+        lineno += len(starts)
 
 
-def _with_hash_seeds(read: Callable[[int], T]) -> T:
-    """``read(seed)`` for the first hash seed 0, 1, ... whose interning
-    meets no hash collision; the result does not depend on the seed."""
-    seed = 0
-    while True:
-        try:
-            return read(seed)
-        except _kernels.HashCollision:
-            seed += 1
+def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each data line of the file, decoded."""
+    for numbers, data in _byte_blocks(path):
+        # the data ends with a newline, so the split's last item is dropped
+        yield from zip(numbers, data.decode("utf-8").split("\n"))
 
 
 def _fail(path: Path, lineno: int, message: str):
@@ -235,11 +185,7 @@ def read_objects(path: Path) -> RecordTable:
     type names, attribute names and values are interned as bytes
     (``_kernels.SpanInterner``) and record ids are kept as bytes.
     """
-    return _with_hash_seeds(partial(_intern_objects, path))
-
-
-def _intern_objects(path: Path, seed: int) -> RecordTable:
-    types, attributes, values = (_kernels.SpanInterner(seed) for _ in range(3))
+    types, attributes, values = (_kernels.SpanInterner() for _ in range(3))
     record_ids, type_ids, segments = [], [np.empty(0, np.int64)], [np.empty((0, 3), np.int64)]
     num_records = 0
     for numbers, data in _byte_blocks(path):
@@ -346,16 +292,12 @@ def read_links(path: Path) -> LinkTable:
     """The links file as a LinkTable, streamed block by block; no object
     is built per line.
 
-    Each block's lines are checked as text first, then interned as bytes
-    (``_kernels.SpanInterner``): the ``type<TAB>key`` references, source
+    Each block's lines are checked for their 5 fields, then interned as
+    bytes (``_kernels.SpanInterner``): the ``type<TAB>key`` references, source
     before target in line order, and the relationship names. A line's
     triple is its relationship with the types of its two references.
     """
-    return _with_hash_seeds(partial(_intern_links, path))
-
-
-def _intern_links(path: Path, seed: int) -> LinkTable:
-    refs, rels, types = (_kernels.SpanInterner(seed) for _ in range(3))
+    refs, rels, types = (_kernels.SpanInterner() for _ in range(3))
     ref_types = np.empty(1 << 10, np.int64)  # per ref, the id of its type (room to grow)
     triples: dict[tuple[int, int, int], int] = {}
     codes, src, tgt = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
@@ -474,15 +416,11 @@ def read_pages(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
     appearance. Duplicate rows for a page are an error; a missing or
     empty second field means no out-links.
 
-    Each block's lines are checked as text, then interned as bytes
-    (``_kernels.SpanInterner``): the block's listed page ids, then its
+    Each block's lines are checked for their fields, then interned as
+    bytes (``_kernels.SpanInterner``): the block's listed page ids, then its
     out-links; the numbering above is applied once the file is read.
     """
-    return _with_hash_seeds(partial(_intern_pages, path))
-
-
-def _intern_pages(path: Path, seed: int) -> tuple[list[str], np.ndarray, np.ndarray]:
-    pages = _kernels.SpanInterner(seed)
+    pages = _kernels.SpanInterner()
     listed = np.zeros(0, bool)  # per id, whether the page has a line
     rows, src, tgt = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     num_rows = 0

@@ -108,8 +108,9 @@ class PageObjectMap:
     """Page -> object containment entries as columns: entry i shows object
     ``objects[i]`` on page ``pages[i]`` with block weight ``weights[i]``
     (int64, int64, float64). Raises GraphError for ids that are not
-    integers, columns of unequal length, a negative page, or a weight that
-    is not finite and non-negative. Weights are per-page shares, normalized
+    integers, columns of unequal length, a negative page, a weight that
+    is not finite and non-negative, or a page whose weights have no finite
+    sum (two of 1e308, say). Weights are per-page shares, normalized
     to sum to 1 within each page: a page listing k objects of weight 1.0
     (the page map's weight when none is given) or 0 splits its score evenly.
     """
@@ -131,6 +132,10 @@ class PageObjectMap:
             raise GraphError(f"block weight must be finite and non-negative, got {weights[bad[0]]}")
         if np.any(pages < 0):
             raise GraphError("page-object map references an unknown page")
+        infinite = np.flatnonzero(np.bincount(self.pages, weights=weights) == np.inf)
+        if infinite.size:
+            raise GraphError(f"the block weights of page number {infinite[0]} "
+                             "have no finite sum")
 
     def resolved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (pages, objects, weights) with per-page normalization applied."""

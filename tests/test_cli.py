@@ -493,6 +493,25 @@ class TestNonFiniteScores:
         assert not out.exists()
 
 
+def test_page_weights_without_a_finite_sum_exit_2(tmp_path, capsys):
+    """Two papers at 1e308 on page w1: their shares would both be 0 and
+    the author on w2 would get all of the prior."""
+    d = write_corpus_dir(
+        tmp_path / "overflow",
+        schemas="paper\ttitle\ttitle\nauthor\tname\tname\n",
+        objects="r1\tpaper\ttitle=A\nr2\tpaper\ttitle=B\na1\tauthor\tname=N\n",
+        links="paper\tA\tby\tauthor\tN\npaper\tB\tby\tauthor\tN\n",
+        pages="w1\tw2\nw2\tw1\n",
+        page_map="w1\tpaper\tA\t1e308\nw1\tpaper\tB\t1e308\nw2\tauthor\tN\t1.0\n",
+    )
+    (d / "gamma.tsv").write_text("by\t0.5\n")
+    assert run_cli("compare", d, "--ppf", d / "gamma.tsv") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert errors == ["error: the block weights of page number 0 have no finite sum"]
+
+
 class TestFlagsBeforeCorpus:
     """Bad solver flags exit 2 before the corpus is read: here there is
     none, yet the flag is what is reported."""

@@ -8,7 +8,9 @@ library's random streams. The digests were recorded before the edge sets
 became int64 arrays; any change to a report byte or to a ``diag`` line
 shows up here. A second, hand-written corpus pins the readers' edge cases
 (``write_edge_corpus``); its digests were recorded before the loader
-became columnar.
+became columnar. A third pins non-ASCII text and Unicode whitespace
+(``write_unicode_corpus``); its digests were recorded before every file
+was read as bytes by one block reader.
 """
 
 from __future__ import annotations
@@ -144,6 +146,42 @@ def write_edge_corpus(d):
     return d
 
 
+def write_unicode_corpus(d):
+    """Non-ASCII edge cases: keys and values outside ASCII, comment lines
+    after Unicode whitespace (``\\u3000#``, ``\\x85#``), a ``\\xa0``-only
+    line, a data line that starts with ``\\x1c`` (whitespace to Python), a
+    key with an inner ``\\xa0``, CRLF schemas, CR-only links and an
+    out-link list padded with ``\\xa0`` and holding an empty item."""
+    d.mkdir()
+    (d / "schemas.tsv").write_bytes(
+        "# type\tattributes\tkey\r\npaper\ttitle,year\ttitle\r\n\u3000\r\n"
+        "author\tname,city\tname\r\n".encode("utf-8"))
+    (d / "objects.tsv").write_bytes(
+        "\u3000# records\n"
+        "r1\tpaper\ttitle=Étude;year=2001\tpg1\n"
+        "\xa0\n"
+        "r2\tpaper\ttitle=中文;year=2002\n"
+        "\x85# NEL comment\n"
+        "a1\tauthor\tname=Müller;city=Zürich\tpg2\n"
+        "\x1cr3\tpaper\ttitle=Étude;year=1999\n"
+        "a2\tauthor\tname=Jean\xa0Dupont;city=Paris\n".encode("utf-8"))
+    (d / "links.tsv").write_bytes(
+        "paper\tÉtude\tcites\tpaper\t中文\r"
+        "\u3000# comment\r"
+        "paper\t中文\tby\tauthor\tJean\xa0Dupont\r"
+        "author\tMüller\tcoauthor\tauthor\tJean\xa0Dupont\r"
+        "\xa0\r"
+        "paper\tÉtude\tby\tauthor\tNiemand\r".encode("utf-8"))
+    (d / "pages.tsv").write_bytes(
+        "pg1\t\xa0pg2\xa0,,pg3\n\x85# comment\npg2\tpg1,\xa0\npg3\n".encode("utf-8"))
+    (d / "page_object_map.tsv").write_bytes(
+        "pg1\tpaper\tÉtude\t1.0\n\xa0\npg2\tauthor\tMüller\n"
+        "pg3\tauthor\tJean\xa0Dupont\t0.5\npg3\tpaper\t中文\t2.0\n".encode("utf-8"))
+    (d / "gamma.tsv").write_bytes("\u3000# factors\ncites\t0.7\nby\t0.4\ncoauthor\t0.3\n"
+                                  .encode("utf-8"))
+    return d
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -191,6 +229,17 @@ EDGE_DIGESTS = {
 }
 
 
+# ingest, rank and compare on write_unicode_corpus; recorded before the one block reader
+UNICODE_DIGESTS = {
+    "compare": (0, "4ae1ed6ea9d38d0196df908cbf4b9233605e118f90d4861e816e670623b32828",
+                "e1a7c53c218732b75eed6480e5cbc83c53cb320308f3fd405e3293c866f8752c"),
+    "ingest": (0, "079c89e8c9a41243c9a05b1f6fb7d3d880a5ba8a5e46eba2e36e5f32bd0ca087",
+               "e1a7c53c218732b75eed6480e5cbc83c53cb320308f3fd405e3293c866f8752c"),
+    "rank": (0, "df72d08619d06dc841fd26bc93d72b90547cda295561b02cf748e984bc262c2f",
+             "e1a7c53c218732b75eed6480e5cbc83c53cb320308f3fd405e3293c866f8752c"),
+}
+
+
 def run_case(label: str, d, capsys) -> tuple[int, str, str]:
     command, *rest = CASES[label]
     code = main([command, str(d)] + [str(d / a) if a.endswith(".tsv") else a for a in rest])
@@ -212,3 +261,9 @@ def test_edge_corpus_digest(label, tmp_path, capsys):
     d = write_edge_corpus(tmp_path / "edge")
     assert run_case(label, d, capsys) == EDGE_DIGESTS[label]
 
+
+
+@pytest.mark.parametrize("label", sorted(UNICODE_DIGESTS))
+def test_unicode_corpus_digest(label, tmp_path, capsys):
+    d = write_unicode_corpus(tmp_path / "unicode")
+    assert run_case(label, d, capsys) == UNICODE_DIGESTS[label]

@@ -317,7 +317,8 @@ class TestExpertFiles:
 
 # ---- properties of the readers and the loader ---------------------------------
 
-_ALPHABET = "ab|;=,:>#. \t\r0-9"
+# '~' is written as the byte 0xff, which is not UTF-8
+_ALPHABET = "ab|;=,:>#. \t\r0-9\xa0\u3000\x85~"
 _READERS = ["read_schemas", "read_objects", "read_links", "read_pages", "read_page_map",
             "read_ppf", "read_expert"]
 
@@ -327,23 +328,35 @@ _READERS = ["read_schemas", "read_objects", "read_links", "read_pages", "read_pa
        lines=st.lists(st.text(alphabet=_ALPHABET, max_size=24), min_size=1, max_size=4))
 def test_readers_parse_or_raise_format_error(tmp_path, reader, lines):
     path = tmp_path / "fuzz.tsv"
-    path.write_text("\n".join(lines), encoding="utf-8")
+    path.write_bytes("\n".join(lines).encode("utf-8").replace(b"~", b"\xff"))
     try:
         getattr(formats, reader)(path)
     except FormatError:
         pass
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=st.text(alphabet="ab#\t \r\n", max_size=40), size=st.integers(1, 9))
-def test_line_blocks_match_line_iteration(tmp_path, text, size):
+def _is_data(line: str) -> bool:
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
+def _data_lines_in_blocks(path, size):
+    raw_blocks = formats._raw_blocks
+    with mock.patch.object(formats, "_raw_blocks", lambda p, _: raw_blocks(p, size)):
+        yield from formats._data_lines(path)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text(alphabet="ab#\t \r\n\xa0\u3000\x1c\x85\ufeff\xe9", max_size=40),
+       size=st.integers(1, 9))
+def test_data_lines_match_line_iteration(tmp_path, text, size):
+    """Blank lines, comments after ASCII or Unicode whitespace, and lines
+    that start with a byte that is not ASCII, in blocks of 1-9 bytes."""
     path = tmp_path / "lines.tsv"
     path.write_bytes(text.encode("utf-8"))
     with open(path, encoding="utf-8") as fh:
         expected = [(lineno, raw.rstrip("\n")) for lineno, raw in enumerate(fh, start=1)]
-    got = [(first + i, line) for first, lines in formats._line_blocks(path, size)
-           for i, line in enumerate(lines)]
-    assert got == expected
+    assert list(_data_lines_in_blocks(path, size)) == [(n, line) for n, line in expected
+                                                        if _is_data(line)]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -383,9 +396,9 @@ def test_a_cr_only_objects_file_is_read_in_bounded_blocks(tmp_path):
 @given(pieces=st.lists(st.sampled_from([b"a", b"#", b"\t", b"\n", b"\r", b"\xc3", b"\xa9", b"\xff"]),
                        max_size=40),
        size=st.integers(1, 9))
-def test_line_blocks_stop_at_the_first_line_that_is_not_utf8(tmp_path, pieces, size):
-    """The lines before the first invalid byte are yielded, then FormatError
-    names that byte's line, counting CRLF and CR as line ends."""
+def test_data_lines_stop_at_the_first_line_that_is_not_utf8(tmp_path, pieces, size):
+    """The data lines before the first invalid byte are yielded, then
+    FormatError names that byte's line, counting CRLF and CR as line ends."""
     data = b"".join(pieces)
     path = tmp_path / "lines.tsv"
     path.write_bytes(data)
@@ -394,12 +407,11 @@ def test_line_blocks_stop_at_the_first_line_that_is_not_utf8(tmp_path, pieces, s
     except UnicodeDecodeError as err:
         before = data[:err.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     else:
-        return  # test_line_blocks_match_line_iteration covers valid text
+        return  # test_data_lines_match_line_iteration covers valid text
     got = []
     with pytest.raises(FormatError, match=rf"lines\.tsv:{len(before)}: not valid UTF-8$"):
-        for _, lines in formats._line_blocks(path, size):
-            got.extend(lines)
-    assert got == before[:-1]
+        got.extend(_data_lines_in_blocks(path, size))
+    assert got == [(n, line) for n, line in enumerate(before[:-1], 1) if _is_data(line)]
 
 
 def _reference_links(objects_lines, link_lines):

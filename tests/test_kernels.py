@@ -389,17 +389,60 @@ def _colliding_first_seed(monkeypatch):
     return seeds
 
 
-@pytest.mark.parametrize("values", [["ab", "ba"], ["a", "aa"], ["", "x"], ["same", "same", "other"]])
-def test_span_interner_raises_on_a_collision(monkeypatch, values):
-    _colliding_first_seed(monkeypatch)
-    with pytest.raises(_kernels.HashCollision):
-        _kernels.SpanInterner(0).intern(*_spans(values, [""] * len(values)))
-    ids = _kernels.SpanInterner(1).intern(*_spans(values, [""] * len(values)))
-    assert ids.tolist() == [list(dict.fromkeys(values)).index(v) for v in values]
+@pytest.mark.parametrize("blocks", [
+    [["ab", "ab"], ["ba", "ab"]],  # the same length, other words
+    [["a"], ["aa", "a"]],  # longer than the stored value
+    [["aaaaaaaaaaaaaaaaaaaa"], ["a", "b"]],  # shorter
+    [[""], ["", "x"]],
+    [["x"], ["", "x"]],  # empty: only the lengths differ
+    [["same"], ["same"], ["same", "other", "same"], ["third", "other"]],
+])
+def test_span_interner_starts_over_on_a_collision_in_a_later_block(monkeypatch, blocks):
+    """The first block holds one value, so the collision comes later and
+    the held values are interned again under the next seed."""
+    seeds = _colliding_first_seed(monkeypatch)
+    interner = _kernels.SpanInterner(0)
+    expected: dict[str, int] = {}
+    for values in blocks:
+        ids = interner.intern(*_spans(values, ["x;"] * len(values)))
+        assert ids.tolist() == [expected.setdefault(v, len(expected)) for v in values]
+    assert interner.values() == list(expected)
+    assert interner.seed == 1 and set(seeds) == {0, 1}
+
+
+def test_a_forced_collision_in_a_later_block_gives_the_same_tables(tmp_path, monkeypatch):
+    """Blocks of one line each: every interner holds one value when its
+    first collision comes, and the tables are those of a read without one."""
+    objects = tmp_path / "objects.tsv"
+    objects.write_text("r0\tpaper\ttitle=p\n"
+                       + "".join(f"r{i}\tpaper\ttitle=p{i % 4};year={i % 3}\n" for i in range(9))
+                       + "a1\tauthor\tname=N\n")
+    links = tmp_path / "links.tsv"
+    links.write_text("paper\tp0\tcites\tpaper\tp0\n"
+                     + "".join(f"paper\tp{i % 4}\tcites\tpaper\tp{i % 3}\n" for i in range(9))
+                     + "author\ta1\tby\tpaper\tp3\n")
+    pages = tmp_path / "pages.tsv"
+    pages.write_text("w0\n" + "".join(f"w{i}\tw{(i * 3) % 11},x{i % 4}\n" for i in range(1, 9)))
+    from poprank import formats
+
+    def read():
+        records = list(formats.read_objects(objects).rows())
+        table = formats.read_links(links)
+        page_ids, src, tgt = formats.read_pages(pages)
+        return (records, table.triples, table.codes.tolist(), table.refs, table.src.tolist(),
+                table.tgt.tolist(), page_ids, src.tolist(), tgt.tolist())
+
+    raw_blocks = formats._raw_blocks
+    monkeypatch.setattr(formats, "_raw_blocks", lambda path, size: raw_blocks(path, 1))
+    before = read()
+    seeds = _colliding_first_seed(monkeypatch)
+    assert read() == before
+    # the three interns of the first block, and the first of the second, at seed 0
+    assert seeds[:4] == [0] * 4 and set(seeds) == {0, 1}
 
 
 def test_a_forced_collision_gives_the_same_tables(tmp_path, monkeypatch):
-    """Readers start again with the next seed; nothing depends on it."""
+    """The interners start over with the next seed; nothing depends on it."""
     links = tmp_path / "links.tsv"
     links.write_text("".join(f"paper\tp{i % 7}\tcites\tpaper\tp{i % 5}\n" for i in range(40))
                      + "author\ta1\tby\tpaper\tp3\n")

@@ -249,6 +249,11 @@ class TestPageObjectMapColumns:
         with pytest.raises(GraphError, match="block weight must be finite and non-negative"):
             PageObjectMap(np.array([0, 0]), np.array([0, 1]), np.array([1.0, weight]))
 
+    def test_weights_without_a_finite_sum_rejected(self):
+        """Two weights of 1e308 sum to inf, which would give both shares 0."""
+        with pytest.raises(GraphError, match="page number 1 have no finite sum"):
+            PageObjectMap(np.array([0, 1, 1]), np.array([0, 1, 2]), np.array([1.0, 1e308, 1e308]))
+
     def test_columns_are_int64_and_float64(self):
         pom = PageObjectMap([0, 1], np.array([2, 3], np.int32), [1, 2])
         assert (pom.pages.dtype, pom.objects.dtype, pom.weights.dtype) == (
