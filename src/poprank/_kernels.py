@@ -3,7 +3,8 @@ the byte interner that feeds the loader.
 
 * ``SpanInterner`` -- exact interning of byte spans, one block of a file
   at a time: ids in order of first appearance, found by a 64-bit hash
-  and checked byte for byte against the stored value.
+  and checked byte for byte against the stored value; ``resolve`` looks
+  newline-ended values up by the same means.
 * ``unique_edges``, ``row_starts`` and ``csr`` -- deduplicate ``(m, 2)`` int64 edge arrays
   and group edges by source into CSR arrays.
 * ``power_iteration`` -- one power-iteration solve with restart and
@@ -213,6 +214,13 @@ class SpanInterner:
         self._lengths[self._count:count] = lengths
         self._size, self._count = end, count
 
+    def resolve(self, data: bytes, known: int) -> np.ndarray:
+        """The id of each newline-ended value of ``data``, or -1 for one not
+        among the first ``known`` ids (a new value is interned all the same)."""
+        ids = self.intern(data, *line_spans(np.frombuffer(data, np.uint8)))
+        ids[ids >= known] = -1
+        return ids
+
     def data(self) -> bytes:
         """The distinct values' bytes, each followed by a newline, in id order."""
         return self._store[:self._size].tobytes()
@@ -227,6 +235,12 @@ def line_spans(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     end is the offset of its newline."""
     ends = np.flatnonzero(data == ord("\n"))
     return np.append(0, ends[:-1] + 1)[:len(ends)], ends
+
+
+def lines_at(data: bytes, rows: np.ndarray) -> list[str]:
+    """The newline-ended lines ``rows`` of ``data``, decoded."""
+    starts, ends = line_spans(np.frombuffer(data, np.uint8))
+    return [data[a:b].decode("utf-8") for a, b in zip(starts[rows].tolist(), ends[rows].tolist())]
 
 
 def gather_spans(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

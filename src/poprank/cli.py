@@ -38,9 +38,7 @@ from .webpop import RankResult, check_damping, pagerank, web_popularity
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="poprank",
-        description="Object-level popularity ranking over typed web-object graphs.",
-    )
+        prog="poprank", description="Object-level popularity ranking over typed web-object graphs.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("corpus", help="corpus directory (schemas.tsv, objects.tsv, links.tsv, pages.tsv, page_object_map.tsv)")
@@ -180,7 +178,7 @@ def _in_order(bundle: CorpusBundle, order: np.ndarray, *columns: np.ndarray) -> 
     """Every object's ref, then each per-object column as a list, in
     ``order``. A ref is ``type_name<TAB>key``, so it fills a report's type
     and key columns."""
-    refs = list(bundle.graph.key_index)  # keys are in row (object id) order
+    refs = bundle.graph.objects.references  # in row (object id) order
     return ([refs[i] for i in order.tolist()], *(column[order].tolist() for column in columns))
 
 
@@ -199,13 +197,9 @@ def cmd_rank(args) -> None:
 
 
 def cmd_learn(args) -> None:
-    cfg = LearnConfig(
-        grid_resolution=args.grid_resolution,
-        refine_iters=args.refine_iters,
-        refine_step=args.refine_step,
-        rng_seed=args.seed,
-        poprank_cfg=_poprank_config(args),
-    )
+    cfg = LearnConfig(grid_resolution=args.grid_resolution, refine_iters=args.refine_iters,
+                      refine_step=args.refine_step, rng_seed=args.seed,
+                      poprank_cfg=_poprank_config(args))
     bundle = _load(args)
     expert = resolve_expert(bundle, args.expert)
     prior, page_result = _prior(bundle, args)

@@ -3,20 +3,19 @@
 Aggregated object data lands in a warehouse of five TSV files (schemas,
 objects, links, pages, page-object map; see formats). Loading merges
 records into deduplicated objects, resolves links, containment entries
-and expert rankings against the one key index (object reference ->
-object id), and collects structured diagnostics for everything lenient
-mode drops. Records, objects, links and the page map are columns
-(RecordTable, ObjectTable, LinkTable, PageObjectMap): objects.tsv is read
-into interned columns and merged on them, with no object per record;
-link endpoints and map entries are resolved by one helper
-(objects.lookup); and a graph is written back from the same tables.
-Relationship types are declared by their first appearance in the links file; a later line
-disagreeing on endpoint types is an error, as is a link naming an
-unregistered object type (reported first).
+and expert rankings, and collects structured diagnostics for everything
+lenient mode drops. Records, objects, links and the page map are columns
+(RecordTable, ObjectTable, LinkTable, PageObjectMap), and a reference
+stays newline-ended UTF-8 bytes: link, map and expert references are
+resolved by one lookup in the objects' interner (``SpanInterner.resolve``),
+map page ids in the pages', and only a reference that is printed is
+decoded. Relationship types are declared by their first appearance in
+the links file; a later line disagreeing on endpoint types is an error,
+as is a link naming an unregistered object type (reported first).
 
 The links file, the largest, is parsed by one forked worker process
 while this process parses the others (see load_corpus); only its
-LinkTable, int64 arrays and the list of references, comes back through
+LinkTable, int64 arrays and the references as bytes, comes back through
 a pipe. The links task looks ``formats.read_links`` up when it runs: a
 reader replaced there before the call, which may be a closure that
 cannot be pickled, is inherited by the worker and used.
@@ -25,7 +24,7 @@ cannot be pickled, is inherited by the worker and used.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -33,20 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import formats
+from . import _kernels, formats
 from .errors import FormatError, GraphError
 from .learning import PartialRanking
-from .objects import (
-    LinkTable,
-    ObjectGraph,
-    ObjectTable,
-    RecordTable,
-    RelationshipType,
-    SchemaRegistry,
-    build_graph,
-    lookup,
-    merge_records,
-)
+from .objects import (LinkTable, ObjectGraph, RecordTable, RelationshipType, SchemaRegistry,
+                      build_graph, merge_records)
 from .webpop import PageGraph, PageObjectMap
 
 SCHEMAS_FILE = "schemas.tsv"
@@ -71,13 +61,8 @@ class CorpusPaths:
     @classmethod
     def in_dir(cls, directory: Path | str) -> "CorpusPaths":
         d = Path(directory)
-        return cls(
-            schemas=d / SCHEMAS_FILE,
-            objects=d / OBJECTS_FILE,
-            links=d / LINKS_FILE,
-            pages=d / PAGES_FILE,
-            page_map=d / PAGE_MAP_FILE,
-        )
+        return cls(schemas=d / SCHEMAS_FILE, objects=d / OBJECTS_FILE, links=d / LINKS_FILE,
+                   pages=d / PAGES_FILE, page_map=d / PAGE_MAP_FILE)
 
 
 @dataclass
@@ -86,15 +71,28 @@ class CorpusBundle:
     registry: SchemaRegistry
     graph: ObjectGraph
     page_graph: PageGraph
-    page_index: dict[str, int]
     page_map: PageObjectMap
     diagnostics: list[str] = field(default_factory=list)
 
     def resolve_ref(self, ref: str) -> int:
-        object_id = self.graph.key_index.get(ref)
-        if object_id is None:
-            raise GraphError(f"unknown object {formats.format_object_ref(ref)!r}")
-        return object_id
+        return self.resolve_refs([ref])[0]
+
+    def resolve_refs(self, refs: Sequence[str]) -> list[int]:
+        """The object id of each reference; GraphError names the first unknown one."""
+        objects = self.graph.objects
+        ids = objects.refs.resolve(b"".join(map(_ref_line, refs)), len(objects))
+        unknown = np.flatnonzero(ids < 0)
+        if unknown.size:
+            raise GraphError(f"unknown object {formats.format_object_ref(refs[unknown[0]])!r}")
+        return ids.tolist()
+
+
+def _ref_line(ref: str) -> bytes:
+    """The reference as UTF-8 and a newline; an empty line (no object's) if it cannot be one."""
+    try:
+        return b"\n" if "\n" in ref else ref.encode("utf-8") + b"\n"
+    except UnicodeEncodeError:
+        return b"\n"
 
 
 def _infer_relationship_types(links: LinkTable, registry: SchemaRegistry) -> list[RelationshipType]:
@@ -111,24 +109,12 @@ def _infer_relationship_types(links: LinkTable, registry: SchemaRegistry) -> lis
     return list(rels.values())
 
 
-def _merged_objects(path: Path, registry: SchemaRegistry) -> tuple[int, ObjectTable]:
-    """The record count of the objects file and its merged table; the
-    records themselves are not kept."""
-    records = formats.read_objects(path)
-    return len(records), merge_records(records, registry)
-
-
-def _link_table(path: Path) -> LinkTable:
-    """The links task: the links file as a LinkTable."""
-    return formats.read_links(path)
-
-
-def _page_data(pages_path: Path, map_path: Path) -> tuple[dict[str, int], np.ndarray, tuple]:
-    """The page index, the (m, 2) hyperlink array before deduplication,
-    and the page map's columns."""
-    page_ids, src, tgt = formats.read_pages(pages_path)
-    page_index = dict(zip(page_ids, range(len(page_ids))))
-    return page_index, np.column_stack((src, tgt)), formats.read_page_map(map_path)
+def _page_data(pages_path: Path,
+               map_path: Path) -> tuple[_kernels.SpanInterner, np.ndarray, np.ndarray, tuple]:
+    """The interned page ids and each id's page number, the (m, 2)
+    hyperlink array before deduplication, and the page map's columns."""
+    pages, number, src, tgt = formats.read_pages(pages_path)
+    return pages, number, np.column_stack((src, tgt)), formats.read_page_map(map_path)
 
 
 def _fork_links(path: Path) -> bool:
@@ -144,14 +130,43 @@ def _links_job(path: Path) -> Iterator[Callable[[], LinkTable]]:
     worker started here, which leaving the block stops, or (see
     _fork_links) by running the task when called."""
     if not _fork_links(path):
-        yield partial(_link_table, path)
+        yield lambda: formats.read_links(path)
         return
     # imported here: at module level it would slow every command's start-up
     import multiprocessing
 
-    # fork, not spawn: the worker starts with numpy and the package already imported
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        yield pool.apply_async(_link_table, (path,)).get
+    # fork, not spawn: numpy and the package are already imported. No Pool: its shutdown
+    # waits forever on a queue lock that a worker killed while sending its result holds
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    worker = context.Process(target=_links_worker, args=(path, writer), daemon=True)
+    worker.start()
+    writer.close()
+    try:
+        yield partial(_links_received, reader)
+    finally:
+        worker.kill()
+        worker.join()
+        reader.close()
+
+
+def _links_worker(path: Path, writer) -> None:
+    """The links task in the worker: sends the LinkTable, or the error raised."""
+    try:
+        writer.send(formats.read_links(path))
+    except Exception as err:  # raised again by _links_received
+        writer.send(err)
+
+
+def _links_received(reader) -> LinkTable:
+    """The worker's LinkTable; an error it raised is raised here."""
+    try:
+        result = reader.recv()
+    except EOFError:
+        raise OSError("the links worker exited without a result") from None
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
@@ -176,9 +191,11 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
     registry = SchemaRegistry(formats.read_schemas(paths.schemas))
 
     with _links_job(paths.links) as links_result:
-        num_records, objects = _merged_objects(paths.objects, registry)
-        diagnostics.append(f"merge\trecords={num_records}\tobjects={len(objects)}"
+        records = formats.read_objects(paths.objects)
+        objects = merge_records(records, registry)
+        diagnostics.append(f"merge\trecords={len(records)}\tobjects={len(objects)}"
                            f"\tconflicts={objects.conflicts.sum()}")
+        del records  # the merged table keeps what it needs of them
         # parsed while the links are, but an error is raised after theirs
         try:
             page_data = _page_data(paths.pages, paths.page_map)
@@ -194,43 +211,33 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
 
     if isinstance(page_data, Exception):
         raise page_data
-    page_index, hyperlinks, map_columns = page_data
-    page_graph = PageGraph.build(len(page_index), hyperlinks)
+    pages, number, hyperlinks, (map_pages, map_refs, weights) = page_data
+    page_graph = PageGraph.build(len(number), hyperlinks)
     deduped = len(hyperlinks) - page_graph.num_edges
     if deduped:
         diagnostics.append(f"hyperlink-duplicates\tcount={deduped}")
 
-    page_ids, refs, weights = map_columns
-    pages, objs = lookup(page_index, page_ids), lookup(graph.key_index, refs)
-    unresolved = (pages < 0) | (objs < 0)
-    for row in np.flatnonzero(unresolved).tolist():
-        what = (f"page {page_ids[row]!r}" if pages[row] < 0
-                else f"object {formats.format_object_ref(refs[row])!r}")
+    page_rows = np.append(number, -1)[pages.resolve(map_pages, len(number))]
+    objs = graph.objects.refs.resolve(map_refs, len(graph.objects))
+    kept = (page_rows >= 0) & (objs >= 0)
+    unresolved = np.flatnonzero(~kept)
+    for row, page_id, ref in zip(unresolved.tolist(), _kernels.lines_at(map_pages, unresolved),
+                                 _kernels.lines_at(map_refs, unresolved)):
+        what = (f"page {page_id!r}" if page_rows[row] < 0
+                else f"object {formats.format_object_ref(ref)!r}")
         message = f"map entry references unknown {what}"
         if strict:
             raise GraphError(message)
         diagnostics.append(f"map-dropped\t{message}")
-    kept = ~unresolved
-    page_map = PageObjectMap(pages[kept], objs[kept], weights[kept])
+    page_map = PageObjectMap(page_rows[kept], objs[kept], weights[kept])
 
-    return CorpusBundle(
-        paths=paths,
-        registry=registry,
-        graph=graph,
-        page_graph=page_graph,
-        page_index=page_index,
-        page_map=page_map,
-        diagnostics=diagnostics,
-    )
+    return CorpusBundle(paths=paths, registry=registry, graph=graph, page_graph=page_graph,
+                        page_map=page_map, diagnostics=diagnostics)
 
 
-def write_corpus(
-    directory: Path | str,
-    registry: SchemaRegistry,
-    graph: ObjectGraph,
-    page_rows: list[tuple[str, list[str]]] | None = None,
-    page_map: tuple[list[str], list[str], np.ndarray] | None = None,
-) -> CorpusPaths:
+def write_corpus(directory: Path | str, registry: SchemaRegistry, graph: ObjectGraph,
+                 page_rows: list[tuple[str, list[str]]] | None = None,
+                 page_map: tuple[bytes, bytes, np.ndarray] | None = None) -> CorpusPaths:
     """Serialize a graph (plus optional page rows and page map columns as
     read_page_map returns them) as a corpus directory; object i is record ``r<i>``."""
     paths = CorpusPaths.in_dir(directory)
@@ -245,9 +252,9 @@ def write_corpus(
     formats.write_links(paths.links, LinkTable(
         [(rt.rel_name, rt.source_type, rt.target_type) for rt in rels],
         np.repeat(np.arange(len(rels)), [len(e) for e in edges]),
-        list(objects.index), pairs[:, 0], pairs[:, 1]))
+        objects.refs.data(), pairs[:, 0], pairs[:, 1]))
     formats.write_pages(paths.pages, page_rows or [])
-    formats.write_page_map(paths.page_map, page_map or ([], [], []))
+    formats.write_page_map(paths.page_map, page_map or (b"", b"", []))
     return paths
 
 
@@ -255,6 +262,6 @@ def resolve_expert(bundle: CorpusBundle, path: Path) -> PartialRanking:
     """Read an expert ranking file and resolve references to object ids."""
     mode, payload = formats.read_expert(path)
     if mode == "order":
-        return PartialRanking.from_order([bundle.resolve_ref(ref) for ref in payload])
-    pairs = [(bundle.resolve_ref(high), bundle.resolve_ref(low)) for high, low in payload]
-    return PartialRanking(tuple(pairs))
+        return PartialRanking.from_order(bundle.resolve_refs(payload))
+    ids = bundle.resolve_refs([ref for pair in payload for ref in pair])
+    return PartialRanking(tuple(zip(ids[0::2], ids[1::2])))

@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the count check."""
+
+from numbers import Integral
 
 
 class PopRankError(Exception):
@@ -20,6 +22,19 @@ class GraphError(PopRankError):
 
 class ConfigError(PopRankError):
     """Invalid numeric configuration or parameter assignment."""
+
+
+def is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise ConfigError unless value is an integer of at least ``least``."""
+    if not is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 class FormatError(PopRankError):

@@ -27,16 +27,15 @@ not pure ASCII is checked with one strict UTF-8 decode. A line is decoded
 and checked for being data only when its first byte is whitespace, ``#``
 or not ASCII; every other line is data as read.
 
-The four corpus data files are read as columns, with no object per
-line: ``read_objects`` returns a RecordTable of interned ids, ``read_links``
-a LinkTable of interned int64 ids (see objects), ``read_pages`` the page
-ids with int64 source and target page numbers, and ``read_page_map`` the
-page ids, object refs and float64 block weights. For objects, links and
-pages numpy finds the separators of each block's data lines and
-``_kernels.SpanInterner`` interns their fields as bytes; the other
-readers decode the data lines (``_data_lines``). The writers take what
-the readers return, except ``write_pages``, which takes (page id,
-out-link ids) rows.
+The four corpus data files are read as columns, no field decoded:
+``read_objects`` returns a RecordTable, ``read_links`` a LinkTable (see
+objects), ``read_pages`` the interned page ids, each id's page number and
+the out-links' page numbers, and ``read_page_map`` page ids and refs as
+newline-ended bytes with block weights. numpy finds the separators of
+each block's lines, and ``_kernels.SpanInterner`` interns fields as
+bytes; the other readers decode their lines (``_data_lines``). The
+writers take what the readers return, but ``write_pages`` takes (page
+id, out-link ids) rows.
 
 Reports are TSV rows preceded by a ``#``-prefixed metadata block of
 ``# key <TAB> value`` lines; scores are written with full round-trip
@@ -329,13 +328,14 @@ def read_links(path: Path) -> LinkTable:
         tgt.append(ids[1::2])
     rel_names, type_names = rels.values(), types.values()
     return LinkTable([(rel_names[r], type_names[s], type_names[t]) for r, s, t in triples],
-                     np.concatenate(codes), refs.values(), np.concatenate(src), np.concatenate(tgt))
+                     np.concatenate(codes), refs.data(), np.concatenate(src), np.concatenate(tgt))
 
 
 def write_links(path: Path, links: LinkTable) -> None:
     """One line ``refs[src] TAB rel_name TAB refs[tgt]`` per row; a ref is
     already the type and key columns."""
-    refs, rel_names = links.refs, [rel_name for rel_name, _, _ in links.triples]
+    refs = links.refs.decode("utf-8").split("\n")
+    rel_names = [rel_name for rel_name, _, _ in links.triples]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for code, src, tgt in zip(links.codes.tolist(), links.src.tolist(), links.tgt.tolist()):
             fh.write(f"{refs[src]}\t{rel_names[code]}\t{refs[tgt]}\n")
@@ -409,12 +409,12 @@ def _page_block(raw: bytes):
     return raw, bad, spans
 
 
-def read_pages(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Every page id, then the int64 (source, target) page numbers of each
-    out-link, in file order. Listed pages are numbered in line order, and
-    pages known only as link targets after them, in order of first
-    appearance. Duplicate rows for a page are an error; a missing or
-    empty second field means no out-links.
+def read_pages(path: Path) -> tuple[_kernels.SpanInterner, np.ndarray, np.ndarray, np.ndarray]:
+    """The interned page ids and the int64 page number of each id, then the
+    int64 (source, target) page numbers of each out-link, in file order.
+    Listed pages are numbered in line order, and pages known only as link
+    targets after them, in order of first appearance. Duplicate rows for a
+    page are an error; a missing or empty second field means no out-links.
 
     Each block's lines are checked for their fields, then interned as
     bytes (``_kernels.SpanInterner``): the block's listed page ids, then its
@@ -448,9 +448,7 @@ def read_pages(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
     number = np.empty(len(pages), np.int64)
     number[rows] = np.arange(len(rows))
     number[others] = np.arange(len(rows), len(pages))
-    values = pages.values()
-    page_ids = [values[i] for i in np.concatenate((rows, others)).tolist()]
-    return page_ids, np.concatenate(src), number[np.concatenate(tgt)]
+    return pages, number, np.concatenate(src), number[np.concatenate(tgt)]
 
 
 def write_pages(path: Path, rows: Iterable[tuple[str, Sequence[str]]]) -> None:
@@ -462,36 +460,58 @@ def write_pages(path: Path, rows: Iterable[tuple[str, Sequence[str]]]) -> None:
                 fh.write(f"{page_id}\n")
 
 
-def read_page_map(path: Path) -> tuple[list[str], list[str], np.ndarray]:
-    """The page ids, object refs and float64 block weights of the data
-    lines, as three columns; an absent or empty weight reads as 1.0."""
-    page_ids, refs, weights = [], [], []
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) not in (3, 4):
-            _fail(path, lineno, f"expected 3 or 4 fields, got {len(fields)}")
-        weight = 1.0
-        if len(fields) == 4 and fields[3] != "":
+def read_page_map(path: Path) -> tuple[bytes, bytes, np.ndarray]:
+    """The page ids and object refs of the data lines, each as UTF-8 bytes
+    and a newline, and their float64 block weights (1.0 when absent or
+    empty). A block that breaks a rule is read again for its first error."""
+    page_ids, refs, weights = [], [], [np.empty(0)]
+    for numbers, data in _byte_blocks(path):
+        buf = np.frombuffer(data, np.uint8)
+        starts, ends = _kernels.line_spans(buf)
+        tabs = np.flatnonzero(buf == _TAB)
+        counts = np.bincount(np.searchsorted(ends, tabs), minlength=len(ends))
+        if np.all((counts == 2) | (counts == 3)):
+            first = np.cumsum(counts) - counts  # each line's first TAB
+            type_starts, type_ends = tabs[first] + 1, tabs[first + 1]
+            key_ends = np.where(counts == 3, tabs[np.minimum(first + 2, len(tabs) - 1)], ends)
+            texts = _kernels.join_spans(buf, np.minimum(key_ends + 1, ends), ends).tobytes()
             try:
-                weight = float(fields[3])
+                block = np.array([float(w or 1) for w in texts.decode("utf-8").split("\n")[:-1]])
             except ValueError:
-                _fail(path, lineno, f"bad block weight {fields[3]!r}")
-            if not 0.0 <= weight < np.inf:
-                _fail(path, lineno, f"block weight must be finite and non-negative, got {weight}")
-        if not fields[1] or not fields[2]:
-            _fail(path, lineno, "empty object type or key")
-        page_ids.append(fields[0])
-        refs.append(f"{fields[1]}\t{fields[2]}")
-        weights.append(weight)
-    return page_ids, refs, np.array(weights, np.float64)
+                block = np.full(len(ends), np.nan)
+            if np.all((type_ends > type_starts) & (key_ends > type_ends + 1) & (block >= 0.0)
+                      & (block < np.inf)):
+                page_ids.append(_kernels.join_spans(buf, starts, type_starts - 1).tobytes())
+                refs.append(_kernels.join_spans(buf, type_starts, key_ends).tobytes())
+                weights.append(block)
+                continue
+        for lineno, line in zip(numbers, data.decode("utf-8").split("\n")):
+            if message := _page_map_error(line):
+                _fail(path, lineno, message)
+    return b"".join(page_ids), b"".join(refs), np.concatenate(weights)
 
 
-def write_page_map(path: Path, columns: tuple[Sequence[str], Sequence[str], np.ndarray]) -> None:
+def _page_map_error(line: str) -> str | None:
+    """The error of a page map line, or None for a well-formed one."""
+    fields = line.split("\t")
+    if len(fields) not in (3, 4):
+        return f"expected 3 or 4 fields, got {len(fields)}"
+    if len(fields) == 4 and fields[3] != "":
+        try:
+            weight = float(fields[3])
+        except ValueError:
+            return f"bad block weight {fields[3]!r}"
+        if not 0.0 <= weight < np.inf:
+            return f"block weight must be finite and non-negative, got {weight}"
+    return None if fields[1] and fields[2] else "empty object type or key"
+
+
+def write_page_map(path: Path, columns: tuple[bytes, bytes, np.ndarray]) -> None:
     """One line ``page_id TAB ref TAB weight`` per row of read_page_map's columns."""
-    page_ids, refs, weights = columns
+    page_ids, refs = (column.decode("utf-8").split("\n") for column in columns[:2])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{page_id}\t{ref}\t{weight!r}\n"
-                      for page_id, ref, weight in zip(page_ids, refs, np.asarray(weights).tolist()))
+        fh.writelines(f"{page_id}\t{ref}\t{weight!r}\n" for page_id, ref, weight
+                      in zip(page_ids, refs, np.asarray(columns[2]).tolist()))
 
 
 def read_ppf(path: Path) -> dict[str, float]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GraphError
+from .errors import ConfigError, GraphError, check_count
 from .objects import ObjectGraph
 from .ranking import (  # noqa: F401 -- perfbench/traced.py patches build_transition here
     LinkStructure,
@@ -129,14 +129,11 @@ class LearnConfig:
     poprank_cfg: PopRankConfig = PopRankConfig()
 
     def __post_init__(self):
-        if self.grid_resolution < 2:
-            raise ConfigError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
-        if self.refine_iters < 0:
-            raise ConfigError(f"refine_iters must be >= 0, got {self.refine_iters}")
+        check_count("grid_resolution", self.grid_resolution, 2)
+        check_count("refine_iters", self.refine_iters, 0)
         if not 0.0 < self.refine_step <= 1.0:
             raise ConfigError(f"refine_step must lie in (0, 1], got {self.refine_step}")
-        if self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        check_count("rng_seed", self.rng_seed, 0)
 
     def grid_levels(self, indices) -> np.ndarray:
         """The factor levels at the given grid indices, without building the grid.
@@ -177,12 +174,8 @@ def _grid_combinations(cfg: LearnConfig, k: int):
     return (tuple(row.tolist()) for row in cfg.grid_levels(picks))
 
 
-def learn_ppf(
-    graph: ObjectGraph,
-    prior: np.ndarray,
-    expert: PartialRanking,
-    cfg: LearnConfig = LearnConfig(),
-) -> LearnResult:
+def learn_ppf(graph: ObjectGraph, prior: np.ndarray, expert: PartialRanking,
+              cfg: LearnConfig = LearnConfig()) -> LearnResult:
     """Search for factors whose induced order agrees with the expert.
 
     Phase 1 scores every grid combination (or a seeded uniform sample of
@@ -277,15 +270,10 @@ def learn_ppf(
                 break  # step too small to move any coordinate off its clamp
             step /= 2.0
 
-    assignment = PpfAssignment(dict(zip(names, current)))
-    return LearnResult(
-        assignment=assignment,
-        violations=current_violations,
-        total=len(expert.pairs),
-        evaluations=evaluations,
-        grid_violations=grid_violations,
-        nonconverged=nonconverged,
-    )
+    return LearnResult(assignment=PpfAssignment(dict(zip(names, current))),
+                       violations=current_violations, total=len(expert.pairs),
+                       evaluations=evaluations, grid_violations=grid_violations,
+                       nonconverged=nonconverged)
 
 
 def _inversions(seq: np.ndarray) -> int:
@@ -314,12 +302,16 @@ def kendall_tau(ranks_a: np.ndarray, ranks_b: np.ndarray) -> float:
     """Rank correlation between two orderings given as positions per item.
 
     1.0 for identical orderings, -1.0 for exact reversal. Defined as 1.0
-    for fewer than two items.
+    for fewer than two items. Raises ConfigError unless both are finite
+    1-d arrays of one shape.
     """
     ranks_a = np.asarray(ranks_a)
     ranks_b = np.asarray(ranks_b)
     if ranks_a.shape != ranks_b.shape:
         raise ConfigError("orderings must cover the same items")
+    if ranks_a.ndim != 1 or not all(r.dtype.kind in "biuf" and np.isfinite(r).all()
+                                    for r in (ranks_a, ranks_b)):
+        raise ConfigError("orderings must be finite 1-d arrays of positions")
     n = ranks_a.shape[0]
     if n < 2:
         return 1.0

@@ -12,16 +12,15 @@ Tables are columns, not an object per line: merge_records turns a
 RecordTable of records (interned type, attribute and value ids, the
 values kept as bytes) into an ObjectTable whose row i is object i, with
 one value-id column per attribute; values are decoded only when read.
-build_graph resolves a LinkTable of interned link lines against that
-table's index, the one key index (ObjectGraph.key_index), with lookup,
-the helper that resolves the page map's columns too (see corpus).
+A reference stays UTF-8 bytes: the table interns its rows' references
+(ObjectTable.refs), in which build_graph looks a LinkTable's references
+up, as the loader does map and expert references (see corpus).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -161,15 +160,16 @@ class RecordTable:
 class ObjectTable:
     """Merged objects as columns; row i is object i.
 
-    index maps each object's reference ``type_name<TAB>key text`` to its
-    row, keys in row order. type_ids[i] indexes types. value_ids holds one
-    column per attribute of attributes, a value id per row (-1 for none),
-    and values the distinct values, each as UTF-8 bytes followed by a
-    newline. merged and conflicts count each row's records and
-    disagreements. The list properties decode these columns when read.
+    refs interns each object's reference ``type_name<TAB>key text``, id i
+    being row i; ``refs.resolve(data, len(table))`` looks references up.
+    type_ids[i] indexes types. value_ids holds one column per attribute
+    of attributes, a value id per row (-1 for none), and values the
+    distinct values, each as UTF-8 bytes followed by a newline. merged
+    and conflicts count each row's records and disagreements. The list
+    properties decode these columns when read.
     """
 
-    index: dict[str, int]
+    refs: _kernels.SpanInterner
     types: list[str]
     type_ids: np.ndarray
     attributes: list[str]
@@ -180,6 +180,11 @@ class ObjectTable:
 
     def __len__(self) -> int:
         return len(self.type_ids)
+
+    @property
+    def references(self) -> list[str]:
+        """Each row's reference, decoded."""
+        return self.refs.values()[:len(self)]
 
     @property
     def type_names(self) -> list[str]:
@@ -201,16 +206,6 @@ class ObjectTable:
         return self.conflicts.tolist()
 
 
-def _reject_key(record_id: str, key_attributes: Sequence[str], key: Sequence[str]) -> None:
-    for attr, value in zip(key_attributes, key):
-        if value == "":
-            raise RecordError(f"record {record_id!r}: key attribute {attr!r} is missing or empty")
-        for sep, name in (("|", "'|'"), ("\t", "TAB")):
-            if sep in value:
-                raise RecordError(f"record {record_id!r}: key attribute {attr!r} value {value!r} "
-                                  f"contains {name}")
-
-
 def _reject_record(records: RecordTable, registry: SchemaRegistry, record: int) -> None:
     """Raise the RecordError of one record that merge_records rejects:
     its type, then its attributes, then its key are checked."""
@@ -225,7 +220,14 @@ def _reject_record(records: RecordTable, registry: SchemaRegistry, record: int) 
     unknown = [a for a in row if a not in schema.attributes]
     if unknown:
         raise RecordError(f"record {record_id!r}: attributes {unknown} not in schema {type_name!r}")
-    _reject_key(record_id, schema.key_attributes, [row.get(a, "") for a in schema.key_attributes])
+    for attr in schema.key_attributes:
+        value = row.get(attr, "")
+        if value == "":
+            raise RecordError(f"record {record_id!r}: key attribute {attr!r} is missing or empty")
+        for sep, name in (("|", "'|'"), ("\t", "TAB")):
+            if sep in value:
+                raise RecordError(f"record {record_id!r}: key attribute {attr!r} value {value!r} "
+                                  f"contains {name}")
 
 
 def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable:
@@ -246,7 +248,7 @@ def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable
     The merge works on the table's columns: records are grouped by type
     and key value ids, and each (object, attribute)'s first non-empty
     value and its disagreements are found with one sort. No value is
-    decoded; the index's references are composed as bytes.
+    decoded; the references are composed and interned as bytes.
     """
     schemas = list(registry)
     attributes = list(dict.fromkeys(a for s in schemas for a in s.attributes))
@@ -311,16 +313,15 @@ def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable
     conflicts = np.bincount(cell[conflicted] // max(len(attributes), 1), minlength=len(first))
     type_ids = records.type_ids[first]
     refs = _references(records, type_ids, keys[first], key_sizes[schema[first]], spans)
-    return ObjectTable(dict(zip(refs, range(len(refs)))), records.types, type_ids, attributes,
-                       value_ids, records.values, np.bincount(obj, minlength=len(first)),
-                       conflicts)
+    return ObjectTable(refs, records.types, type_ids, attributes, value_ids, records.values,
+                       np.bincount(obj, minlength=len(first)), conflicts)
 
 
-def _references(records: RecordTable, type_ids: np.ndarray, keys: np.ndarray,
-                sizes: np.ndarray, value_spans: tuple[np.ndarray, np.ndarray]) -> list[str]:
+def _references(records: RecordTable, type_ids: np.ndarray, keys: np.ndarray, sizes: np.ndarray,
+                value_spans: tuple[np.ndarray, np.ndarray]) -> _kernels.SpanInterner:
     """Each row's reference ``type_name<TAB>key1|key2...`` from its type id,
     its key value ids (the first ``sizes`` of each row) and the spans of
-    records.values, composed as bytes and decoded at once."""
+    records.values, composed as bytes and interned in row order."""
     type_data = _joined(records.types)
     type_starts, type_ends = _kernels.line_spans(np.frombuffer(type_data, np.uint8))
     at_values, at_separators = len(type_data), len(type_data) + len(records.values)
@@ -337,7 +338,10 @@ def _references(records: RecordTable, type_ids: np.ndarray, keys: np.ndarray,
     starts[:, 2:-1:2] = at_values + value_starts[keys]
     lengths[:, 2:-1:2] = np.where(in_key, (value_ends - value_starts)[keys], 0)
     starts[:, -1], lengths[:, -1] = at_separators + 2, 1
-    return _lines(_kernels.gather_spans(data, starts.ravel(), lengths.ravel()).tobytes())
+    data = _kernels.gather_spans(data, starts.ravel(), lengths.ravel())
+    refs = _kernels.SpanInterner()
+    refs.intern(data.tobytes(), *_kernels.line_spans(data))
+    return refs
 
 
 @dataclass(frozen=True)
@@ -355,14 +359,15 @@ class LinkTable:
 
     triples holds each distinct (rel_name, source_type, target_type) in
     order of first appearance, and codes[i] is the index of line i's
-    triple. refs holds distinct endpoint references (type<TAB>key text), in
-    order of first appearance when read from a file (a line's source
-    before its target); src[i] and tgt[i] index refs.
+    triple. refs holds distinct endpoint references (type<TAB>key text),
+    each as UTF-8 bytes followed by a newline, in order of first
+    appearance when read from a file (a line's source before its target);
+    src[i] and tgt[i] index them.
     """
 
     triples: list[tuple[str, str, str]]
     codes: np.ndarray
-    refs: list[str]
+    refs: bytes
     src: np.ndarray
     tgt: np.ndarray
 
@@ -392,11 +397,6 @@ class ObjectGraph:
     links: dict[str, np.ndarray]
 
     @property
-    def key_index(self) -> dict[str, int]:
-        """Each object's reference -> its object_id (the table's own index)."""
-        return self.objects.index
-
-    @property
     def num_objects(self) -> int:
         return len(self.objects)
 
@@ -407,7 +407,7 @@ class ObjectGraph:
     def check(self) -> None:
         """Well-formedness check; raises GraphError on violation."""
         n = len(self.objects)
-        if list(self.objects.index.values()) != list(range(n)):
+        if len(self.objects.refs) < n:
             raise GraphError(f"object keys do not map to rows 0..{n - 1} in row order")
         rels = {}
         for rt in self.relationship_types:
@@ -436,19 +436,9 @@ class ObjectGraph:
                 raise GraphError(f"{rel_name}: {dropped} duplicate link(s)")
 
 
-def lookup(index: dict[str, int], keys: Sequence[str]) -> np.ndarray:
-    """``index[key]`` for each key as int64, or -1 for a key not in index."""
-    return np.fromiter(map(index.get, keys, repeat(-1)), np.int64, len(keys))
-
-
-def build_graph(
-    objects: ObjectTable,
-    rel_types: Sequence[RelationshipType],
-    links: LinkTable,
-    *,
-    strict: bool = False,
-) -> tuple[ObjectGraph, GraphBuildReport]:
-    """Resolve link lines against the object key index and assemble the graph.
+def build_graph(objects: ObjectTable, rel_types: Sequence[RelationshipType], links: LinkTable,
+                *, strict: bool = False) -> tuple[ObjectGraph, GraphBuildReport]:
+    """Resolve link lines against the objects' references and assemble the graph.
 
     A link whose declared endpoint types do not match its relationship
     type is always an error. Links whose endpoints do not resolve are
@@ -471,13 +461,11 @@ def build_graph(
         if rel is None:
             problems.append(f"link uses undeclared relationship type {rel_name!r}")
         elif source_type != rel.source_type or target_type != rel.target_type:
-            problems.append(
-                f"link types {source_type!r}->{target_type!r} do not match "
-                f"{rel.rel_name!r} ({rel.source_type!r}->{rel.target_type!r})"
-            )
+            problems.append(f"link types {source_type!r}->{target_type!r} do not match "
+                            f"{rel.rel_name!r} ({rel.source_type!r}->{rel.target_type!r})")
         else:
             problems.append(None)
-    ref_ids = lookup(objects.index, links.refs)
+    ref_ids = objects.refs.resolve(links.refs, len(objects))
     src, tgt = ref_ids[links.src], ref_ids[links.tgt]
     unresolved = (src < 0) | (tgt < 0)
     bad = np.flatnonzero(np.array([p is not None for p in problems], bool)[links.codes])
@@ -486,9 +474,11 @@ def build_graph(
         raise GraphError(problems[links.codes[bad[0]]])
 
     report = GraphBuildReport()
-    for line in np.flatnonzero(unresolved).tolist():
-        side, ref = ("source", links.src[line]) if src[line] < 0 else ("target", links.tgt[line])
-        key = links.refs[ref].partition("\t")[2]
+    lines = np.flatnonzero(unresolved)
+    sources = src[lines] < 0
+    refs = _kernels.lines_at(links.refs, np.where(sources, links.src[lines], links.tgt[lines]))
+    for line, source, ref in zip(lines.tolist(), sources.tolist(), refs):
+        side, key = "source" if source else "target", ref.partition("\t")[2]
         msg = f"{links.triples[links.codes[line]][0]}: unresolved {side} {key!r}"
         if strict:
             raise GraphError(msg)

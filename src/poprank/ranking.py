@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, NonConvergenceWarning
+from .errors import ConfigError, NonConvergenceWarning, check_count, is_integer
 from .objects import ObjectGraph
 from .webpop import RankResult
 
@@ -72,8 +72,7 @@ class PopRankConfig:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0.0 < self.tol < np.inf:
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_count("max_iter", self.max_iter, 1)
 
 
 @dataclass
@@ -204,15 +203,10 @@ def build_transition(graph: ObjectGraph, ppf: PpfAssignment) -> TransitionStruct
 def _check_prior(prior: np.ndarray, num_objects: int, name: str = "prior") -> np.ndarray:
     prior = np.asarray(prior, np.float64)
     if prior.shape != (num_objects,):
-        raise ConfigError(
-            f"{name} has {prior.shape[0] if prior.ndim == 1 else prior.shape} entries, "
-            f"graph has {num_objects} objects"
-        )
-    if (
-        not np.all(np.isfinite(prior))
-        or np.any(prior < 0.0)
-        or abs(float(prior.sum()) - 1.0) > 1e-9
-    ):
+        raise ConfigError(f"{name} has {prior.shape[0] if prior.ndim == 1 else prior.shape} "
+                          f"entries, graph has {num_objects} objects")
+    if (not np.all(np.isfinite(prior)) or np.any(prior < 0.0)
+            or abs(float(prior.sum()) - 1.0) > 1e-9):
         raise ConfigError(f"{name} must be a probability distribution over the objects")
     return prior
 
@@ -269,21 +263,13 @@ def poprank_from_transition(
     if reject is not None:
         if pairs is None:
             raise ConfigError("reject needs pairs")
-        if not isinstance(reject, (int, np.integer)) or isinstance(reject, bool) or reject < 1:
+        if not is_integer(reject) or reject < 1:
             raise ConfigError(f"reject must be an integer >= 1, got {reject!r}")
         extra["reject"] = int(reject)
     alpha = 1.0 - cfg.epsilon
     r, iterations, residual = _kernels.power_iteration(
-        transition.indptr,
-        transition.targets,
-        transition.probs,
-        transition.dangling,
-        alpha,
-        prior,
-        float(cfg.tol),
-        int(cfg.max_iter),
-        **extra,
-    )
+        transition.indptr, transition.targets, transition.probs, transition.dangling, alpha,
+        prior, float(cfg.tol), int(cfg.max_iter), **extra)
     scores = r / r.sum()
     if not np.all(np.isfinite(scores)):
         raise ConfigError(f"poprank scores are not finite (residual {residual:.3e})")
@@ -294,12 +280,8 @@ def poprank_from_transition(
     return RankResult(scores, iterations, float(residual), converged)
 
 
-def poprank(
-    graph: ObjectGraph,
-    ppf: PpfAssignment,
-    prior: np.ndarray,
-    cfg: PopRankConfig = PopRankConfig(),
-) -> RankResult:
+def poprank(graph: ObjectGraph, ppf: PpfAssignment, prior: np.ndarray,
+            cfg: PopRankConfig = PopRankConfig()) -> RankResult:
     """Object popularity: build the transition structure and find the fixed point.
 
     With exactly one relationship type and a uniform prior this reduces

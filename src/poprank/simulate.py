@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .ranking import TransitionStructure, _check_prior
 
 
@@ -37,14 +37,11 @@ class SimConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        check_count("steps", self.steps, 1)
+        check_count("rng_seed", self.rng_seed, 0)
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.burn_in < 0:
-            raise ConfigError(f"burn_in must be >= 0, got {self.burn_in}")
+        check_count("burn_in", self.burn_in, 0)
         if self.steps <= self.burn_in:
             raise ConfigError(f"steps ({self.steps}) must exceed burn_in ({self.burn_in})")
 
@@ -62,11 +59,7 @@ class VisitHistogram:
         return self.counts / (self.steps - self.burn_in)
 
 
-def simulate(
-    transition: TransitionStructure,
-    prior: np.ndarray,
-    cfg: SimConfig,
-) -> VisitHistogram:
+def simulate(transition: TransitionStructure, prior: np.ndarray, cfg: SimConfig) -> VisitHistogram:
     """Run the walk for cfg.steps transitions and tally visits after burn-in.
 
     The start object is drawn from the prior and not counted. Each step
@@ -80,23 +73,19 @@ def simulate(
     # the CDFs are passed inline, so that the walk frees them once it has
     # copied them into its own table
     counts = _kernels.random_walk(
-        transition.indptr,
-        transition.targets,
-        transition.link_cdf(),
-        transition.dangling,
-        np.cumsum(prior),
-        float(cfg.epsilon),
-        int(cfg.steps),
-        int(cfg.burn_in),
-        np.random.default_rng(cfg.rng_seed),
-    )
+        transition.indptr, transition.targets, transition.link_cdf(), transition.dangling,
+        np.cumsum(prior), float(cfg.epsilon), int(cfg.steps), int(cfg.burn_in),
+        np.random.default_rng(cfg.rng_seed))
     return VisitHistogram(counts, cfg.steps, cfg.burn_in)
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance: half the L1 distance between distributions."""
+    """Total variation distance: half the L1 distance between distributions.
+    Raises ConfigError unless both are finite 1-d arrays of one shape."""
     p = np.asarray(p, np.float64)
     q = np.asarray(q, np.float64)
     if p.shape != q.shape:
         raise ConfigError("distributions must have the same shape")
+    if p.ndim != 1 or not np.all(np.isfinite(p) & np.isfinite(q)):
+        raise ConfigError("distributions must be finite 1-d arrays")
     return 0.5 * float(np.abs(p - q).sum())

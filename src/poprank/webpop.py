@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, GraphError, NonConvergenceWarning
+from .errors import ConfigError, GraphError, NonConvergenceWarning, check_count
 
 
 @dataclass
@@ -68,12 +68,8 @@ def check_damping(damping: float) -> None:
         raise ConfigError(f"damping must lie in (0, 1), got {damping}")
 
 
-def pagerank(
-    graph: PageGraph,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-) -> RankResult:
+def pagerank(graph: PageGraph, damping: float = 0.85, tol: float = 1e-10,
+             max_iter: int = 1000) -> RankResult:
     """Stationary distribution of the damped random surfer over pages.
 
     Teleport is uniform with probability 1 - damping; dangling pages
@@ -87,8 +83,7 @@ def pagerank(
     check_damping(damping)
     if not 0.0 < tol < np.inf:
         raise ConfigError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+    check_count("max_iter", max_iter, 1)
     n = graph.num_pages
     src, tgt = graph.edges[:, 0], graph.edges[:, 1]
     indptr, targets, probs = _kernels.csr(n, src, tgt, 1.0 / np.bincount(src, minlength=n)[src])
@@ -147,18 +142,16 @@ class PageObjectMap:
         return pages, self.objects, weights
 
 
-def web_popularity(
-    num_objects: int,
-    page_scores: np.ndarray,
-    page_map: PageObjectMap,
-) -> np.ndarray:
+def web_popularity(num_objects: int, page_scores: np.ndarray,
+                   page_map: PageObjectMap) -> np.ndarray:
     """Per-object web-popularity prior from page scores and block weights.
 
     Each object's raw score accumulates page_score * block_weight over
     its containment entries, in entry order; objects on no page get 0.
     The raw vector is normalized to sum to 1; if nothing is covered at
     all, the prior is uniform over all objects. Raises ConfigError for
-    page scores that are not finite and non-negative.
+    page scores that are not finite and non-negative, or whose weighted
+    total is not finite.
     """
     if num_objects < 1:
         raise GraphError("web_popularity needs at least one object")
@@ -173,6 +166,9 @@ def web_popularity(
         raise GraphError("page-object map references an unknown object")
     raw = np.bincount(objs, weights=page_scores[pages] * weights, minlength=num_objects)
     total = raw.sum()
+    if not np.isfinite(total):
+        raise ConfigError("prior must be a probability distribution over the objects: "
+                          "the weighted page scores have no finite sum")
     if total <= 0.0:
         return np.full(num_objects, 1.0 / num_objects)
     return raw / total

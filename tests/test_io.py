@@ -158,13 +158,20 @@ class TestLoadCorpus:
         paths = write_minimal_corpus(tmp_path, pages="p1\tp2,p3\n")
         bundle = load_corpus(paths)
         assert bundle.page_graph.num_pages == 3
-        assert bundle.page_index == {"p1": 0, "p2": 1, "p3": 2}
+        assert _page_ids(paths.pages) == ["p1", "p2", "p3"]
 
     def test_duplicate_hyperlinks_diagnosed(self, tmp_path):
         paths = write_minimal_corpus(tmp_path, pages="p1\tp2,p2\np2\tp1,p1,p1\n")
         bundle = load_corpus(paths)
         assert bundle.page_graph.num_edges == 2
         assert "hyperlink-duplicates\tcount=3" in bundle.diagnostics
+
+
+def _page_ids(path) -> list[str]:
+    """The page ids of a pages file, in the order of their page numbers."""
+    pages, number, _, _ = formats.read_pages(path)
+    ids = pages.values()
+    return [ids[i] for i in np.argsort(number).tolist()]
 
 
 class TestRoundTrip:
@@ -188,10 +195,11 @@ class TestRoundTrip:
         bundle = load_corpus(paths)
 
         out = tmp_path / "rewritten"
-        page_ids, refs = list(bundle.page_index), list(bundle.graph.key_index)
+        page_ids, refs = _page_ids(paths.pages), bundle.graph.objects.references
         page_map = bundle.page_map
-        map_entries = ([page_ids[p] for p in page_map.pages.tolist()],
-                       [refs[o] for o in page_map.objects.tolist()], page_map.weights)
+        map_entries = ("".join(f"{page_ids[p]}\n" for p in page_map.pages.tolist()).encode(),
+                       "".join(f"{refs[o]}\n" for o in page_map.objects.tolist()).encode(),
+                       page_map.weights)
         page_rows = []
         adjacency: dict[int, list[int]] = {}
         for s, t in bundle.page_graph.edges:
@@ -282,6 +290,20 @@ class TestExpertFiles:
         expert_file.write_text("paper:A\t>\tpaper:B\n")
         ranking = resolve_expert(bundle, expert_file)
         assert ranking.pairs == ((0, 1),)
+
+    @pytest.mark.parametrize("ref", ["paper\tA\npaper\tB", "paper\tA\n", "\n", "paper\tA\udc80"],
+                             ids=["two-known-refs", "trailing-newline", "newline", "surrogate"])
+    def test_a_ref_no_object_can_have_is_unknown(self, tmp_path, ref):
+        """A ref with a newline, even one that joins two known refs, or with
+        a lone surrogate, is unknown, and the interner resolves and decodes
+        as before."""
+        bundle = load_corpus(write_minimal_corpus(tmp_path))
+        objects = bundle.graph.objects
+        with pytest.raises(GraphError, match=r"^unknown object "):
+            bundle.resolve_ref(ref)
+        assert objects.references == ["paper\tA", "paper\tB"]
+        assert bundle.resolve_refs(["paper\tB", "paper\tA"]) == [1, 0]
+        assert len(objects.refs.values()) == len(objects.refs)  # every held value decodes
 
     def test_mixed_forms_rejected(self, tmp_path):
         paths = write_minimal_corpus(tmp_path)
@@ -521,7 +543,7 @@ def test_page_map_matches_plain_python_reference(tmp_path, data):
     key_index = {f"paper\t{k}": i for i, k in enumerate(dict.fromkeys(papers))}
 
     bundle = load_corpus(paths)
-    assert bundle.page_index == _MAP_PAGES
+    assert _page_ids(paths.pages) == list(_MAP_PAGES)
     columns, dropped = _reference_page_map(paths.page_map, key_index, strict=False)
     assert map_columns(bundle.page_map) == columns
     assert [d for d in bundle.diagnostics if d.startswith("map-dropped")] == dropped
@@ -623,9 +645,10 @@ def test_read_links_matches_plain_python_reference(tmp_path, data, block):
         return
     triples, lines, refs = expected
     assert got.triples == triples
-    assert list(zip(got.codes.tolist(), [got.refs[i] for i in got.src.tolist()],
-                    [got.refs[i] for i in got.tgt.tolist()])) == lines
-    assert got.refs == refs  # source before target, in line order
+    got_refs = got.refs.decode("utf-8").split("\n")[:-1]
+    assert list(zip(got.codes.tolist(), [got_refs[i] for i in got.src.tolist()],
+                    [got_refs[i] for i in got.tgt.tolist()])) == lines
+    assert got_refs == refs  # source before target, in line order
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -643,7 +666,9 @@ def test_read_pages_matches_plain_python_reference(tmp_path, data, block):
     if isinstance(expected, str):
         assert got == expected
         return
-    page_ids, src, tgt = got
+    pages, number, src, tgt = got
+    ids = pages.values()
+    page_ids = [ids[i] for i in np.argsort(number).tolist()]
     assert (page_ids, src.tolist(), tgt.tolist()) == expected
     assert src.dtype == tgt.dtype == np.int64
 
@@ -804,8 +829,9 @@ def test_objects_read_and_merged_as_by_plain_python(tmp_path, data, block):
             return
     assert not isinstance(expected, str), expected
     objects = bundle.graph.objects
-    assert (objects.index, objects.type_names, objects.attribute_values,
-            objects.merged_record_counts, objects.conflict_counts) == expected
+    index, *columns = expected  # the index holds each reference with its row, in row order
+    assert (objects.references, objects.type_names, objects.attribute_values,
+            objects.merged_record_counts, objects.conflict_counts) == (list(index), *columns)
     assert bundle.diagnostics[0] == (f"merge\trecords={len(rows)}\tobjects={len(expected[0])}"
                                      f"\tconflicts={sum(expected[4])}")
 
@@ -814,10 +840,10 @@ def test_objects_read_and_merged_as_by_plain_python(tmp_path, data, block):
 
 def _bundle_state(bundle):
     objects, graph = bundle.graph.objects, bundle.graph
-    return (objects.index, objects.type_names, objects.attribute_values,
+    return (objects.references, objects.type_names, objects.attribute_values,
             objects.merged_record_counts, objects.conflict_counts, graph.relationship_types,
             {rel: edges.tolist() for rel, edges in graph.links.items()},
-            bundle.page_graph.num_pages, bundle.page_graph.edges.tolist(), bundle.page_index,
+            bundle.page_graph.num_pages, bundle.page_graph.edges.tolist(),
             map_columns(bundle.page_map), bundle.diagnostics)
 
 
@@ -839,6 +865,15 @@ def test_both_executors_load_the_same_bundle(tmp_path, monkeypatch, write):
     assert states[0] == states[1]
     worker, parent = map(int, pids.read_text().split())
     assert worker != parent == os.getpid()
+
+
+def test_a_links_worker_that_exits_without_a_result_is_an_os_error(tmp_path, monkeypatch):
+    """A worker that dies before it sends anything (killed, say) is an
+    OSError for the caller, not a wait for a result that never comes."""
+    monkeypatch.setattr(formats, "read_links", lambda path: os._exit(3))
+    monkeypatch.setattr(corpus, "_fork_links", lambda path: True)
+    with pytest.raises(OSError, match="^the links worker exited without a result$"):
+        load_corpus(CorpusPaths.in_dir(write_dirty_corpus(tmp_path / "corpus")))
 
 
 def test_links_run_in_process_on_one_cpu_or_for_a_small_file(tmp_path, monkeypatch):

@@ -410,6 +410,38 @@ def test_span_interner_starts_over_on_a_collision_in_a_later_block(monkeypatch, 
     assert interner.seed == 1 and set(seeds) == {0, 1}
 
 
+# references as the loader resolves them: TABs, non-ASCII text, and a
+# shared 8-byte prefix, so that some differ only past their first word
+_REF = st.one_of(st.text("ab\t|\xe9\u4e2d", max_size=10),
+                 st.text("xy", max_size=12).map(lambda tail: "paper\tAB" + tail))
+
+
+def _joined_lines(refs):
+    return "".join(f"{ref}\n" for ref in refs).encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(known=st.lists(_REF, unique=True, max_size=12),
+       batches=st.lists(st.lists(_REF, max_size=12), max_size=4), collide=st.booleans())
+def test_resolve_gives_the_ids_of_a_dict(known, batches, collide):
+    """Each batch resolves to the ids a dict of the known refs gives, -1 for
+    an unknown ref, after unknown refs of earlier batches were interned
+    too; an empty batch resolves to nothing. With every hash of seed 0
+    equal, the interner starts over and the ids stay the same."""
+    with pytest.MonkeyPatch.context() as patch:
+        if collide:
+            _colliding_first_seed(patch)
+        interner = _kernels.SpanInterner()
+        data = _joined_lines(known)
+        interner.intern(data, *_kernels.line_spans(np.frombuffer(data, np.uint8)))
+        index = {ref: i for i, ref in enumerate(known)}
+        for batch in [*batches, []]:
+            ids = interner.resolve(_joined_lines(batch), len(known))
+            assert ids.dtype == np.int64
+            assert ids.tolist() == [index.get(ref, -1) for ref in batch]
+        assert interner.values()[:len(known)] == known
+
+
 def test_a_forced_collision_in_a_later_block_gives_the_same_tables(tmp_path, monkeypatch):
     """Blocks of one line each: every interner holds one value when its
     first collision comes, and the tables are those of a read without one."""
@@ -428,9 +460,10 @@ def test_a_forced_collision_in_a_later_block_gives_the_same_tables(tmp_path, mon
     def read():
         records = list(formats.read_objects(objects).rows())
         table = formats.read_links(links)
-        page_ids, src, tgt = formats.read_pages(pages)
+        interned, number, src, tgt = formats.read_pages(pages)
         return (records, table.triples, table.codes.tolist(), table.refs, table.src.tolist(),
-                table.tgt.tolist(), page_ids, src.tolist(), tgt.tolist())
+                table.tgt.tolist(), interned.values(), number.tolist(), src.tolist(),
+                tgt.tolist())
 
     raw_blocks = formats._raw_blocks
     monkeypatch.setattr(formats, "_raw_blocks", lambda path, size: raw_blocks(path, 1))
@@ -452,9 +485,10 @@ def test_a_forced_collision_gives_the_same_tables(tmp_path, monkeypatch):
 
     def read():
         table = formats.read_links(links)
-        page_ids, src, tgt = formats.read_pages(pages)
+        interned, number, src, tgt = formats.read_pages(pages)
         return (table.triples, table.codes.tolist(), table.refs, table.src.tolist(),
-                table.tgt.tolist(), page_ids, src.tolist(), tgt.tolist())
+                table.tgt.tolist(), interned.values(), number.tolist(), src.tolist(),
+                tgt.tolist())
 
     before = read()
     seeds = _colliding_first_seed(monkeypatch)

@@ -294,6 +294,12 @@ class TestLearnPpf:
         with pytest.raises(ConfigError):
             LearnConfig(grid_resolution=1)
 
+    @pytest.mark.parametrize("field, value", [("grid_resolution", 2.5),
+                                              ("refine_iters", float("nan")), ("rng_seed", 1.5)])
+    def test_counts_that_are_not_integers_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got"):
+            LearnConfig(**{field: value})
+
     def test_oversized_grid_is_sampled_with_seed(self):
         from poprank.learning import GRID_EVAL_CAP, _grid_combinations
 
@@ -440,6 +446,14 @@ class TestKendallTau:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             kendall_tau(np.array([0, 1]), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("a, b", [(np.zeros((2, 2)), np.zeros((2, 2))),
+                                      (np.array(3), np.array(3)),
+                                      (np.array([0.0, np.nan]), np.array([0.0, 1.0])),
+                                      (np.array(["a", "b"]), np.array(["b", "a"]))])
+    def test_non_finite_or_not_1d_positions_rejected(self, a, b):
+        with pytest.raises(ConfigError, match="finite 1-d arrays"):
+            kendall_tau(a, b)
 
     @settings(max_examples=200)
     @given(data=st.data())

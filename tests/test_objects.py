@@ -26,6 +26,7 @@ from poprank import (
     formats,
     merge_records,
 )
+from poprank._kernels import SpanInterner
 
 
 class TestSchemaRegistry:
@@ -91,7 +92,7 @@ class TestMergeRecords:
         )
         objects = merge_records(records, registry)
         assert len(objects) == 3
-        assert objects.index == {"paper\tA": 0, "paper\tB": 1, "paper\tC": 2}
+        assert objects.references == ["paper\tA", "paper\tB", "paper\tC"]
 
     def test_later_record_fills_missing_attribute(self):
         registry = paper_registry()
@@ -284,11 +285,12 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="unresolved"):
             build_graph(objects, rels, links, strict=True)
 
-    def test_key_index_is_merge_index(self):
+    def test_graph_resolves_through_the_merge_refs(self):
         objects = merge_records(record_table([("a", "paper", {"title": "X"})]), paper_registry())
         graph, _ = build_graph(objects, [], link_table([]))
         assert graph.objects is objects
-        assert graph.key_index is objects.index
+        ids = graph.objects.refs.resolve(b"paper\tX\npaper\tY\n", len(objects))
+        assert ids.tolist() == [0, -1]
 
     def test_undeclared_relationship_rejected(self):
         registry = paper_registry()
@@ -336,15 +338,18 @@ class TestGraphCheck:
         _typed_graph({"by": [(0, 2), (1, 2)]}).check()
 
     def test_non_dense_ids_rejected(self):
+        # references for rows 0 and 1 only: no id is left for row 2
         graph = _typed_graph({"by": []})
-        graph.objects.index["paper\tY"] = 5
+        graph.objects.refs = SpanInterner()
+        graph.objects.refs.resolve(b"paper\tX\npaper\tY\n", 0)
         with pytest.raises(GraphError, match=r"object keys do not map to rows 0\.\.2 in row order"):
             graph.check()
 
     def test_shared_key_rejected(self):
-        # a dict holds a key once, so two rows sharing a key leave one row without a key
+        # an interner holds a reference once, so two rows sharing one leave a row without one
         graph = _typed_graph({"by": []})
-        del graph.objects.index["paper\tY"]
+        graph.objects.refs = SpanInterner()
+        graph.objects.refs.resolve(b"paper\tX\npaper\tX\nauthor\tZ\n", 0)
         with pytest.raises(GraphError, match=r"object keys do not map to rows 0\.\.2 in row order"):
             graph.check()
 

@@ -351,6 +351,14 @@ class TestPopRank:
         with pytest.raises(ConfigError, match="tol"):
             PopRankConfig(tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [float("nan"), 2.5, 3.0, "3", True])
+    def test_max_iter_that_is_not_an_integer_rejected(self, max_iter):
+        with pytest.raises(ConfigError, match="max_iter must be an integer, got"):
+            PopRankConfig(max_iter=max_iter)
+
+    def test_max_iter_may_be_a_numpy_integer(self):
+        assert PopRankConfig(max_iter=np.int64(7)).max_iter == 7
+
     def test_nonconvergence_warns(self):
         graph = simple_graph(3, {"cites": [(0, 1), (1, 2), (2, 0), (0, 2)]})
         with pytest.warns(NonConvergenceWarning):

@@ -108,6 +108,13 @@ class TestSimConfigValidation:
         with pytest.raises(ConfigError):
             SimConfig(steps=100, burn_in=100)
 
+    @pytest.mark.parametrize("field, value", [("steps", 10.5), ("steps", float("nan")),
+                                              ("rng_seed", 1.5), ("burn_in", 0.5),
+                                              ("rng_seed", True)])
+    def test_counts_that_are_not_integers_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got"):
+            SimConfig(**{"steps": 10, field: value})
+
     def test_epsilon_range(self):
         with pytest.raises(ConfigError):
             SimConfig(steps=10, epsilon=0.0)
@@ -125,6 +132,13 @@ def test_tv_distance_basics():
     assert tv_distance(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
     with pytest.raises(ConfigError):
         tv_distance(np.array([1.0]), np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("p, q", [([np.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [np.inf, 0.0]),
+                                  ([[0.5, 0.5]], [[0.5, 0.5]]), (0.5, 0.5)])
+def test_tv_distance_of_non_finite_or_not_1d_input_rejected(p, q):
+    with pytest.raises(ConfigError, match="finite 1-d arrays"):
+        tv_distance(np.array(p), np.array(q))
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),

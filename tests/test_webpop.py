@@ -101,6 +101,12 @@ class TestPageRank:
         with pytest.raises(ConfigError, match="tol"):
             pagerank(PageGraph.build(2, [(0, 1)]), tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [2.5, float("nan"), 0.0])
+    def test_max_iter_that_is_not_an_integer_rejected(self, max_iter):
+        # 2.5 once ran 2 iterations
+        with pytest.raises(ConfigError, match="max_iter must be an integer, got"):
+            pagerank(PageGraph.build(2, [(0, 1)]), max_iter=max_iter)
+
     def test_nonconvergence_warns_and_returns(self):
         graph = PageGraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         with pytest.warns(NonConvergenceWarning):
@@ -180,6 +186,12 @@ class TestWebPopularity:
         # page 0 maps to no object, so its score would not even reach the prior
         with pytest.raises(ConfigError, match="page scores must be finite and non-negative"):
             web_popularity(2, np.array([score, 1.0]), page_object_map([(1, 0, None)]))
+
+    def test_finite_page_scores_without_a_finite_total_rejected(self):
+        # each share is 1e308, their sum on object 0 is inf: once a silent [nan, 0.]
+        with pytest.raises(ConfigError, match="weighted page scores have no finite sum"):
+            web_popularity(2, np.array([1e308, 1e308]),
+                           PageObjectMap([0, 1], [0, 0], [1.0, 1.0]))
 
     def test_unknown_object_rejected(self):
         with pytest.raises(GraphError):
