@@ -108,16 +108,15 @@ class SpanInterner:
     ``intern`` takes one block of UTF-8 bytes and the ``[start, end)``
     byte spans of the values in it, and returns each span's id. A value
     is found by a 64-bit hash of its bytes, read 8 at a time through an
-    unaligned word view and seeded with its length and ``seed``, in a
-    sorted table of the hashes seen so far (a large part and a recent one,
-    merged once the recent part is an eighth of the large one, so that a
-    block seldom copies the whole table); every span is then compared, by
-    length and then word for word, with the bytes stored for its id. When
-    two different values share a hash the comparison fails and the
-    interner starts over under ``seed + 1``: it interns the values it held
-    before the block, in id order, and then the block, so ids never depend
-    on the hash and a collision costs a re-intern of the held values.
-    Memory grows with the distinct values, not with the blocks.
+    unaligned word view and seeded with its length and ``seed``, in one
+    sorted table of the hashes seen so far, into which each block inserts
+    its new hashes at once; every span is then compared, by length and
+    then word for word, with the bytes stored for its id. When two
+    different values share a hash the comparison fails and the interner
+    starts over under ``seed + 1``: it interns the values it held before
+    the block, in id order, and then the block, so ids never depend on the
+    hash and a collision costs a re-intern of the held values. Memory
+    grows with the distinct values, not with the blocks.
 
     Values must not contain a newline byte: the stored values are kept
     newline-separated, and ``values`` decodes them with one split.
@@ -125,8 +124,8 @@ class SpanInterner:
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        # sorted hashes with the id of each: the large part, then the recent
-        self._tables = [(np.empty(0, np.uint64), np.empty(0, np.int64))] * 2
+        # the sorted hashes of the values, and the id of each
+        self._hashes, self._ids = np.empty(0, np.uint64), np.empty(0, np.int64)
         self._count = 0
         # per id, where its bytes start in _store, and their length; with
         # room to grow, as has the store of values, each followed by a newline
@@ -168,34 +167,22 @@ class SpanInterner:
         hashes = _span_hashes(words, word_index, word_starts, lengths, self.seed)
 
         distinct, first, inverse = unique_first(hashes)
+        at = np.searchsorted(self._hashes, distinct)
+        hit = at < len(self._hashes)
+        hit[hit] = self._hashes[at[hit]] == distinct[hit]
         distinct_ids = np.full(len(distinct), -1)
-        for table, table_ids in self._tables:
-            at = np.searchsorted(table, distinct)
-            hit = at < len(table)
-            hit[hit] = table[at[hit]] == distinct[hit]
-            distinct_ids[hit] = table_ids[at[hit]]
-        new = np.flatnonzero(distinct_ids < 0)  # ascending, as distinct is sorted
+        distinct_ids[hit] = self._ids[at[hit]]
+        new = np.flatnonzero(~hit)  # ascending, as distinct is sorted
         distinct_ids[new[np.argsort(first[new])]] = np.arange(len(self), len(self) + len(new))
         self._store_new(buf, starts, lengths, np.sort(first[new]))  # by first appearance
-        self._add(distinct[new], distinct_ids[new])
+        self._hashes = np.insert(self._hashes, at[new], distinct[new])
+        self._ids = np.insert(self._ids, at[new], distinct_ids[new])
         ids = distinct_ids[inverse]
         # lengths first: a span longer than its stored value would read past it
         if not np.array_equal(self._lengths[ids], lengths):
             return None
         stored = _padded_words(self._store)[np.repeat(self._offsets[ids], counts) + place] & mask
         return ids if np.array_equal(stored, words) else None
-
-    def _add(self, hashes: np.ndarray, ids: np.ndarray) -> None:
-        """Put sorted new hashes and their ids in the recent table, and merge
-        it into the large one once it holds an eighth as many."""
-        (large, large_ids), (recent, recent_ids) = self._tables
-        at = np.searchsorted(recent, hashes)
-        recent, recent_ids = np.insert(recent, at, hashes), np.insert(recent_ids, at, ids)
-        if len(recent) > len(large) >> 3:
-            at = np.searchsorted(large, recent)
-            large, large_ids = np.insert(large, at, recent), np.insert(large_ids, at, recent_ids)
-            recent, recent_ids = recent[:0], recent_ids[:0]
-        self._tables = [(large, large_ids), (recent, recent_ids)]
 
     def _store_new(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
                    spans: np.ndarray) -> None:

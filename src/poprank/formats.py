@@ -31,11 +31,13 @@ The four corpus data files are read as columns, no field decoded:
 ``read_objects`` returns a RecordTable, ``read_links`` a LinkTable (see
 objects), ``read_pages`` the interned page ids, each id's page number and
 the out-links' page numbers, and ``read_page_map`` page ids and refs as
-newline-ended bytes with block weights. numpy finds the separators of
-each block's lines, and ``_kernels.SpanInterner`` interns fields as
-bytes; the other readers decode their lines (``_data_lines``). The
-writers take what the readers return, but ``write_pages`` takes (page
-id, out-link ids) rows.
+newline-ended bytes with block weights. ``_field_cuts`` finds each line's
+TABs and newline; each reader flags its bad lines with one mask over the
+block and raises the error of the first flagged line, the error a
+line-by-line reader raises first. ``_kernels.SpanInterner`` interns fields
+as bytes; the other readers decode their lines (``_data_lines``). The
+writers take what the readers return, but ``write_pages`` takes (page id,
+out-link ids) rows.
 
 Reports are TSV rows preceded by a ``#``-prefixed metadata block of
 ``# key <TAB> value`` lines; scores are written with full round-trip
@@ -58,7 +60,6 @@ from .objects import LinkTable, ObjectTypeSchema, RecordTable
 BLOCK_BYTES = 1 << 18
 
 _TAB, _NEWLINE, _COMMA, _SEMICOLON, _EQUALS = (ord(c) for c in "\t\n,;=")
-_LINK_CUTS = np.array([_TAB] * 4 + [_NEWLINE], np.uint8)  # the separators of a links line
 
 
 def _raw_blocks(path: Path, size: int) -> Iterator[bytes]:
@@ -138,6 +139,48 @@ def _fail(path: Path, lineno: int, message: str):
     raise FormatError(f"{path}:{lineno}: {message}")
 
 
+def _field_cuts(data: bytes, most: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each newline-ended line's TAB count, and the ``(lines, most + 1)``
+    int64 table of its first ``most`` TAB offsets and then its newline's;
+    a TAB the line lacks reads as its newline. When every line has
+    ``most`` TABs, the table is the separators' offsets, reshaped."""
+    buf = np.frombuffer(data, np.uint8)
+    cuts = np.flatnonzero((buf == _TAB) | (buf == _NEWLINE))
+    ends = np.flatnonzero(buf[cuts] == _NEWLINE)  # each line's newline, among the cuts
+    counts = np.diff(ends, prepend=-1) - 1
+    if np.all(counts == most):
+        return counts, cuts.reshape(-1, most + 1)
+    columns = np.minimum((ends - counts)[:, None] + np.arange(most + 1), ends[:, None])
+    columns[:, most] = ends
+    return counts, cuts[columns]
+
+
+def _line_starts(cuts: np.ndarray) -> np.ndarray:
+    """The offset of each line of a ``_field_cuts`` table: one past the newline before it."""
+    return np.append(0, cuts[:-1, -1] + 1)[:len(cuts)]
+
+
+def _check(path: Path, numbers: Sequence[int], bad: np.ndarray, error) -> None:
+    """Raise ``error(i)`` for the first line i of a block that ``bad`` flags."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        _fail(path, numbers[i], error(i))
+
+
+def _pieces(buf: np.ndarray, sep: int, starts: np.ndarray, ends: np.ndarray):
+    """The pieces, cut at each byte ``sep``, of the fields ``[starts[i],
+    ends[i])`` of a uint8 array, one field per line, in line order (an
+    empty field has none): each piece's start, end and line."""
+    cuts = np.flatnonzero(buf == sep)
+    # a cut is inside a field when it is not before the start of the first field ending after it
+    cuts = cuts[cuts >= np.append(starts, len(buf))[np.searchsorted(ends, cuts)]]
+    filled = ends > starts
+    # each is two sorted runs, which a stable sort merges
+    piece_starts = np.sort(np.concatenate((starts[filled], cuts + 1)), kind="stable")
+    piece_ends = np.sort(np.concatenate((ends[filled], cuts)), kind="stable")
+    return piece_starts, piece_ends, np.searchsorted(ends, piece_starts)
+
+
 def _split_csv(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
@@ -203,33 +246,15 @@ def read_objects(path: Path) -> RecordTable:
 
 def _object_spans(path: Path, numbers: Sequence[int], data: bytes,
                   attributes: _kernels.SpanInterner):
-    """The spans of a block of objects data lines, after checking them in
-    line order: each line's start, its type's ``(start, end)``, and each
-    attribute segment's ``(start, '=' offset, end, line, attribute id)``,
-    the ids interned by ``attributes``."""
+    """The spans of a block of objects data lines, after checking them: each
+    line's start, its type's ``(start, end)``, and each attribute
+    segment's ``(start, '=' offset, end, line, attribute id)``, the ids
+    interned by ``attributes``."""
     buf = np.frombuffer(data, np.uint8)
-    line_starts, line_ends = _kernels.line_spans(buf)
-    tabs = np.flatnonzero(buf == _TAB)
-    counts = np.bincount(np.searchsorted(line_ends, tabs), minlength=len(line_ends))
-    miscounted = (counts < 2) | (counts > 3)
-    # the lines before the first with a wrong field count
-    good = int(np.argmax(miscounted)) if miscounted.any() else len(line_ends)
-    first = (np.cumsum(counts) - counts)[:good]  # each line's first TAB
-    type_starts, type_ends = tabs[first] + 1, tabs[first + 1]
-    field_ends = np.where(counts[:good] == 3, tabs[np.minimum(first + 2, len(tabs) - 1)],
-                          line_ends[:good])
+    counts, cuts = _field_cuts(data, 3)
+    type_starts, type_ends = cuts[:, 0] + 1, cuts[:, 1]
     # the segments of a third field that is not empty: it is cut at each ';'
-    cuts = np.flatnonzero(buf == _SEMICOLON)
-    cut_lines = np.searchsorted(line_ends, cuts)
-    inside = cut_lines < good
-    inside[inside] = ((cuts[inside] > type_ends[cut_lines[inside]])
-                      & (cuts[inside] < field_ends[cut_lines[inside]]))
-    cuts = cuts[inside]
-    filled = field_ends > type_ends + 1
-    # each is two sorted runs, which a stable sort merges
-    starts = np.sort(np.concatenate((type_ends[filled] + 1, cuts + 1)), kind="stable")
-    ends = np.sort(np.concatenate((field_ends[filled], cuts)), kind="stable")
-    lines = np.searchsorted(line_ends, starts)
+    starts, ends, lines = _pieces(buf, _SEMICOLON, type_ends + 1, cuts[:, 2])
     # the first '=' of each segment, which must follow a non-empty name
     equals = np.append(np.flatnonzero(buf == _EQUALS), len(buf))
     equals = equals[np.searchsorted(equals, starts)]
@@ -244,14 +269,19 @@ def _object_spans(path: Path, numbers: Sequence[int], data: bytes,
     twice = np.zeros(len(starts), bool)
     twice[well[order[1:][key[order[1:]] == key[order[:-1]]]]] = True
     errors = malformed | twice
-    if errors.any():
-        i = int(np.argmax(errors))
+    miscounted = (counts < 2) | (counts > 3)
+
+    def error(line: int) -> str:
+        if miscounted[line]:
+            return f"expected 3 or 4 fields, got {counts[line] + 1}"
+        i = int(np.argmax(errors))  # the lines before have no bad segment
         segment = data[starts[i]:ends[i]].decode("utf-8")
-        _fail(path, numbers[lines[i]], f"bad attribute segment {segment!r}" if malformed[i]
-              else f"attribute {segment.partition('=')[0]!r} given twice")
-    if good < len(line_ends):
-        _fail(path, numbers[good], f"expected 3 or 4 fields, got {counts[good] + 1}")
-    return line_starts, (type_starts, type_ends), (starts, equals, ends, lines, ids)
+        return (f"bad attribute segment {segment!r}" if malformed[i]
+                else f"attribute {segment.partition('=')[0]!r} given twice")
+
+    bad = miscounted | (np.bincount(lines[errors], minlength=len(counts)) > 0)
+    _check(path, numbers, bad, error)
+    return _line_starts(cuts), (type_starts, type_ends), (starts, equals, ends, lines, ids)
 
 
 def write_objects(path: Path, records: RecordTable) -> None:
@@ -264,27 +294,6 @@ def write_objects(path: Path, records: RecordTable) -> None:
                     )
             attrs = ";".join(f"{a}={v}" for a, v in values.items())
             fh.write(f"{record_id}\t{type_name}\t{attrs}\n")
-
-
-def _link_blocks(path: Path) -> Iterator[tuple[bytes, np.ndarray]]:
-    """Each block of data lines of a links file as UTF-8 bytes, with the
-    ``(lines, 5)`` byte offsets of each line's four TABs and its newline,
-    after checking that every line has 5 fields."""
-    # larger blocks: a links line holds fewer spans per byte than an objects
-    # or pages line, and the links are parsed in the worker, whose memory
-    # stays below the calling process's (at 200k, 1.85 s against 2.3 s with
-    # BLOCK_BYTES, the per-block work being the difference)
-    for numbers, data in _byte_blocks(path, 4 * BLOCK_BYTES):
-        buf = np.frombuffer(data, np.uint8)
-        cuts = np.flatnonzero((buf == _TAB) | (buf == _NEWLINE))
-        if len(cuts) != 5 * len(numbers) or not np.all(buf[cuts].reshape(-1, 5) == _LINK_CUTS):
-            line_ends = np.flatnonzero(buf == _NEWLINE)
-            tabs = np.bincount(np.searchsorted(line_ends, np.flatnonzero(buf == _TAB)),
-                               minlength=len(line_ends))
-            i = int(np.argmax(tabs != 4))
-            _fail(path, numbers[i], f"expected 5 fields, got {tabs[i] + 1}")
-        if len(numbers):
-            yield data, cuts.reshape(-1, 5)
 
 
 def read_links(path: Path) -> LinkTable:
@@ -300,8 +309,14 @@ def read_links(path: Path) -> LinkTable:
     ref_types = np.empty(1 << 10, np.int64)  # per ref, the id of its type (room to grow)
     triples: dict[tuple[int, int, int], int] = {}
     codes, src, tgt = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for text, cuts in _link_blocks(path):
-        line_starts = np.concatenate(([0], cuts[:-1, 4] + 1))
+    # larger blocks: a links line holds fewer spans per byte than an objects
+    # or pages line, and the links are parsed in the worker, whose memory
+    # stays below the calling process's (at 200k, 1.85 s against 2.3 s with
+    # BLOCK_BYTES, the per-block work being the difference)
+    for numbers, text in _byte_blocks(path, 4 * BLOCK_BYTES):
+        counts, cuts = _field_cuts(text, 4)
+        _check(path, numbers, counts != 4, lambda i: f"expected 5 fields, got {counts[i] + 1}")
+        line_starts = _line_starts(cuts)
         # the source and target references, interleaved
         starts = np.column_stack((line_starts, cuts[:, 2] + 1)).ravel()
         known = len(refs)
@@ -341,72 +356,33 @@ def write_links(path: Path, links: LinkTable) -> None:
             fh.write(f"{refs[src]}\t{rel_names[code]}\t{refs[tgt]}\n")
 
 
-def _page_line_error(line: str) -> str:
-    """The error of a pages line with an empty page id or more than 2 fields."""
-    fields = line.split("\t")
-    if len(fields) > 2:
-        return f"expected 1 or 2 fields, got {len(fields)}"
-    return "empty page id"
+# the bytes of an out-link that str.strip may remove: ASCII blanks but TAB
+# and newline, and every byte that is not ASCII (Unicode whitespace, say)
+_STRIPPED = np.zeros(256, bool)
+_STRIPPED[[i for i in range(128) if chr(i).isspace() and chr(i) not in "\t\n"]] = True
+_STRIPPED[128:] = True
 
 
-def _clean_page_line(line: str) -> str:
-    """A pages line with its out-links written as ``_split_csv`` reads them."""
-    page_id, _, targets = line.partition("\t")
-    targets = ",".join(_split_csv(targets))
-    return f"{page_id}\t{targets}" if targets else page_id
-
-
-# the ASCII bytes that _split_csv strips from an out-link (TAB and newline
-# separate fields and lines)
-_BLANK = np.zeros(256, bool)
-_BLANK[[ord(c) for c in map(chr, range(128)) if c.isspace() and c not in "\t\n"]] = True
-
-
-def _page_spans(raw: bytes):
-    """The index of the first of the pages lines ``raw`` (UTF-8, each
-    followed by a newline) with an empty page id or more than 2 fields,
-    or None; when there is none, also each line's page id span and each
-    out-link's span and line:
-    ``(ids_start, ids_end), (targets_start, targets_end, targets_line)``."""
-    buf = np.frombuffer(raw, np.uint8)
-    line_starts, line_ends = _kernels.line_spans(buf)
-    tabs = np.flatnonzero(buf == _TAB)
-    tab_lines = np.searchsorted(line_ends, tabs)
-    bad = np.concatenate((tab_lines[1:][tab_lines[1:] == tab_lines[:-1]],
-                          tab_lines[tabs == line_starts[tab_lines]]))
-    if bad.size:
-        return int(bad.min()), None
-    id_ends = line_ends.copy()
-    id_ends[tab_lines] = tabs
-    # a line's TAB and the commas after it start its out-links
-    cuts = np.flatnonzero((buf == _TAB) | (buf == _COMMA))
-    cut_lines = np.searchsorted(line_ends, cuts)
-    in_targets = cuts >= id_ends[cut_lines]
-    cuts, cut_lines = cuts[in_targets], cut_lines[in_targets]
-    ends = line_ends[cut_lines]
-    same_line = cut_lines[1:] == cut_lines[:-1]
-    ends[:-1][same_line] = cuts[1:][same_line]
-    return None, ((line_starts, id_ends), (cuts + 1, ends, cut_lines))
-
-
-def _page_block(raw: bytes):
-    """The lines of a block of pages data lines (UTF-8, each followed by a
-    newline) before the first one with an empty page id or more than 2
-    fields, with their out-links as ``_split_csv`` reads them; that line's
-    index and error, or None; and the lines' spans (see _page_spans)."""
-    bad, spans = _page_spans(raw)
-    if bad is not None:
-        line_starts, line_ends = _kernels.line_spans(np.frombuffer(raw, np.uint8))
-        start = int(line_starts[bad])
-        bad = bad, _page_line_error(raw[start:line_ends[bad]].decode("utf-8"))
-        raw = raw[:start]
-        _, spans = _page_spans(raw)
-    _, (starts, ends, _) = spans
-    if not raw.isascii() or _BLANK[np.frombuffer(raw, np.uint8)].any() or (ends == starts).any():
-        lines = raw.decode("utf-8").split("\n")[:-1]
-        raw = "".join(_clean_page_line(line) + "\n" for line in lines).encode("utf-8")
-        _, spans = _page_spans(raw)
-    return raw, bad, spans
+def _out_links(data: bytes, starts: np.ndarray, ends: np.ndarray):
+    """``data`` and the ``(start, end, line)`` of each out-link in the
+    target fields ``[starts[i], ends[i])`` of its pages lines, as
+    ``_split_csv`` reads them: cut at each comma, stripped, and without
+    the empty ones. An out-link that holds a byte of ``_STRIPPED`` is
+    stripped as text, and its bytes are appended to ``data``."""
+    buf = np.frombuffer(data, np.uint8)
+    starts, ends, lines = _pieces(buf, _COMMA, starts, ends)
+    odd = _STRIPPED[buf]
+    if odd.any():
+        before = np.concatenate(([0], np.cumsum(odd)))
+        odd = np.flatnonzero(before[ends] > before[starts])
+        texts = [data[a:b].decode("utf-8").strip().encode("utf-8")
+                 for a, b in zip(starts[odd].tolist(), ends[odd].tolist())]
+        sizes = np.array([len(text) for text in texts], np.int64)
+        starts[odd] = len(data) + np.cumsum(sizes) - sizes
+        ends[odd] = starts[odd] + sizes
+        data += b"".join(texts)
+    kept = ends > starts
+    return data, (starts[kept], ends[kept], lines[kept])
 
 
 def read_pages(path: Path) -> tuple[_kernels.SpanInterner, np.ndarray, np.ndarray, np.ndarray]:
@@ -425,19 +401,25 @@ def read_pages(path: Path) -> tuple[_kernels.SpanInterner, np.ndarray, np.ndarra
     rows, src, tgt = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     num_rows = 0
     for numbers, data in _byte_blocks(path):
-        raw, bad, ((id_starts, id_ends), (starts, ends, lines)) = _page_block(data)
-        ids = pages.intern(raw, np.concatenate((id_starts, starts)), np.concatenate((id_ends, ends)))
-        row_ids = ids[:len(id_starts)]
+        counts, cuts = _field_cuts(data, 1)
+        line_starts, id_ends = _line_starts(cuts), cuts[:, 0]
+        data, (starts, ends, lines) = _out_links(data, id_ends + 1, cuts[:, 1])
+        ids = pages.intern(data, np.concatenate((line_starts, starts)),
+                           np.concatenate((id_ends, ends)))
+        row_ids = ids[:len(line_starts)]
         listed = np.concatenate((listed, np.zeros(len(pages) - len(listed), bool)))
         repeated = np.ones(len(row_ids), bool)  # but for a page's first line in the block
         repeated[_kernels.unique_first(row_ids)[1]] = False
         repeated |= listed[row_ids]
-        if repeated.any():
-            i = int(np.argmax(repeated))
-            page_id = raw[id_starts[i]:id_ends[i]].decode("utf-8")
-            _fail(path, numbers[i], f"page {page_id!r} listed twice")
-        if bad is not None:
-            _fail(path, numbers[bad[0]], bad[1])
+        empty = id_ends == line_starts
+
+        def error(i: int) -> str:
+            if counts[i] > 1:
+                return f"expected 1 or 2 fields, got {counts[i] + 1}"
+            page_id = data[line_starts[i]:id_ends[i]].decode("utf-8")
+            return "empty page id" if empty[i] else f"page {page_id!r} listed twice"
+
+        _check(path, numbers, (counts > 1) | empty | repeated, error)
         listed[row_ids] = True
         src.append(num_rows + lines)
         rows.append(row_ids)
@@ -463,32 +445,31 @@ def write_pages(path: Path, rows: Iterable[tuple[str, Sequence[str]]]) -> None:
 def read_page_map(path: Path) -> tuple[bytes, bytes, np.ndarray]:
     """The page ids and object refs of the data lines, each as UTF-8 bytes
     and a newline, and their float64 block weights (1.0 when absent or
-    empty). A block that breaks a rule is read again for its first error."""
+    empty)."""
     page_ids, refs, weights = [], [], [np.empty(0)]
     for numbers, data in _byte_blocks(path):
         buf = np.frombuffer(data, np.uint8)
-        starts, ends = _kernels.line_spans(buf)
-        tabs = np.flatnonzero(buf == _TAB)
-        counts = np.bincount(np.searchsorted(ends, tabs), minlength=len(ends))
-        if np.all((counts == 2) | (counts == 3)):
-            first = np.cumsum(counts) - counts  # each line's first TAB
-            type_starts, type_ends = tabs[first] + 1, tabs[first + 1]
-            key_ends = np.where(counts == 3, tabs[np.minimum(first + 2, len(tabs) - 1)], ends)
-            texts = _kernels.join_spans(buf, np.minimum(key_ends + 1, ends), ends).tobytes()
-            try:
-                block = np.array([float(w or 1) for w in texts.decode("utf-8").split("\n")[:-1]])
-            except ValueError:
-                block = np.full(len(ends), np.nan)
-            if np.all((type_ends > type_starts) & (key_ends > type_ends + 1) & (block >= 0.0)
-                      & (block < np.inf)):
-                page_ids.append(_kernels.join_spans(buf, starts, type_starts - 1).tobytes())
-                refs.append(_kernels.join_spans(buf, type_starts, key_ends).tobytes())
-                weights.append(block)
-                continue
-        for lineno, line in zip(numbers, data.decode("utf-8").split("\n")):
-            if message := _page_map_error(line):
-                _fail(path, lineno, message)
+        counts, cuts = _field_cuts(data, 3)
+        starts = _line_starts(cuts)
+        texts = _kernels.join_spans(buf, np.minimum(cuts[:, 2] + 1, cuts[:, 3]), cuts[:, 3])
+        block = np.array([_weight(w) for w in texts.tobytes().decode("utf-8").split("\n")[:-1]])
+        empty = ((cuts[:, 0] == starts) | (cuts[:, 1] == cuts[:, 0] + 1)
+                 | (cuts[:, 2] == cuts[:, 1] + 1))  # page id, type or key
+        bad = (counts < 2) | (counts > 3) | empty | ~((block >= 0.0) & (block < np.inf))
+        _check(path, numbers, bad,
+               lambda i: _page_map_error(data[starts[i]:cuts[i, 3]].decode("utf-8")))
+        page_ids.append(_kernels.join_spans(buf, starts, cuts[:, 0]).tobytes())
+        refs.append(_kernels.join_spans(buf, cuts[:, 0] + 1, cuts[:, 2]).tobytes())
+        weights.append(block)
     return b"".join(page_ids), b"".join(refs), np.concatenate(weights)
+
+
+def _weight(text: str) -> float:
+    """The block weight a page map line gives: 1.0 when empty, NaN when not a number."""
+    try:
+        return float(text or 1)
+    except ValueError:
+        return np.nan
 
 
 def _page_map_error(line: str) -> str | None:
@@ -496,6 +477,8 @@ def _page_map_error(line: str) -> str | None:
     fields = line.split("\t")
     if len(fields) not in (3, 4):
         return f"expected 3 or 4 fields, got {len(fields)}"
+    if not fields[0]:
+        return "empty page id"
     if len(fields) == 4 and fields[3] != "":
         try:
             weight = float(fields[3])

@@ -404,6 +404,18 @@ class ObjectGraph:
     def num_links(self) -> int:
         return sum(len(edges) for edges in self.links.values())
 
+    def checked_links(self, rel_name: str) -> np.ndarray:
+        """``links[rel_name]`` as int64, after checking that it is an integer
+        ``(m, 2)`` array of object ids; raises GraphError."""
+        edges = np.asarray(self.links[rel_name])
+        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+            raise GraphError(f"{rel_name}: links must be an integer (m, 2) array")
+        outside = np.flatnonzero(((edges < 0) | (edges >= self.num_objects)).any(axis=1))
+        if outside.size:
+            src, tgt = edges[outside[0]].tolist()
+            raise GraphError(f"{rel_name}: link ({src}, {tgt}) points outside the graph")
+        return edges.astype(np.int64, copy=False)
+
     def check(self) -> None:
         """Well-formedness check; raises GraphError on violation."""
         n = len(self.objects)
@@ -415,14 +427,11 @@ class ObjectGraph:
                 raise GraphError(f"duplicate relationship type {rt.rel_name!r}")
             rels[rt.rel_name] = rt
         types, type_ids = self.objects.types, self.objects.type_ids
-        for rel_name, edges in self.links.items():
+        for rel_name in self.links:
             rt = rels.get(rel_name)
             if rt is None:
                 raise GraphError(f"links declared for unknown relationship type {rel_name!r}")
-            outside = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
-            if outside.size:
-                src, tgt = edges[outside[0]].tolist()
-                raise GraphError(f"{rel_name}: link ({src}, {tgt}) points outside the graph")
+            edges = self.checked_links(rel_name)
             for column, side, expected in ((0, "source", rt.source_type),
                                            (1, "target", rt.target_type)):
                 expected_id = types.index(expected) if expected in types else -1

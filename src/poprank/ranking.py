@@ -124,7 +124,7 @@ class LinkStructure:
     def from_graph(cls, graph: ObjectGraph) -> "LinkStructure":
         n = graph.num_objects
         rel_names = tuple(rt.rel_name for rt in graph.relationship_types)
-        edges = [graph.links[name] for name in rel_names]
+        edges = [graph.checked_links(name) for name in rel_names]
         out_degrees = [np.bincount(e[:, 0], minlength=n) for e in edges]
         # each object's types as a bit mask, renumbered by set every 32
         # types so that 32 more bits fit in int64

@@ -82,10 +82,9 @@ def simulate(transition: TransitionStructure, prior: np.ndarray, cfg: SimConfig)
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Total variation distance: half the L1 distance between distributions.
     Raises ConfigError unless both are finite 1-d arrays of one shape."""
-    p = np.asarray(p, np.float64)
-    q = np.asarray(q, np.float64)
+    p, q = np.asarray(p), np.asarray(q)
     if p.shape != q.shape:
         raise ConfigError("distributions must have the same shape")
-    if p.ndim != 1 or not np.all(np.isfinite(p) & np.isfinite(q)):
+    if p.ndim != 1 or not all(d.dtype.kind in "biuf" and np.isfinite(d).all() for d in (p, q)):
         raise ConfigError("distributions must be finite 1-d arrays")
-    return 0.5 * float(np.abs(p - q).sum())
+    return 0.5 * float(np.abs(p.astype(np.float64) - q.astype(np.float64)).sum())

@@ -188,6 +188,13 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "error: record 'r1': key attribute 'title' value 'a|b' contains '|'" in err
 
+    def test_empty_page_id_in_the_page_map_exits_2(self, oracle_corpus, capsys):
+        (oracle_corpus / "page_object_map.tsv").write_text("p0\tpaper\tt0\n\tpaper\tt1\n")
+        assert run_cli("ingest", oracle_corpus) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {oracle_corpus}/page_object_map.tsv:2: empty page id\n"
+
     @pytest.mark.parametrize("schemas, expected", [
         ("paper\tti=tle\tti=tle\n", "paper: attribute name 'ti=tle' contains '='"),
         ("paper\ttitle;x\ttitle;x\n", "paper: attribute name 'title;x' contains ';'"),

@@ -261,6 +261,11 @@ class TestFormatValidation:
         with pytest.raises(FormatError, match="listed twice"):
             load_corpus(paths)
 
+    def test_page_map_empty_page_id_rejected(self, tmp_path):
+        paths = write_minimal_corpus(tmp_path, page_map="p1\tpaper\tA\n\tpaper\tA\n")
+        with pytest.raises(FormatError, match=r"page_object_map\.tsv:2: empty page id$"):
+            load_corpus(paths)
+
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         paths = write_minimal_corpus(
             tmp_path, links="# a comment\n\npaper\tA\tcites\tpaper\tB\n"
@@ -671,6 +676,78 @@ def test_read_pages_matches_plain_python_reference(tmp_path, data, block):
     page_ids = [ids[i] for i in np.argsort(number).tolist()]
     assert (page_ids, src.tolist(), tgt.tolist()) == expected
     assert src.dtype == tgt.dtype == np.int64
+
+
+# the weights a page map line may give that are numbers, with their values
+_WEIGHTS = {"0": 0.0, "1e-3": 0.001, "-1": -1.0, "nan": float("nan"), "inf": float("inf"),
+            "1e400": float("inf")}
+
+
+def _reference_page_map_columns(path):
+    """(page ids, refs, weights) of the page map, read one line at a time."""
+    page_ids, refs, weights = [], [], []
+    for lineno, line in _reference_lines(path):
+        fields = line.split("\t")
+        error = None
+        if len(fields) not in (3, 4):
+            error = f"expected 3 or 4 fields, got {len(fields)}"
+        elif not fields[0]:
+            error = "empty page id"
+        elif len(fields) == 4 and fields[3] and fields[3] not in _WEIGHTS:
+            error = f"bad block weight {fields[3]!r}"
+        elif len(fields) == 4 and fields[3] and not 0.0 <= _WEIGHTS[fields[3]] < np.inf:
+            error = f"block weight must be finite and non-negative, got {_WEIGHTS[fields[3]]}"
+        elif not fields[1] or not fields[2]:
+            error = "empty object type or key"
+        if error:
+            raise FormatError(f"{path}:{lineno}: {error}")
+        page_ids.append(fields[0])
+        refs.append(f"{fields[1]}\t{fields[2]}")
+        weights.append(_WEIGHTS[fields[3]] if len(fields) == 4 and fields[3] else 1.0)
+    return page_ids, refs, weights
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), block=st.integers(1, 64))
+def test_read_page_map_matches_plain_python_reference(tmp_path, data, block):
+    """2-5 fields; empty page ids, types and keys; weights absent, empty,
+    out of range or not a number: the columns, or the first error."""
+    path = tmp_path / "page_object_map.tsv"
+    field = st.sampled_from(["w1", "", "paper", "a|b", "é"])
+    weight = st.sampled_from(["", *_WEIGHTS, "x"])
+    map_line = st.integers(2, 5).flatmap(
+        lambda n: st.tuples(*[field] * min(n, 3), *[weight] * (n - 3))).map("\t".join)
+    _fuzzed_file(data, path, map_line)
+    expected = _outcome(_reference_page_map_columns, path)
+    raw_blocks = formats._raw_blocks
+    with mock.patch.object(formats, "_raw_blocks", lambda p, size: raw_blocks(p, block)):
+        got = _outcome(formats.read_page_map, path)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    page_ids, refs, weights = got
+    assert page_ids.decode("utf-8").split("\n")[:-1] == expected[0]
+    assert refs.decode("utf-8").split("\n")[:-1] == expected[1]
+    assert weights.dtype == np.float64 and weights.tolist() == expected[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.text("ab\t", max_size=8), max_size=8), most=st.integers(1, 4),
+       uniform=st.booleans())
+def test_field_cuts_give_each_lines_first_tabs_and_newline(lines, most, uniform):
+    """Lines with any number of TABs, or all with ``most`` (the reshaped table)."""
+    if uniform:
+        lines = ["\t".join([line.replace("\t", "")] * (most + 1)) for line in lines]
+    data = "".join(line + "\n" for line in lines).encode()
+    counts, cuts = formats._field_cuts(data, most)
+    expected, start = [], 0
+    for line in lines:
+        tabs = [start + i for i, c in enumerate(line) if c == "\t"]
+        newline = start + len(line)
+        expected.append((tabs + [newline] * most)[:most] + [newline])
+        start = newline + 1
+    assert counts.tolist() == [line.count("\t") for line in lines]
+    assert cuts.dtype == np.int64 and cuts.reshape(-1, most + 1).tolist() == expected
 
 
 def _reference_records(path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import dense_poprank, random_graph, random_prior, simple_graph
 from poprank import (
     ConfigError,
+    GraphError,
     LinkStructure,
     NonConvergenceWarning,
     PageGraph,
@@ -210,6 +211,22 @@ class TestLinkStructure:
         structure = LinkStructure.from_graph(simple_graph(2, {"cites": [(0, 1)]}))
         with pytest.raises(ConfigError, match="cites"):
             structure.reweight(PpfAssignment({"extends": 0.5}))
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[0, 5]], r"cites: link \(0, 5\) points outside the graph"),
+    ([[-1, 0]], r"cites: link \(-1, 0\) points outside the graph"),
+    ([[0.5, 1]], r"cites: links must be an integer \(m, 2\) array"),
+    ([0, 1], r"cites: links must be an integer \(m, 2\) array"),
+    ([[0, 1, 1]], r"cites: links must be an integer \(m, 2\) array"),
+], ids=["past-n", "negative", "float", "1-d", "three-columns"])
+def test_a_hand_built_graph_with_bad_edges_is_rejected(edges, message):
+    graph = simple_graph(2, {"cites": [(0, 1)]})
+    graph.links["cites"] = np.array(edges)
+    with pytest.raises(GraphError, match=message):
+        LinkStructure.from_graph(graph)
+    with pytest.raises(GraphError, match=message):
+        build_transition(graph, PpfAssignment({"cites": 0.5}))
 
 
 class TestPopRank:

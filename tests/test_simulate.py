@@ -135,7 +135,7 @@ def test_tv_distance_basics():
 
 
 @pytest.mark.parametrize("p, q", [([np.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [np.inf, 0.0]),
-                                  ([[0.5, 0.5]], [[0.5, 0.5]]), (0.5, 0.5)])
+                                  ([[0.5, 0.5]], [[0.5, 0.5]]), (0.5, 0.5), (["a"], ["b"])])
 def test_tv_distance_of_non_finite_or_not_1d_input_rejected(p, q):
     with pytest.raises(ConfigError, match="finite 1-d arrays"):
         tv_distance(np.array(p), np.array(q))
