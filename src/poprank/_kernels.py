@@ -10,7 +10,7 @@ the byte interner that feeds the loader.
 * ``power_iteration`` -- one power-iteration solve with restart and
   dangling-mass redistribution, from the prior or from a given start, to
   a tolerance, until the order of given pairs of entries is settled, or
-  until enough of those pairs are settled the wrong way round.
+  until enough are settled the wrong way round; a large one on two threads.
 * ``random_walk`` -- the restart walk driven by a seeded generator, its
   restart segments advanced together with numpy in chunks sized from the
   restart probability, tallying visits into an int64 histogram. Links
@@ -20,12 +20,22 @@ the byte interner that feeds the loader.
 
 from __future__ import annotations
 
+import os
+from contextlib import nullcontext
+
 import numpy as np
 
 # steps whose uniforms are drawn at once; at small epsilon up to 16 times
 # as many (see _walk_chunk), which bounds the walk's memory
 WALK_CHUNK_STEPS = 65_536
 EPS = 2.0**-52  # float64 machine epsilon
+SPLIT_MIN_EDGES = 1 << 18  # edges from which a solve runs on two threads (power_iteration)
+
+
+def spare_cpu() -> bool:
+    """Whether the process may use a second CPU (by affinity, else count)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) > 1
 
 
 def backend() -> str:
@@ -216,6 +226,11 @@ class SpanInterner:
         """The distinct values decoded, in id order."""
         return self.data().decode("utf-8").split("\n")[:-1]
 
+    def lines(self, ids: np.ndarray) -> list[str]:
+        """The values of ``ids`` decoded, in that order, from one gather."""
+        data = gather_spans(self._store, self._offsets[ids], self._lengths[ids] + 1)
+        return data.tobytes().decode("utf-8").split("\n")[:-1]
+
 
 def line_spans(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, ends) of the newline-ended lines of a uint8 array; a line's
@@ -275,6 +290,10 @@ def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter, r
     up to float drift). A start at the fixed point stops after one
     iteration.
 
+    With SPLIT_MIN_EDGES edges and a second CPU, a helper thread that lives
+    only inside the call computes half of the objects; each half's own copy
+    of its in-edges, in CSR order, keeps every sum's order and so the bits.
+
     ``pairs``, two index arrays (high, low), adds a second stop: after an
     iteration with L1 change delta, stop once every |r[high] - r[low]|
     exceeds c * (delta + tol) + margin, c = alpha / (1 - alpha) up to
@@ -294,27 +313,47 @@ def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter, r
     to tol would get at least ``reject`` pairs wrong.
     """
     n = v.shape[0]
-    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    r = (v if r0 is None else r0).copy()
+    r = (v if r0 is None else r0).astype(np.float64)
+    new, change, rest = np.empty(n), np.empty(n), (1.0 - alpha) * v
+    dangling_at = np.flatnonzero(dangling)
     rule = None if pairs is None else _settle_rule(indptr, targets, alpha, v, tol, max_iter)
     if rule is not None:
         (high, low), (c, margin) = pairs, rule
-    it = 0
-    delta = np.inf
-    for it in range(1, max_iter + 1):
-        pulled = np.bincount(targets, weights=r[sources] * probs, minlength=n)
-        d_mass = float(r[dangling].sum())
-        r_new = alpha * (pulled + d_mass * v) + (1.0 - alpha) * v
-        delta = float(np.abs(r_new - r).sum())
-        r = r_new
-        if delta < tol:
-            break
-        if rule is not None:
-            gap = r[high] - r[low]
-            bound = c * (delta + tol) + margin
-            if np.all(np.abs(gap) > bound) or (
-                    reject is not None and np.count_nonzero(gap < -bound) >= reject):
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    halves, helper = [(0, n, sources, targets, probs)], nullcontext()
+    if len(targets) >= SPLIT_MIN_EDGES and spare_cpu():
+        from concurrent.futures import ThreadPoolExecutor  # not at start-up
+        cut, helper = n // 2, ThreadPoolExecutor(1)
+        halves = [(lo, hi, sources[into], targets[into] - lo, probs[into])
+                  for lo, hi, into in ((0, cut, targets < cut), (cut, n, targets >= cut))]
+    del sources  # held by the one half, or copied into two
+
+    def step(r, new, d_mass, lo, hi, src, tgt, p):
+        # alpha * (pulled + d_mass * v) + (1 - alpha) * v, operation for operation
+        out = np.multiply(v[lo:hi], d_mass, out=new[lo:hi])
+        out += np.bincount(tgt, weights=r[src] * p, minlength=hi - lo)
+        out *= alpha
+        out += rest[lo:hi]
+        np.abs(np.subtract(out, r[lo:hi], out=change[lo:hi]), out=change[lo:hi])
+
+    it, delta = 0, np.inf
+    with helper:
+        for it in range(1, max_iter + 1):
+            d_mass = float(r[dangling_at].sum())
+            pending = [helper.submit(step, r, new, d_mass, *half) for half in halves[1:]]
+            step(r, new, d_mass, *halves[0])
+            for done in pending:
+                done.result()
+            delta = float(change.sum())
+            r, new = new, r
+            if delta < tol:
                 break
+            if rule is not None:
+                gap = r[high] - r[low]
+                bound = c * (delta + tol) + margin
+                if np.all(np.abs(gap) > bound) or (
+                        reject is not None and np.count_nonzero(gap < -bound) >= reject):
+                    break
     return r, it, delta
 
 

@@ -14,6 +14,7 @@ import argparse
 import sys
 import warnings
 from collections import Counter
+from collections.abc import Callable, Collection, Iterator
 from datetime import datetime, timezone
 from itertools import count
 from pathlib import Path
@@ -158,7 +159,7 @@ def _check_convergence(args, *results: RankResult | None) -> None:
         raise _NotConverged(f"power iteration did not converge (residual {failed[0].residual:.3e})")
 
 
-def _write_report(args, meta, lines: list[str]) -> None:
+def _write_report(args, meta, lines: Collection[str]) -> None:
     formats.write_report(sys.stdout if args.out is None else args.out, meta, lines)
 
 
@@ -174,12 +175,22 @@ def cmd_ingest(args) -> None:
     _write_report(args, _base_meta(args, "ingest"), lines)
 
 
-def _in_order(bundle: CorpusBundle, order: np.ndarray, *columns: np.ndarray) -> tuple[list, ...]:
-    """Every object's ref, then each per-object column as a list, in
-    ``order``. A ref is ``type_name<TAB>key``, so it fills a report's type
-    and key columns."""
-    refs = bundle.graph.objects.references  # in row (object id) order
-    return ([refs[i] for i in order.tolist()], *(column[order].tolist() for column in columns))
+class _ObjectRows:
+    """Rows ``row(k, ref, *values)`` of the objects ranked by the first column
+    (ref, ``type<TAB>key``, fills two), built REPORT_CHUNK_ROWS at a time."""
+
+    def __init__(self, bundle: CorpusBundle, row: Callable[..., str], *columns: np.ndarray):
+        self.refs, self.order = bundle.graph.objects.refs, ranking_order(columns[0])
+        self.row, self.columns = row, columns
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __iter__(self) -> Iterator[str]:
+        for start in range(0, len(self.order), formats.REPORT_CHUNK_ROWS):
+            ids = self.order[start:start + formats.REPORT_CHUNK_ROWS]
+            yield from map(self.row, count(start + 1), self.refs.lines(ids),
+                           *(column[ids].tolist() for column in self.columns))
 
 
 def cmd_rank(args) -> None:
@@ -191,8 +202,7 @@ def cmd_rank(args) -> None:
     meta += [(f"gamma[{name}]", repr(float(g))) for name, g in sorted(ppf.factors.items())]
     meta += _convergence_meta("pagerank", page_result)
     meta += _convergence_meta("poprank", result)
-    refs, scores = _in_order(bundle, ranking_order(result.scores), result.scores)
-    _write_report(args, meta, [f"{k}\t{ref}\t{s!r}" for k, ref, s in zip(count(1), refs, scores)])
+    _write_report(args, meta, _ObjectRows(bundle, lambda k, ref, s: f"{k}\t{ref}\t{s!r}", result.scores))
     _check_convergence(args, page_result, result)
 
 
@@ -235,10 +245,9 @@ def cmd_simulate(args) -> None:
              ("tv-distance", repr(tv))]
     meta += _convergence_meta("poprank", analytic)
 
-    columns = _in_order(bundle, ranking_order(analytic.scores), analytic.scores, hist.empirical,
-                        hist.counts)
-    _write_report(args, meta, [f"{k}\t{ref}\t{s!r}\t{e!r}\t{c}"
-                               for k, ref, s, e, c in zip(count(1), *columns)])
+    _write_report(args, meta, _ObjectRows(
+        bundle, lambda k, ref, s, e, c: f"{k}\t{ref}\t{s!r}\t{e!r}\t{c}",
+        analytic.scores, hist.empirical, hist.counts))
     _check_convergence(args, page_result, analytic)
 
 
@@ -254,10 +263,9 @@ def cmd_compare(args) -> None:
              ("damping", repr(args.damping))]
     meta += _convergence_meta("poprank", result)
 
-    columns = _in_order(bundle, ranking_order(result.scores), result.scores, prior,
-                        page_positions + 1)
-    _write_report(args, meta, [f"{ref}\t{s!r}\t{k}\t{p!r}\t{page_k}"
-                               for k, ref, s, p, page_k in zip(count(1), *columns)])
+    _write_report(args, meta, _ObjectRows(
+        bundle, lambda k, ref, s, p, page_k: f"{ref}\t{s!r}\t{k}\t{p!r}\t{page_k}",
+        result.scores, prior, page_positions + 1))
     _check_convergence(args, page_result, result)
 
 

@@ -23,7 +23,6 @@ cannot be pickled, is inherited by the worker and used.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -120,8 +119,7 @@ def _page_data(pages_path: Path,
 def _fork_links(path: Path) -> bool:
     """Whether the links task runs in a forked worker: only with a second
     CPU to run it on, and a links file large enough to repay the fork."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) > 1 and path.stat().st_size >= FORK_MIN_LINKS_BYTES
+    return _kernels.spare_cpu() and path.stat().st_size >= FORK_MIN_LINKS_BYTES
 
 
 @contextmanager

@@ -46,7 +46,8 @@ precision so reports parse back losslessly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,7 @@ from .objects import LinkTable, ObjectTypeSchema, RecordTable
 # bytes per block of the block readers; a block's arrays are a few times
 # its size, so this bounds the parse's memory
 BLOCK_BYTES = 1 << 18
+REPORT_CHUNK_ROWS = 1 << 10  # report rows built and written at a time (more raised peak RSS)
 
 _TAB, _NEWLINE, _COMMA, _SEMICOLON, _EQUALS = (ord(c) for c in "\t\n,;=")
 
@@ -563,16 +565,17 @@ def read_expert(path: Path) -> tuple[str, list]:
 def write_report(
     path_or_stream,
     meta: Sequence[tuple[str, str]],
-    lines: Sequence[str],
+    lines: Collection[str],
 ) -> None:
     """Write a ``#``-headed metadata block followed by TSV data rows, each
     given as one line of TAB-separated fields without its newline; the
-    rows are written with one call."""
+    rows are taken and written REPORT_CHUNK_ROWS at a time."""
 
     def _emit(fh):
         fh.write("".join(f"# {key}\t{value}\n" for key, value in meta))
-        if lines:
-            fh.write("\n".join(lines) + "\n")
+        rows = iter(lines)
+        while chunk := list(islice(rows, REPORT_CHUNK_ROWS)):
+            fh.write("\n".join(chunk) + "\n")
 
     if hasattr(path_or_stream, "write"):
         _emit(path_or_stream)

@@ -407,6 +407,8 @@ class ObjectGraph:
     def checked_links(self, rel_name: str) -> np.ndarray:
         """``links[rel_name]`` as int64, after checking that it is an integer
         ``(m, 2)`` array of object ids; raises GraphError."""
+        if rel_name not in self.links:
+            raise GraphError(f"{rel_name}: declared relationship type has no links array")
         edges = np.asarray(self.links[rel_name])
         if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
             raise GraphError(f"{rel_name}: links must be an integer (m, 2) array")

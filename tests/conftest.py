@@ -5,6 +5,7 @@ from __future__ import annotations
 import multiprocessing
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,13 @@ from poprank import (  # noqa: E402
 
 @pytest.fixture(autouse=True)
 def no_worker_left():
-    """load_corpus parses in worker processes; none may outlive a test."""
+    """load_corpus parses in worker processes and a large solve runs on a
+    helper thread; no process, and no thread started in a test, may
+    outlive it."""
+    before = set(threading.enumerate())
     yield
     assert multiprocessing.active_children() == []
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def dense_pagerank(num_pages: int, edges, damping: float) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import SRC, dense_poprank
-from poprank import PpfAssignment, _kernels, build_transition, web_popularity
+from poprank import PpfAssignment, _kernels, build_transition, formats, web_popularity
 from poprank.cli import main
 from poprank.corpus import CorpusPaths, load_corpus
 from poprank.formats import read_ppf, read_report
@@ -595,6 +595,23 @@ def test_learn_imports_nothing_heavy(oracle_corpus, tmp_path):
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("command", [["rank"], ["compare"],
+                                         ["simulate", "--steps", "2000", "--seed", "3"]])
+    def test_report_chunks_change_no_byte(self, oracle_corpus, tmp_path, capsys, monkeypatch,
+                                          command):
+        def run(chunk_rows: int):
+            monkeypatch.setattr(formats, "REPORT_CHUNK_ROWS", chunk_rows)
+            out = tmp_path / f"{chunk_rows}.tsv"
+            argv = [command[0], oracle_corpus, "--ppf", oracle_corpus / "gamma.tsv", *command[1:]]
+            assert run_cli(*argv, "--out", out) == 0
+            assert run_cli(*argv) == 0
+            return out.read_bytes(), capsys.readouterr()
+
+        want = run(formats.REPORT_CHUNK_ROWS)
+        assert len(read_report(tmp_path / f"{formats.REPORT_CHUNK_ROWS}.tsv")[1]) == 4
+        for chunk_rows in (1, 2, 3):
+            assert run(chunk_rows) == want
+
     def test_rank_rerun_is_byte_identical(self, oracle_corpus, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")

@@ -5,6 +5,7 @@ gives the ids of plain dict interning, collisions or not."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import tracemalloc
 from bisect import bisect_right
@@ -97,6 +98,72 @@ def test_power_iteration_pairs_change_nothing_where_a_full_run_may_not_converge(
     r, iterations, residual = _kernels.power_iteration(*args, pairs=(order[:-1], order[1:]))
     assert r.tobytes() == full[0].tobytes()
     assert (iterations, residual) == full[1:]
+
+
+@st.composite
+def solves(draw):
+    """power_iteration's arguments on 1 to 60 objects: edge sets that may be
+    empty or all point into one half, dangling rows, a start or not, pair
+    and reject stops, and caps that may end a solve before tol."""
+    n = draw(st.integers(1, 60))
+    lo, hi = draw(st.sampled_from([(0, n), (0, max(n // 2, 1)), (n // 2, n)]))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(lo, hi - 1)), max_size=200))
+    src, tgt = np.array(edges, np.int64).reshape(-1, 2).T
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(edges),
+                                     max_size=len(edges))))
+    indptr, targets, probs = _kernels.csr(n, src, tgt, weights / np.bincount(src, minlength=n)[src])
+    v = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    v /= v.sum()
+    alpha = draw(st.sampled_from([0.5, 0.85, 0.99]))
+    args = (indptr, targets, probs, np.diff(indptr) == 0, alpha, v,
+            draw(st.sampled_from([1e-3, 1e-10, 1e-14])), draw(st.integers(1, 300)))
+    kwargs = {}
+    if draw(st.booleans()):
+        r0 = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        kwargs["r0"] = r0 / max(r0.sum(), 1.0)
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              min_size=1, max_size=20))
+        kwargs["pairs"] = tuple(np.array(pairs, np.int64).T)
+        if draw(st.booleans()):
+            kwargs["reject"] = draw(st.integers(1, len(pairs)))
+    return args, kwargs
+
+
+@settings(max_examples=200, deadline=None)
+@given(solve=solves())
+def test_split_solve_is_bit_identical_to_one_half(solve):
+    args, kwargs = solve
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(_kernels, "spare_cpu", lambda: True)
+        monkeypatch.setattr(_kernels, "SPLIT_MIN_EDGES", 0)
+        split = _kernels.power_iteration(*args, **kwargs)
+        monkeypatch.setattr(_kernels, "SPLIT_MIN_EDGES", len(args[1]) + 1)
+        whole = _kernels.power_iteration(*args, **kwargs)
+    assert np.array_equal(split[0], whole[0])
+    assert split[1:] == whole[1:]
+
+
+def test_a_solve_splits_only_with_enough_edges_and_a_second_cpu(monkeypatch):
+    t, prior = _structure()
+    assert len(t.targets) == 16
+    args = (t.indptr, t.targets, t.probs, t.dangling, 0.85, prior, 1e-12, 2000)
+    want = _kernels.power_iteration(*args)
+    submitted = []
+
+    class Recorded(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, *a, **kw):
+            submitted.append(a)
+            return super().submit(*a, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    for spare, min_edges, split in [(True, 16, True), (False, 16, False), (True, 17, False)]:
+        monkeypatch.setattr(_kernels, "spare_cpu", lambda: spare)
+        monkeypatch.setattr(_kernels, "SPLIT_MIN_EDGES", min_edges)
+        r, iterations, residual = _kernels.power_iteration(*args)
+        assert len(submitted) == (iterations if split else 0)  # one half per iteration
+        submitted.clear()
+        assert r.tobytes() == want[0].tobytes() and (iterations, residual) == want[1:]
 
 
 def test_random_walk_histogram_is_pinned():

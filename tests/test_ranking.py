@@ -229,6 +229,16 @@ def test_a_hand_built_graph_with_bad_edges_is_rejected(edges, message):
         build_transition(graph, PpfAssignment({"cites": 0.5}))
 
 
+def test_a_declared_relationship_type_without_links_is_rejected():
+    graph = simple_graph(2, {"cites": [(0, 1)]})
+    del graph.links["cites"]
+    message = "cites: declared relationship type has no links array"
+    with pytest.raises(GraphError, match=message):
+        LinkStructure.from_graph(graph)
+    with pytest.raises(GraphError, match=message):
+        build_transition(graph, PpfAssignment({"cites": 0.5}))
+
+
 class TestPopRank:
     def test_single_object_takes_all(self):
         graph = simple_graph(1, {"cites": []})
