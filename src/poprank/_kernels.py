@@ -5,8 +5,8 @@ the byte interner that feeds the loader.
   at a time: ids in order of first appearance, found by a 64-bit hash
   and checked byte for byte against the stored value; ``resolve`` looks
   newline-ended values up by the same means.
-* ``unique_edges``, ``row_starts`` and ``csr`` -- deduplicate ``(m, 2)`` int64 edge arrays
-  and group edges by source into CSR arrays.
+* ``unique_edges``, ``row_starts``, ``stable_order`` and ``csr`` -- deduplicate ``(m, 2)``
+  int64 edge arrays and group edges by source into CSR arrays.
 * ``power_iteration`` -- one power-iteration solve with restart and
   dangling-mass redistribution, from the prior or from a given start, to
   a tolerance, until the order of given pairs of entries is settled, or
@@ -249,7 +249,10 @@ def gather_spans(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> n
     """The spans ``data[starts[i]:starts[i] + lengths[i]]`` of a uint8
     array, concatenated."""
     before = np.cumsum(lengths) - lengths
-    return data[np.arange(int(lengths.sum())) + np.repeat(starts - before, lengths)]
+    # built in place: at most two index-length int64 arrays are alive at once
+    index = np.repeat(starts - before, lengths)
+    index += np.arange(len(index))
+    return data[index]
 
 
 def join_spans(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -275,8 +278,25 @@ def row_starts(n: int, src: np.ndarray) -> np.ndarray:
     return indptr
 
 
+def stable_order(keys: np.ndarray, bound: int, limit: int = np.iinfo(np.int64).max) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of int64 keys in ``[0, bound)``.
+
+    One unstable (SIMD) sort of the distinct keys ``keys * m + arange(m)``,
+    which on unsorted keys is faster than timsort. Where those could
+    exceed ``limit`` (int64's largest value), timsort itself.
+    """
+    m = len(keys)
+    if int(bound) * m > limit:
+        return np.argsort(keys, kind="stable")
+    packed = keys * m
+    packed += np.arange(m)
+    return np.argsort(packed)
+
+
 def csr(n: int, src: np.ndarray, tgt: np.ndarray, probs: np.ndarray):
     """CSR ``(indptr, targets, probs)``; edges keep their input order within a row."""
+    # timsort, not stable_order: hyperlinks arrive grouped by source, where
+    # timsort's runs make it the faster of the two
     order = np.argsort(src, kind="stable")
     return row_starts(n, src), tgt[order], probs[order]
 

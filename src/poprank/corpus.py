@@ -14,9 +14,11 @@ the links file; a later line disagreeing on endpoint types is an error,
 as is a link naming an unregistered object type (reported first).
 
 The links file, the largest, is parsed by one forked worker process
-while this process parses the others (see load_corpus); only its
-LinkTable, int64 arrays and the references as bytes, comes back through
-a pipe. The links task looks ``formats.read_links`` up when it runs: a
+while this process parses the others and resolves the page side (see
+load_corpus); only its LinkTable comes back through a pipe, the
+references as bytes and the columns narrowed (int32 ids, codes in the
+smallest unsigned dtype), and is widened to int64 columns on receipt.
+The links task looks ``formats.read_links`` up when it runs: a
 reader replaced there before the call, which may be a closure that
 cannot be pickled, is inherited by the worker and used.
 """
@@ -34,8 +36,8 @@ import numpy as np
 from . import _kernels, formats
 from .errors import FormatError, GraphError
 from .learning import PartialRanking
-from .objects import (LinkTable, ObjectGraph, RecordTable, RelationshipType, SchemaRegistry,
-                      build_graph, merge_records)
+from .objects import (LinkTable, ObjectGraph, ObjectTable, RecordTable, RelationshipType,
+                      SchemaRegistry, build_graph, merge_records)
 from .webpop import PageGraph, PageObjectMap
 
 SCHEMAS_FILE = "schemas.tsv"
@@ -108,12 +110,32 @@ def _infer_relationship_types(links: LinkTable, registry: SchemaRegistry) -> lis
     return list(rels.values())
 
 
-def _page_data(pages_path: Path,
-               map_path: Path) -> tuple[_kernels.SpanInterner, np.ndarray, np.ndarray, tuple]:
-    """The interned page ids and each id's page number, the (m, 2)
-    hyperlink array before deduplication, and the page map's columns."""
-    pages, number, src, tgt = formats.read_pages(pages_path)
-    return pages, number, np.column_stack((src, tgt)), formats.read_page_map(map_path)
+def _page_side(paths: CorpusPaths, objects: ObjectTable,
+               strict: bool) -> tuple[PageGraph, PageObjectMap, list[str]]:
+    """The page graph and the page map resolved against the pages and the
+    objects, with their diagnostic lines; a map entry that does not
+    resolve is a GraphError in strict mode. Needs no link."""
+    pages, number, src, tgt = formats.read_pages(paths.pages)
+    map_pages, map_refs, weights = formats.read_page_map(paths.page_map)
+    diagnostics: list[str] = []
+    page_graph = PageGraph.build(len(number), np.column_stack((src, tgt)))
+    deduped = len(src) - page_graph.num_edges
+    if deduped:
+        diagnostics.append(f"hyperlink-duplicates\tcount={deduped}")
+
+    page_rows = np.append(number, -1)[pages.resolve(map_pages, len(number))]
+    objs = objects.refs.resolve(map_refs, len(objects))
+    kept = (page_rows >= 0) & (objs >= 0)
+    unresolved = np.flatnonzero(~kept)
+    for row, page_id, ref in zip(unresolved.tolist(), _kernels.lines_at(map_pages, unresolved),
+                                 _kernels.lines_at(map_refs, unresolved)):
+        what = (f"page {page_id!r}" if page_rows[row] < 0
+                else f"object {formats.format_object_ref(ref)!r}")
+        message = f"map entry references unknown {what}"
+        if strict:
+            raise GraphError(message)
+        diagnostics.append(f"map-dropped\t{message}")
+    return page_graph, PageObjectMap(page_rows[kept], objs[kept], weights[kept]), diagnostics
 
 
 def _fork_links(path: Path) -> bool:
@@ -149,22 +171,34 @@ def _links_job(path: Path) -> Iterator[Callable[[], LinkTable]]:
 
 
 def _links_worker(path: Path, writer) -> None:
-    """The links task in the worker: sends the LinkTable, or the error raised."""
+    """The links task in the worker: sends the LinkTable narrowed, with
+    int32 references where they fit and the codes in the smallest unsigned
+    dtype that holds the triple count (less than half the bytes of int64
+    columns), or the error raised."""
     try:
-        writer.send(formats.read_links(path))
+        links = formats.read_links(path)
+        ids = np.int32 if links.refs.count(b"\n") <= np.iinfo(np.int32).max else np.int64
+        writer.send(_recast(links, ids, np.min_scalar_type(len(links.triples))))
     except Exception as err:  # raised again by _links_received
         writer.send(err)
 
 
 def _links_received(reader) -> LinkTable:
-    """The worker's LinkTable; an error it raised is raised here."""
+    """The worker's LinkTable with its columns widened to int64; an error
+    it raised is raised here."""
     try:
         result = reader.recv()
     except EOFError:
         raise OSError("the links worker exited without a result") from None
     if isinstance(result, Exception):
         raise result
-    return result
+    return _recast(result, np.int64, np.int64)
+
+
+def _recast(links: LinkTable, ids, codes) -> LinkTable:
+    """The table with ``src`` and ``tgt`` as dtype ``ids`` and ``codes`` as ``codes``."""
+    return LinkTable(links.triples, links.codes.astype(codes, copy=False), links.refs,
+                     links.src.astype(ids, copy=False), links.tgt.astype(ids, copy=False))
 
 
 def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
@@ -176,10 +210,12 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
 
     The links file is parsed by one forked worker while this process
     parses the others (see _fork_links for when it runs here instead).
-    Results are taken in file order (objects, links, pages and map), so
-    the first error and the diagnostics are those of a load that reads
-    one file after the other. An error stops the worker without waiting
-    for it; none outlives the call.
+    The page side, which needs no link, is built and resolved before the
+    links are taken; its error and diagnostics are kept until the links
+    are resolved, so the first error and the diagnostics are those of a
+    load that reads one file after the other (objects, links, pages and
+    map). An error stops the worker without waiting for it; none
+    outlives the call.
     """
     for p in (paths.schemas, paths.objects, paths.links, paths.pages, paths.page_map):
         if not Path(p).is_file():
@@ -194,11 +230,11 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
         diagnostics.append(f"merge\trecords={len(records)}\tobjects={len(objects)}"
                            f"\tconflicts={objects.conflicts.sum()}")
         del records  # the merged table keeps what it needs of them
-        # parsed while the links are, but an error is raised after theirs
+        # resolved while the links are parsed, but its error and lines come after theirs
         try:
-            page_data = _page_data(paths.pages, paths.page_map)
-        except (FormatError, OSError) as err:
-            page_data = err
+            page_side = _page_side(paths, objects, strict)
+        except (FormatError, GraphError, OSError) as err:
+            page_side = err
         links = links_result()
 
     rel_types = _infer_relationship_types(links, registry)
@@ -207,27 +243,10 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
     if report.duplicate_count:
         diagnostics.append(f"link-duplicates\tcount={report.duplicate_count}")
 
-    if isinstance(page_data, Exception):
-        raise page_data
-    pages, number, hyperlinks, (map_pages, map_refs, weights) = page_data
-    page_graph = PageGraph.build(len(number), hyperlinks)
-    deduped = len(hyperlinks) - page_graph.num_edges
-    if deduped:
-        diagnostics.append(f"hyperlink-duplicates\tcount={deduped}")
-
-    page_rows = np.append(number, -1)[pages.resolve(map_pages, len(number))]
-    objs = graph.objects.refs.resolve(map_refs, len(graph.objects))
-    kept = (page_rows >= 0) & (objs >= 0)
-    unresolved = np.flatnonzero(~kept)
-    for row, page_id, ref in zip(unresolved.tolist(), _kernels.lines_at(map_pages, unresolved),
-                                 _kernels.lines_at(map_refs, unresolved)):
-        what = (f"page {page_id!r}" if page_rows[row] < 0
-                else f"object {formats.format_object_ref(ref)!r}")
-        message = f"map entry references unknown {what}"
-        if strict:
-            raise GraphError(message)
-        diagnostics.append(f"map-dropped\t{message}")
-    page_map = PageObjectMap(page_rows[kept], objs[kept], weights[kept])
+    if isinstance(page_side, Exception):
+        raise page_side
+    page_graph, page_map, page_diagnostics = page_side
+    diagnostics += page_diagnostics
 
     return CorpusBundle(paths=paths, registry=registry, graph=graph, page_graph=page_graph,
                         page_map=page_map, diagnostics=diagnostics)

@@ -430,9 +430,9 @@ class ObjectGraph:
             rels[rt.rel_name] = rt
         types, type_ids = self.objects.types, self.objects.type_ids
         for rel_name in self.links:
-            rt = rels.get(rel_name)
-            if rt is None:
+            if rel_name not in rels:
                 raise GraphError(f"links declared for unknown relationship type {rel_name!r}")
+        for rel_name, rt in rels.items():
             edges = self.checked_links(rel_name)
             for column, side, expected in ((0, "source", rt.source_type),
                                            (1, "target", rt.target_type)):

@@ -137,7 +137,7 @@ class LinkStructure:
         type_sets = np.array([d[first] > 0 for d in out_degrees], bool)
         type_sets = type_sets.reshape(len(edges), len(first)).T
         src = np.concatenate([np.empty(0, np.int64), *(e[:, 0] for e in edges)])
-        order = np.argsort(src, kind="stable")
+        order = _kernels.stable_order(src, n)
         indptr = _kernels.row_starts(n, src)
         del src
         # one column at a time, so that at most one unsorted copy is alive

@@ -924,24 +924,87 @@ def _bundle_state(bundle):
             map_columns(bundle.page_map), bundle.diagnostics)
 
 
-@pytest.mark.parametrize("write", [write_dirty_corpus, write_edge_corpus], ids=["dirty", "edge"])
+def _bundle_dtypes(bundle):
+    page_map = bundle.page_map
+    return ({rel: edges.dtype for rel, edges in bundle.graph.links.items()},
+            bundle.page_graph.edges.dtype,
+            [page_map.pages.dtype, page_map.objects.dtype, page_map.weights.dtype])
+
+
+def _link_dtypes(links):
+    return links.codes.dtype, links.src.dtype, links.tgt.dtype
+
+
+def write_many_triples_corpus(d, count=300):
+    """A corpus directory whose links file holds ``count`` distinct triples, one line each."""
+    d.mkdir()
+    write_minimal_corpus(
+        d, schemas="paper\ttitle\ttitle\n",
+        objects="r1\tpaper\ttitle=A\t\nr2\tpaper\ttitle=B\t\n",
+        links="".join(f"paper\tA\trel{k}\tpaper\t{'AB'[k % 2]}\n" for k in range(count)),
+        page_map="p1\tpaper\tA\t1.0\np1\tpaper\tC\t1.0\n")
+    return d
+
+
+@pytest.mark.parametrize("write", [write_dirty_corpus, write_edge_corpus, write_many_triples_corpus],
+                         ids=["dirty", "edge", "many-triples"])
 def test_both_executors_load_the_same_bundle(tmp_path, monkeypatch, write):
+    """The same objects, links, pages, map and diagnostics, in the same
+    dtypes, and the graph built from int64 link columns either way."""
     d = write(tmp_path / "corpus")
-    read_links, pids = formats.read_links, tmp_path / "pids"
+    read_links, build_graph, pids = formats.read_links, corpus.build_graph, tmp_path / "pids"
+    built_from = []
 
     def recorded(path):
         with open(pids, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return read_links(path)
 
+    def recorded_build(objects, rel_types, links, **kwargs):
+        built_from.append(_link_dtypes(links))
+        return build_graph(objects, rel_types, links, **kwargs)
+
     monkeypatch.setattr(formats, "read_links", recorded)
+    monkeypatch.setattr(corpus, "build_graph", recorded_build)
     states = []
     for forked in (True, False):
         monkeypatch.setattr(corpus, "_fork_links", lambda path: forked)
-        states.append(_bundle_state(load_corpus(CorpusPaths.in_dir(d))))
+        bundle = load_corpus(CorpusPaths.in_dir(d))
+        states.append((_bundle_state(bundle), _bundle_dtypes(bundle)))
     assert states[0] == states[1]
+    assert built_from == [(np.dtype(np.int64),) * 3] * 2
     worker, parent = map(int, pids.read_text().split())
     assert worker != parent == os.getpid()
+
+
+class _Sent:
+    """A pipe end that keeps what is sent through it, and gives it back."""
+
+    def __init__(self):
+        self.items = []
+
+    def send(self, item):
+        self.items.append(item)
+
+    def recv(self):
+        return self.items.pop(0)
+
+
+@pytest.mark.parametrize("write, codes", [(write_dirty_corpus, np.uint8),
+                                          (write_many_triples_corpus, np.uint16)],
+                         ids=["few-triples", "many-triples"])
+def test_the_links_worker_sends_narrow_columns_that_are_widened_on_receipt(tmp_path, write, codes):
+    path = CorpusPaths.in_dir(write(tmp_path / "corpus")).links
+    pipe = _Sent()
+    corpus._links_worker(path, pipe)
+    sent = pipe.items[0]
+    assert _link_dtypes(sent) == (np.dtype(codes), np.dtype(np.int32), np.dtype(np.int32))
+    expected = formats.read_links(path)
+    received = corpus._links_received(pipe)
+    assert _link_dtypes(received) == _link_dtypes(expected) == (np.dtype(np.int64),) * 3
+    assert (received.triples, received.refs) == (expected.triples, expected.refs)
+    for column in ("codes", "src", "tgt"):
+        assert getattr(received, column).tolist() == getattr(expected, column).tolist()
 
 
 def test_a_links_worker_that_exits_without_a_result_is_an_os_error(tmp_path, monkeypatch):

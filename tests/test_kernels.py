@@ -588,6 +588,50 @@ def test_unique_first_matches_np_unique(keys):
         assert a.reshape(-1).tolist() == b.tolist()
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stable_order_is_a_stable_argsort(data):
+    """Empty, all-equal, presorted and unsorted keys; keys so large that
+    packing them would overflow int64; a guard bound on either side of
+    the largest packed key."""
+    bound = data.draw(st.sampled_from([1, 2, 3, 7, 2**61, 2**62]))
+    keys = np.array(data.draw(st.lists(st.integers(0, bound - 1), max_size=30)), np.int64)
+    shape = data.draw(st.sampled_from(["unsorted", "presorted", "all-equal"]))
+    if shape == "presorted":
+        keys = np.sort(keys)
+    elif shape == "all-equal":
+        keys[:] = keys[0] if len(keys) else 0
+    limit = data.draw(st.sampled_from([np.iinfo(np.int64).max, bound * len(keys) - 1,
+                                       bound * len(keys)]))
+    limit = min(limit, np.iinfo(np.int64).max)
+    order = _kernels.stable_order(keys, bound, limit)
+    assert order.dtype == np.intp
+    assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+
+
+def test_stable_order_packs_the_keys_unless_they_could_pass_the_bound(monkeypatch):
+    kinds, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, kind=None: kinds.append(kind) or argsort(a, kind=kind))
+    keys = np.array([2, 0, 1, 0], np.int64)  # packed: 8, 1, 6, 3, the largest below 3 * 4
+    for limit in (12, 11, 2**63 - 1):
+        assert _kernels.stable_order(keys, 3, limit).tolist() == [1, 3, 2, 0]
+    assert kinds == [None, "stable", None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_gather_spans_matches_slicing(data):
+    text = data.draw(st.binary(max_size=20))
+    spans = data.draw(st.lists(
+        st.integers(0, len(text)).flatmap(lambda a: st.tuples(st.just(a), st.integers(0, len(text) - a))),
+        max_size=8))  # empty spans, and no span at all, among them
+    starts = np.array([a for a, _ in spans], np.int64)
+    lengths = np.array([n for _, n in spans], np.int64)
+    got = _kernels.gather_spans(np.frombuffer(text, np.uint8), starts, lengths)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == b"".join(text[a:a + n] for a, n in spans)
+
+
 # ---- the guided search of the walk -------------------------------------------
 
 ONE_BELOW_1 = 1.0 - 2.0**-53  # the largest uniform a Generator draws

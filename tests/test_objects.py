@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import link_table, paper_registry, random_links, record_table, simple_graph
 from poprank import (
     GraphError,
+    LinkStructure,
     ObjectGraph,
     ObjectTypeSchema,
     PageGraph,
@@ -344,6 +345,14 @@ class TestGraphCheck:
         graph.objects.refs.resolve(b"paper\tX\npaper\tY\n", 0)
         with pytest.raises(GraphError, match=r"object keys do not map to rows 0\.\.2 in row order"):
             graph.check()
+
+    def test_declared_type_without_links_array_rejected(self):
+        graph = simple_graph(2, {"cites": [(0, 1)]})
+        del graph.links["cites"]
+        with pytest.raises(GraphError, match="cites: declared relationship type has no links array"):
+            graph.check()
+        with pytest.raises(GraphError, match="cites: declared relationship type has no links array"):
+            LinkStructure.from_graph(graph)
 
     def test_shared_key_rejected(self):
         # an interner holds a reference once, so two rows sharing one leave a row without one
