@@ -4,9 +4,10 @@ the byte interner that feeds the loader.
 * ``SpanInterner`` -- exact interning of byte spans, one block of a file
   at a time: ids in order of first appearance, found by a 64-bit hash
   and checked byte for byte against the stored value; ``resolve`` looks
-  newline-ended values up by the same means.
-* ``unique_edges``, ``row_starts``, ``stable_order`` and ``csr`` -- deduplicate ``(m, 2)``
-  int64 edge arrays and group edges by source into CSR arrays.
+  newline-ended values up by the same means, and ``first_appearances``
+  finds where new ids first appear.
+* ``unique_edges``, ``row_starts`` and ``stable_order`` -- deduplicate ``(m, 2)``
+  int64 edge arrays and group edges by source into CSR arrays, in a stable order.
 * ``power_iteration`` -- one power-iteration solve with restart and
   dangling-mass redistribution, from the prior or from a given start, to
   a tolerance, until the order of given pairs of entries is settled, or
@@ -110,6 +111,13 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
     first = np.minimum.reduceat(order, np.flatnonzero(new_run)) if len(keys) else order
     return order, ordered, new_run, first
+
+
+def first_appearances(ids: np.ndarray, known: int) -> np.ndarray:
+    """Where ids of ``known`` and above first appear, in ``ids`` numbered by
+    first appearance from ``known`` on: where their running maximum grows."""
+    running = np.maximum.accumulate(np.maximum(ids, known - 1))
+    return np.flatnonzero(np.diff(running, prepend=known - 1))
 
 
 class SpanInterner:
@@ -291,14 +299,6 @@ def stable_order(keys: np.ndarray, bound: int, limit: int = np.iinfo(np.int64).m
     packed = keys * m
     packed += np.arange(m)
     return np.argsort(packed)
-
-
-def csr(n: int, src: np.ndarray, tgt: np.ndarray, probs: np.ndarray):
-    """CSR ``(indptr, targets, probs)``; edges keep their input order within a row."""
-    # timsort, not stable_order: hyperlinks arrive grouped by source, where
-    # timsort's runs make it the faster of the two
-    order = np.argsort(src, kind="stable")
-    return row_starts(n, src), tgt[order], probs[order]
 
 
 def power_iteration(indptr, targets, probs, dangling, alpha, v, tol, max_iter, r0=None,

@@ -1,6 +1,8 @@
-"""Exception and warning types shared across the package, and the count check."""
+"""Exception and warning types shared across the package, and the input checks."""
 
 from numbers import Integral
+
+import numpy as np
 
 
 class PopRankError(Exception):
@@ -35,6 +37,14 @@ def check_count(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
+
+
+def checked_vector(values, message: str) -> np.ndarray:
+    """``np.asarray(values)``; ConfigError(message) unless it is a finite numeric 1-d array."""
+    array = np.asarray(values)
+    if array.ndim != 1 or array.dtype.kind not in "biuf" or not np.isfinite(array).all():
+        raise ConfigError(message)
+    return array
 
 
 class FormatError(PopRankError):

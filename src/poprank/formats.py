@@ -323,10 +323,7 @@ def read_links(path: Path) -> LinkTable:
         starts = np.column_stack((line_starts, cuts[:, 2] + 1)).ravel()
         known = len(refs)
         ids = refs.intern(text, starts, np.column_stack((cuts[:, 1], cuts[:, 4])).ravel())
-        # ids are numbered by first appearance, so a new ref first appears
-        # where the running maximum grows
-        running = np.maximum.accumulate(np.maximum(ids, known - 1))
-        first = np.flatnonzero(np.diff(running, prepend=known - 1))
+        first = _kernels.first_appearances(ids, known)  # where each new ref first appears
         type_ends = np.column_stack((cuts[:, 0], cuts[:, 3])).ravel()
         ref_types = _kernels.room(ref_types, len(refs), known)
         ref_types[known:len(refs)] = types.intern(text, starts[first], type_ends[first])

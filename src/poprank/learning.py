@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GraphError, check_count
+from .errors import ConfigError, GraphError, check_count, checked_vector
 from .objects import ObjectGraph
 from .ranking import (  # noqa: F401 -- perfbench/traced.py patches build_transition here
     LinkStructure,
@@ -91,12 +91,10 @@ class PartialRanking:
 def rank_disagreement(scores: np.ndarray, expert: PartialRanking) -> tuple[int, int]:
     """Count expert pairs the scores get wrong. Ties count as violations.
 
-    Returns (violations, total constraint pairs). Raises ConfigError on
-    non-finite scores, which would otherwise count as agreeing.
+    Returns (violations, total constraint pairs). Raises ConfigError
+    unless scores is a finite 1-d array: a NaN would count as agreeing.
     """
-    scores = np.asarray(scores, np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise ConfigError("scores must be finite to compare with an expert ranking")
+    scores = checked_vector(scores, "scores must be finite to compare with an expert ranking")
     if not expert.pairs:
         return 0, 0
     _check_ids(expert, scores.shape[0])
@@ -305,13 +303,10 @@ def kendall_tau(ranks_a: np.ndarray, ranks_b: np.ndarray) -> float:
     for fewer than two items. Raises ConfigError unless both are finite
     1-d arrays of one shape.
     """
-    ranks_a = np.asarray(ranks_a)
-    ranks_b = np.asarray(ranks_b)
+    ranks_a, ranks_b = (checked_vector(r, "orderings must be finite 1-d arrays of positions")
+                        for r in (ranks_a, ranks_b))
     if ranks_a.shape != ranks_b.shape:
         raise ConfigError("orderings must cover the same items")
-    if ranks_a.ndim != 1 or not all(r.dtype.kind in "biuf" and np.isfinite(r).all()
-                                    for r in (ranks_a, ranks_b)):
-        raise ConfigError("orderings must be finite 1-d arrays of positions")
     n = ranks_a.shape[0]
     if n < 2:
         return 1.0

@@ -1,20 +1,22 @@
 """Typed web objects, attribute schemas, and the heterogeneous object graph.
 
 Records harvested from different pages routinely describe the same
-real-world entity, and copies may disagree. Records collapse into one
-object per reference ``type_name<TAB>key text`` (key values joined by
-``|``), the form links.tsv and page_object_map.tsv carry; the first
-record to mention a contested attribute wins, and every later
-disagreement is counted so the merge stays auditable. Object ids are
-dense integers so the numeric modules can index score vectors directly.
+real-world entity, and copies may disagree. A record's reference
+``type_name<TAB>key text`` (key values joined by ``|``), the form
+links.tsv and page_object_map.tsv carry, is its object's one identity:
+records collapse into one object per reference. The first record to
+mention a contested attribute wins, and every later disagreement is
+counted so the merge stays auditable. Object ids are dense integers so
+the numeric modules can index score vectors directly.
 
 Tables are columns, not an object per line: merge_records turns a
 RecordTable of records (interned type, attribute and value ids, the
 values kept as bytes) into an ObjectTable whose row i is object i, with
 one value-id column per attribute; values are decoded only when read.
-A reference stays UTF-8 bytes: the table interns its rows' references
-(ObjectTable.refs), in which build_graph looks a LinkTable's references
-up, as the loader does map and expert references (see corpus).
+A reference stays UTF-8 bytes: the merge interns every record's
+reference, and a record's id in that interner (ObjectTable.refs) is its
+object's row. build_graph looks a LinkTable's references up in it, as
+the loader does map and expert references (see corpus).
 """
 
 from __future__ import annotations
@@ -233,8 +235,8 @@ def _reject_record(records: RecordTable, registry: SchemaRegistry, record: int) 
 def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable:
     """Collapse records that share a reference into one ObjectTable row each.
 
-    The first record for a key fixes the object's row (dense, in first
-    appearance order) and any contested attribute values. Later records
+    The first record with a reference fixes the object's row (dense, in
+    first appearance order) and any contested attribute values. Later records
     fill in attributes the object does not have yet; when they disagree
     with a stored value, the stored value stays and the row's conflict
     count grows by one per disagreeing attribute. Empty-string values are
@@ -245,10 +247,10 @@ def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable
     ``|`` or TAB (the separators of references); the first such record
     is named.
 
-    The merge works on the table's columns: records are grouped by type
-    and key value ids, and each (object, attribute)'s first non-empty
-    value and its disagreements are found with one sort. No value is
-    decoded; the references are composed and interned as bytes.
+    The merge works on the table's columns: each record's reference is
+    composed and interned as bytes, and its id in the interner is its
+    object's row. Each (object, attribute)'s first non-empty value and
+    its disagreements are then found with one sort. No value is decoded.
     """
     schemas = list(registry)
     attributes = list(dict.fromkeys(a for s in schemas for a in s.attributes))
@@ -287,15 +289,9 @@ def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable
     if failed.any():
         _reject_record(records, registry, int(np.argmax(failed)))
 
-    # records with one type and the same key value ids share a reference
-    code, first = schema, np.arange(len(records))
-    for j in range(width):
-        _, first, code = _kernels.unique_first(
-            code * len(empty) + np.where(keys[:, j] < 0, len(empty) - 1, keys[:, j]))
-    order = np.argsort(first)
-    row_of = np.empty(len(first), np.int64)
-    row_of[order] = np.arange(len(first))
-    first, obj = first[order], row_of[code]  # each row's first record; each record's row
+    # a record's reference id is its object's row, in first appearance order
+    refs, obj = _references(records, keys, needed, spans)
+    first = _kernels.first_appearances(obj, 0)  # each row's first record
 
     # the non-empty values by (row, attribute) cell, in record order within
     # a cell (a stable sort, fast as rows mostly grow with records): a
@@ -311,28 +307,27 @@ def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable
     value_ids.ravel()[cell[new_cell]] = kept
     conflicted = value != kept[np.cumsum(new_cell) - 1]
     conflicts = np.bincount(cell[conflicted] // max(len(attributes), 1), minlength=len(first))
-    type_ids = records.type_ids[first]
-    refs = _references(records, type_ids, keys[first], key_sizes[schema[first]], spans)
-    return ObjectTable(refs, records.types, type_ids, attributes, value_ids, records.values,
-                       np.bincount(obj, minlength=len(first)), conflicts)
+    return ObjectTable(refs, records.types, records.type_ids[first], attributes, value_ids,
+                       records.values, np.bincount(obj, minlength=len(first)), conflicts)
 
 
-def _references(records: RecordTable, type_ids: np.ndarray, keys: np.ndarray, sizes: np.ndarray,
-                value_spans: tuple[np.ndarray, np.ndarray]) -> _kernels.SpanInterner:
-    """Each row's reference ``type_name<TAB>key1|key2...`` from its type id,
-    its key value ids (the first ``sizes`` of each row) and the spans of
-    records.values, composed as bytes and interned in row order."""
+def _references(records: RecordTable, keys: np.ndarray, in_key: np.ndarray,
+                spans: tuple[np.ndarray, np.ndarray]) -> tuple[_kernels.SpanInterner, np.ndarray]:
+    """The interner of the records' references ``type_name<TAB>key1|key2...``
+    and each record's id in it. A record's reference is composed as bytes
+    from its type id, the key value ids its row of ``in_key`` marks and the
+    ``spans`` of records.values; ids follow first appearance."""
     type_data = _joined(records.types)
     type_starts, type_ends = _kernels.line_spans(np.frombuffer(type_data, np.uint8))
     at_values, at_separators = len(type_data), len(type_data) + len(records.values)
     data = np.frombuffer(type_data + records.values + b"\t|\n", np.uint8)
-    value_starts, value_ends = (np.append(side, 0) for side in value_spans)  # -1: none
-    # pieces of a row: its type name, a separator and a value per key place
-    # (empty past the row's key), and a newline
+    value_starts, value_ends = (np.append(side, 0) for side in spans)  # -1: none
+    # pieces of a record's reference: its type name, a separator and a value
+    # per key place (empty past the record's key), and a newline
     n, width = keys.shape
-    in_key = np.arange(width) < sizes[:, None]
     starts = np.empty((n, 2 * width + 2), np.int64)
     lengths = np.zeros((n, 2 * width + 2), np.int64)
+    type_ids = records.type_ids
     starts[:, 0], lengths[:, 0] = type_starts[type_ids], (type_ends - type_starts)[type_ids]
     starts[:, 1:-1:2], lengths[:, 1:-1:2] = at_separators + (np.arange(width) > 0), in_key
     starts[:, 2:-1:2] = at_values + value_starts[keys]
@@ -340,8 +335,7 @@ def _references(records: RecordTable, type_ids: np.ndarray, keys: np.ndarray, si
     starts[:, -1], lengths[:, -1] = at_separators + 2, 1
     data = _kernels.gather_spans(data, starts.ravel(), lengths.ravel())
     refs = _kernels.SpanInterner()
-    refs.intern(data.tobytes(), *_kernels.line_spans(data))
-    return refs
+    return refs, refs.intern(data.tobytes(), *_kernels.line_spans(data))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, NonConvergenceWarning, check_count, is_integer
+from .errors import ConfigError, NonConvergenceWarning, check_count, checked_vector, is_integer
 from .objects import ObjectGraph
 from .webpop import RankResult
 
@@ -292,12 +292,13 @@ def poprank(graph: ObjectGraph, ppf: PpfAssignment, prior: np.ndarray,
 
 def ranking_order(scores: np.ndarray) -> np.ndarray:
     """Object ids by rank position: descending score, ties by object id."""
-    scores = np.asarray(scores, np.float64)
+    scores = checked_vector(scores, "scores must be a finite 1-d array").astype(np.float64, copy=False)
     return np.lexsort((np.arange(scores.shape[0]), -scores))
 
 
 def ranking_positions(scores: np.ndarray) -> np.ndarray:
-    """0-based rank position per object: the inverse of ``ranking_order``."""
+    """0-based rank position per object: the inverse of ``ranking_order``.
+    Raises ConfigError unless scores is a finite 1-d array."""
     order = ranking_order(scores)
     positions = np.empty(len(order), np.int64)
     positions[order] = np.arange(len(order))

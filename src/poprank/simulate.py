@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_count, checked_vector
 from .ranking import TransitionStructure, _check_prior
 
 
@@ -82,9 +82,7 @@ def simulate(transition: TransitionStructure, prior: np.ndarray, cfg: SimConfig)
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Total variation distance: half the L1 distance between distributions.
     Raises ConfigError unless both are finite 1-d arrays of one shape."""
-    p, q = np.asarray(p), np.asarray(q)
+    p, q = (checked_vector(d, "distributions must be finite 1-d arrays") for d in (p, q))
     if p.shape != q.shape:
         raise ConfigError("distributions must have the same shape")
-    if p.ndim != 1 or not all(d.dtype.kind in "biuf" and np.isfinite(d).all() for d in (p, q)):
-        raise ConfigError("distributions must be finite 1-d arrays")
     return 0.5 * float(np.abs(p.astype(np.float64) - q.astype(np.float64)).sum())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, GraphError, NonConvergenceWarning, check_count
+from .errors import ConfigError, GraphError, NonConvergenceWarning, check_count, checked_vector
 
 
 @dataclass
@@ -86,8 +86,9 @@ def pagerank(graph: PageGraph, damping: float = 0.85, tol: float = 1e-10,
     check_count("max_iter", max_iter, 1)
     n = graph.num_pages
     src, tgt = graph.edges[:, 0], graph.edges[:, 1]
-    indptr, targets, probs = _kernels.csr(n, src, tgt, 1.0 / np.bincount(src, minlength=n)[src])
-    dangling = np.diff(indptr) == 0
+    order, indptr = _kernels.stable_order(src, n), _kernels.row_starts(n, src)
+    degrees = np.diff(indptr)
+    targets, probs, dangling = tgt[order], 1.0 / degrees[src[order]], degrees == 0
     v = np.full(n, 1.0 / n)
     r, iterations, residual = _kernels.power_iteration(
         indptr, targets, probs, dangling, float(damping), v, float(tol), int(max_iter)
@@ -150,15 +151,16 @@ def web_popularity(num_objects: int, page_scores: np.ndarray,
     its containment entries, in entry order; objects on no page get 0.
     The raw vector is normalized to sum to 1; if nothing is covered at
     all, the prior is uniform over all objects. Raises ConfigError for
-    page scores that are not finite and non-negative, or whose weighted
-    total is not finite.
+    page scores that are not a 1-d array of finite, non-negative numbers,
+    or whose weighted total is not finite.
     """
     if num_objects < 1:
         raise GraphError("web_popularity needs at least one object")
-    page_scores = np.asarray(page_scores, np.float64)
-    if not np.all(np.isfinite(page_scores)) or np.any(page_scores < 0.0):
-        raise ConfigError("prior must be a probability distribution over the objects: "
-                          "page scores must be finite and non-negative")
+    bad_scores = ("prior must be a probability distribution over the objects: "
+                  "page scores must be finite and non-negative")
+    page_scores = checked_vector(page_scores, bad_scores)
+    if np.any(page_scores < 0.0):
+        raise ConfigError(bad_scores)
     pages, objs, weights = page_map.resolved()
     if np.any(pages >= len(page_scores)):
         raise GraphError("page-object map references an unknown page")

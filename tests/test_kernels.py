@@ -111,7 +111,8 @@ def solves(draw):
     src, tgt = np.array(edges, np.int64).reshape(-1, 2).T
     weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(edges),
                                      max_size=len(edges))))
-    indptr, targets, probs = _kernels.csr(n, src, tgt, weights / np.bincount(src, minlength=n)[src])
+    order, indptr = _kernels.stable_order(src, n), _kernels.row_starts(n, src)
+    targets, probs = tgt[order], (weights / np.bincount(src, minlength=n)[src])[order]
     v = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
     v /= v.sum()
     alpha = draw(st.sampled_from([0.5, 0.85, 0.99]))
@@ -586,6 +587,26 @@ def test_unique_first_matches_np_unique(keys):
     got = _kernels.unique_first(keys)
     for a, b in zip(expected, got):
         assert a.reshape(-1).tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("shape", ["mixed", "all-new", "all-known"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_first_appearances_match_np_unique(shape, data):
+    """Ids numbered by first appearance from known on, as the interner
+    gives them: the indices of the new ones' first appearances are those
+    np.unique finds. Empty input, all-new and all-known ids included."""
+    known = data.draw(st.integers(1 if shape == "all-known" else 0, 4))
+    old = st.integers(0, known - 1)
+    new = st.integers(0, 5).map(lambda label: ("new", label))
+    item = {"mixed": st.one_of(old, new) if known else new, "all-new": new, "all-known": old}
+    items = data.draw(st.lists(item[shape], max_size=30))
+    numbered = {}
+    ids = np.array([item if isinstance(item, int) else numbered.setdefault(item, known + len(numbered))
+                    for item in items], np.int64)
+    distinct, first = np.unique(ids, return_index=True)
+    assert _kernels.first_appearances(ids, known).tolist() == first[distinct >= known].tolist()
+    assert _kernels.first_appearances(np.empty(0, np.int64), known).tolist() == []
 
 
 @settings(max_examples=200, deadline=None)

@@ -92,13 +92,15 @@ class TestRankDisagreement:
     def test_empty_ranking_counts_nothing(self):
         assert rank_disagreement(np.array([1.0]), PartialRanking(())) == (0, 0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.ones((3, 3)), np.array(0.5),
+                                     np.array(["a", "b"])])
     def test_non_finite_scores_rejected(self, bad):
-        # a NaN compares false, so it would count as agreeing with the expert
-        with pytest.raises(ConfigError, match="finite"):
-            rank_disagreement(np.array([bad, 0.5]), PartialRanking(((0, 1),)))
-        with pytest.raises(ConfigError, match="finite"):
-            rank_disagreement(np.array([0.5, 0.2, bad]), PartialRanking(((0, 1),)))
+        # a NaN compares false, so it would count as agreeing with the expert;
+        # a (3, 3) array would count 3 violations of 1 pair
+        cases = ([bad, 0.5], [0.5, 0.2, bad]) if isinstance(bad, float) else (bad,)
+        for scores in cases:
+            with pytest.raises(ConfigError, match="finite"):
+                rank_disagreement(np.asarray(scores), PartialRanking(((0, 1),)))
 
 
 def planted_corpus(seed: int, gamma_star: tuple[float, float]):

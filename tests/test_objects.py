@@ -172,16 +172,21 @@ class TestMergeRecords:
         assert list(record_table(rows).rows()) == rows
 
 
+def generated_objects(path, n: int) -> None:
+    """An objects file of n papers in n * 8 // 7 records: some repeat."""
+    rng = np.random.default_rng(5)
+    ids = np.concatenate((np.arange(n), rng.integers(0, n, n // 7)))
+    path.write_text("".join(f"r{i}\tpaper\ttitle=p{k};year={1950 + k % 60};venue=v{k % 300}\n"
+                            for i, k in enumerate(ids.tolist())))
+
+
 def test_object_table_retains_few_bytes_per_object(tmp_path):
     """The merged table of a generated corpus, read from its file, holds
     its values as interned columns, not a dict per object: at most 300
     bytes per object, against about 470 with one dict per object."""
     n = 20_000
-    rng = np.random.default_rng(5)
-    ids = np.concatenate((np.arange(n), rng.integers(0, n, n // 7)))  # some records repeat
     path = tmp_path / "objects.tsv"
-    path.write_text("".join(f"r{i}\tpaper\ttitle=p{k};year={1950 + k % 60};venue=v{k % 300}\n"
-                            for i, k in enumerate(ids.tolist())))
+    generated_objects(path, n)
     gc.collect()
     tracemalloc.start()
     try:
@@ -194,6 +199,49 @@ def test_object_table_retains_few_bytes_per_object(tmp_path):
         tracemalloc.stop()
     assert len(objects) == n
     assert retained / n < 300
+
+
+def test_merge_peak_per_record_is_bounded(tmp_path):
+    """merge_records' live peak above the memory live before it, on the
+    corpus above: about 650 bytes per record, against about 800 when the
+    records were grouped by their key value ids and each object's
+    reference was composed after the (object, attribute) cell sort."""
+    path = tmp_path / "objects.tsv"
+    generated_objects(path, 20_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        records = formats.read_objects(path)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        merge_records(records, paper_registry())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / len(records) < 720
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_each_record_merges_into_the_row_its_reference_interns_to(data):
+    """Shuffled records with repeats, of a one-key and a two-key type: the
+    rows are the references in order of first appearance, and the table's
+    interner maps each row's reference back to the row."""
+    registry = SchemaRegistry([ObjectTypeSchema("paper", ("title", "year"), ("title",)),
+                               ObjectTypeSchema("book", ("title", "year"), ("title", "year"))])
+    row = st.tuples(st.sampled_from(["paper", "book"]), st.sampled_from(["a", "b", "c"]),
+                    st.sampled_from(["1", "2"]))
+    rows = data.draw(st.lists(row, max_size=20))
+    rows = data.draw(st.permutations(rows + rows[:len(rows) // 2]))
+    objects = merge_records(record_table(
+        [(str(i), t, {"title": title, "year": year}) for i, (t, title, year) in enumerate(rows)]),
+        registry)
+    refs = [f"{t}\t{title}" + (f"|{year}" if t == "book" else "") for t, title, year in rows]
+    assert objects.references == list(dict.fromkeys(refs))
+    assert objects.merged_record_counts == [refs.count(ref) for ref in objects.references]
+    n = len(objects)
+    assert objects.refs.resolve(objects.refs.data(), n).tolist() == list(range(n))
 
 
 records_strategy = st.lists(

@@ -112,7 +112,9 @@ def reference_transition(graph, ppf) -> TransitionStructure:
     src_all = np.concatenate([src for _, src, _, _ in per_type])
     tgt_all = np.concatenate([tgt for _, _, tgt, _ in per_type])
     prob_all = np.concatenate([(gamma / z[src]) / deg[src] for gamma, src, _, deg in per_type])
-    return TransitionStructure(n, *_kernels.csr(n, src_all, tgt_all, prob_all), dangling)
+    order = _kernels.stable_order(src_all, n)
+    return TransitionStructure(n, _kernels.row_starts(n, src_all), tgt_all[order],
+                               prob_all[order], dangling)
 
 
 @st.composite
@@ -430,6 +432,12 @@ class TestRankingPositions:
         scores = np.array([0.2, 0.5, 0.2, 0.1])
         positions = ranking_positions(scores)
         assert positions.tolist() == [1, 0, 2, 3]
+
+    @pytest.mark.parametrize("scores", [[np.nan, 1.0], [1.0, -np.inf], np.ones((2, 2)), 0.5,
+                                        ["a", "b"]])
+    def test_non_finite_or_not_1d_scores_rejected(self, scores):
+        with pytest.raises(ConfigError, match="finite 1-d array"):
+            ranking_positions(np.array(scores))
 
 
 @st.composite

@@ -181,11 +181,13 @@ class TestWebPopularity:
         with pytest.raises(GraphError, match="unknown page"):
             web_popularity(2, np.array([1.0]), page_object_map([(-1, 0, 1.0)]))
 
-    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -0.5])
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -0.5, np.ones((1, 2)),
+                                       np.array(1.0), np.array(["a", "b"])])
     def test_bad_page_scores_rejected(self, score):
         # page 0 maps to no object, so its score would not even reach the prior
+        scores = np.array([score, 1.0]) if isinstance(score, float) else score
         with pytest.raises(ConfigError, match="page scores must be finite and non-negative"):
-            web_popularity(2, np.array([score, 1.0]), page_object_map([(1, 0, None)]))
+            web_popularity(2, scores, page_object_map([(1, 0, None)]))
 
     def test_finite_page_scores_without_a_finite_total_rejected(self):
         # each share is 1e308, their sum on object 0 is inf: once a silent [nan, 0.]
