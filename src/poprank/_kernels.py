@@ -6,8 +6,8 @@ the byte interner that feeds the loader.
   and checked byte for byte against the stored value; ``resolve`` looks
   newline-ended values up by the same means, and ``first_appearances``
   finds where new ids first appear.
-* ``unique_edges``, ``row_starts`` and ``stable_order`` -- deduplicate ``(m, 2)``
-  int64 edge arrays and group edges by source into CSR arrays, in a stable order.
+* ``row_starts`` and ``stable_order`` -- group ``(m, 2)`` int64 edge arrays
+  by source into CSR arrays, in a stable order.
 * ``power_iteration`` -- one power-iteration solve with restart and
   dangling-mass redistribution, from the prior or from a given start, to
   a tolerance, until the order of given pairs of entries is settled, or
@@ -270,13 +270,6 @@ def join_spans(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nda
     return gather_spans(np.append(data, np.uint8(ord("\n"))),
                         np.column_stack((starts, newline)).ravel(),
                         np.column_stack((ends - starts, np.ones_like(newline))).ravel())
-
-
-def unique_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """Rows of the ``(m, 2)`` int64 array ``edges`` (ids in ``[0, n)``)
-    without repeats, in order of first appearance, and the number dropped."""
-    first = np.sort(_runs(edges[:, 0] * n + edges[:, 1])[3])
-    return edges[first], len(edges) - len(first)
 
 
 def row_starts(n: int, src: np.ndarray) -> np.ndarray:

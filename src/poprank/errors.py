@@ -4,6 +4,8 @@ from numbers import Integral
 
 import numpy as np
 
+from ._kernels import _runs
+
 
 class PopRankError(Exception):
     """Base class for all errors raised by this package."""
@@ -45,6 +47,25 @@ def checked_vector(values, message: str) -> np.ndarray:
     if array.ndim != 1 or array.dtype.kind not in "biuf" or not np.isfinite(array).all():
         raise ConfigError(message)
     return array
+
+
+def checked_edges(edges, n: int, link: str) -> np.ndarray:
+    """``edges``, an integer ``(m, 2)`` array (or rows) of ids in ``[0, n)``,
+    as a read-only int64 array that keeps each row once, in order of first
+    appearance; an empty one is no edges. Raises GraphError otherwise, with
+    ``link`` naming one row (``"cites: link"``, ``"hyperlink"``)."""
+    edges = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if edges.size == 0:
+        edges = np.empty((0, 2), np.int64)
+    if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+        raise GraphError(f"{link}s must be an integer (m, 2) array")
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        s, t = edges[((edges < 0) | (edges >= n)).any(axis=1)][0].tolist()
+        raise GraphError(f"{link} ({s}, {t}) points outside the graph")
+    edges = edges.astype(np.int64, copy=False)
+    edges = edges[np.sort(_runs(edges[:, 0] * n + edges[:, 1])[3])]
+    edges.flags.writeable = False
+    return edges
 
 
 class FormatError(PopRankError):

@@ -16,18 +16,21 @@ one value-id column per attribute; values are decoded only when read.
 A reference stays UTF-8 bytes: the merge interns every record's
 reference, and a record's id in that interner (ObjectTable.refs) is its
 object's row. build_graph looks a LinkTable's references up in it, as
-the loader does map and expert references (see corpus).
+the loader does map and expert references (see corpus), and hands each
+relationship type's rows to ObjectGraph, which checks them when it is
+made (errors.checked_edges, as PageGraph does) and keeps each row once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from . import _kernels
-from .errors import GraphError, RecordError, SchemaError
+from .errors import GraphError, RecordError, SchemaError, checked_edges
 
 
 @dataclass(frozen=True)
@@ -377,18 +380,49 @@ class GraphBuildReport:
     duplicate_count: int = 0
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ObjectGraph:
-    """Graph of typed objects and typed links, not modified after build.
+    """Graph of typed objects and typed links, checked when made and read-only.
 
-    links maps each declared rel_name to an (m, 2) int64 array of
-    (source object_id, target object_id) rows, deduplicated and in order
-    of first appearance; a relationship without links has an empty array.
+    links maps each declared rel_name to a read-only (m, 2) int64 array of
+    (source object_id, target object_id) rows, each row once, in order of
+    first appearance (errors.checked_edges); a relationship without links
+    has an empty array. Raises GraphError for references that do not number
+    the rows, or links that do not match the declared relationship types.
     """
 
     objects: ObjectTable
-    relationship_types: list[RelationshipType]
-    links: dict[str, np.ndarray]
+    relationship_types: tuple[RelationshipType, ...]
+    links: Mapping[str, np.ndarray]
+
+    def __post_init__(self):
+        n = len(self.objects)
+        if len(self.objects.refs) < n:
+            raise GraphError(f"object keys do not map to rows 0..{n - 1} in row order")
+        rels = {}
+        for rt in self.relationship_types:
+            if rt.rel_name in rels:
+                raise GraphError(f"duplicate relationship type {rt.rel_name!r}")
+            rels[rt.rel_name] = rt
+        for rel_name in self.links:
+            if rel_name not in rels:
+                raise GraphError(f"links declared for unknown relationship type {rel_name!r}")
+        types, type_ids = self.objects.types, self.objects.type_ids
+        links = {}
+        for rel_name, rt in rels.items():
+            if rel_name not in self.links:
+                raise GraphError(f"{rel_name}: declared relationship type has no links array")
+            links[rel_name] = edges = checked_edges(self.links[rel_name], n, f"{rel_name}: link")
+            for column, side, expected in ((0, "source", rt.source_type),
+                                           (1, "target", rt.target_type)):
+                expected_id = types.index(expected) if expected in types else -1
+                wrong = np.flatnonzero(type_ids[edges[:, column]] != expected_id)
+                if wrong.size:
+                    obj = int(edges[wrong[0], column])
+                    raise GraphError(f"{rel_name}: {side} object {obj} has type "
+                                     f"{types[type_ids[obj]]!r}, expected {expected!r}")
+        object.__setattr__(self, "relationship_types", tuple(rels.values()))
+        object.__setattr__(self, "links", MappingProxyType(links))
 
     @property
     def num_objects(self) -> int:
@@ -398,48 +432,6 @@ class ObjectGraph:
     def num_links(self) -> int:
         return sum(len(edges) for edges in self.links.values())
 
-    def checked_links(self, rel_name: str) -> np.ndarray:
-        """``links[rel_name]`` as int64, after checking that it is an integer
-        ``(m, 2)`` array of object ids; raises GraphError."""
-        if rel_name not in self.links:
-            raise GraphError(f"{rel_name}: declared relationship type has no links array")
-        edges = np.asarray(self.links[rel_name])
-        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
-            raise GraphError(f"{rel_name}: links must be an integer (m, 2) array")
-        outside = np.flatnonzero(((edges < 0) | (edges >= self.num_objects)).any(axis=1))
-        if outside.size:
-            src, tgt = edges[outside[0]].tolist()
-            raise GraphError(f"{rel_name}: link ({src}, {tgt}) points outside the graph")
-        return edges.astype(np.int64, copy=False)
-
-    def check(self) -> None:
-        """Well-formedness check; raises GraphError on violation."""
-        n = len(self.objects)
-        if len(self.objects.refs) < n:
-            raise GraphError(f"object keys do not map to rows 0..{n - 1} in row order")
-        rels = {}
-        for rt in self.relationship_types:
-            if rt.rel_name in rels:
-                raise GraphError(f"duplicate relationship type {rt.rel_name!r}")
-            rels[rt.rel_name] = rt
-        types, type_ids = self.objects.types, self.objects.type_ids
-        for rel_name in self.links:
-            if rel_name not in rels:
-                raise GraphError(f"links declared for unknown relationship type {rel_name!r}")
-        for rel_name, rt in rels.items():
-            edges = self.checked_links(rel_name)
-            for column, side, expected in ((0, "source", rt.source_type),
-                                           (1, "target", rt.target_type)):
-                expected_id = types.index(expected) if expected in types else -1
-                wrong = np.flatnonzero(type_ids[edges[:, column]] != expected_id)
-                if wrong.size:
-                    obj = int(edges[wrong[0], column])
-                    raise GraphError(f"{rel_name}: {side} object {obj} has type "
-                                     f"{types[type_ids[obj]]!r}, expected {expected!r}")
-            _, dropped = _kernels.unique_edges(edges, n)
-            if dropped:
-                raise GraphError(f"{rel_name}: {dropped} duplicate link(s)")
-
 
 def build_graph(objects: ObjectTable, rel_types: Sequence[RelationshipType], links: LinkTable,
                 *, strict: bool = False) -> tuple[ObjectGraph, GraphBuildReport]:
@@ -448,17 +440,13 @@ def build_graph(objects: ObjectTable, rel_types: Sequence[RelationshipType], lin
     A link whose declared endpoint types do not match its relationship
     type is always an error. Links whose endpoints do not resolve are
     dropped with a diagnostic (web data is dirty), or raised in strict
-    mode. Exact duplicate (source, target, rel) triples are dropped and
-    counted. The first offending line decides which error is raised.
+    mode. The graph drops exact duplicate (source, target, rel) triples,
+    and the report counts them. The first offending line decides which
+    error is raised.
     Each distinct triple is checked once and each distinct reference is
     looked up once.
     """
-    rels: dict[str, RelationshipType] = {}
-    for rt in rel_types:
-        if rt.rel_name in rels:
-            raise SchemaError(f"duplicate relationship type {rt.rel_name!r}")
-        rels[rt.rel_name] = rt
-
+    rels = {rt.rel_name: rt for rt in rel_types}  # declared twice: ObjectGraph raises
     position = {rt.rel_name: i for i, rt in enumerate(rel_types)}
     problems: list[str | None] = []
     for rel_name, source_type, target_type in links.triples:
@@ -495,7 +483,9 @@ def build_graph(objects: ObjectTable, rel_types: Sequence[RelationshipType], lin
     edges_by_rel = {}
     for i, rt in enumerate(rel_types):
         keep = line_rel == i
-        edges = np.column_stack((src[keep], tgt[keep]))
-        edges_by_rel[rt.rel_name], dropped = _kernels.unique_edges(edges, len(objects))
-        report.duplicate_count += dropped
-    return ObjectGraph(objects, list(rel_types), edges_by_rel), report
+        edges_by_rel[rt.rel_name] = np.column_stack((src[keep], tgt[keep]))
+    # freed before the graph copies each type's rows, so that fewer arrays are alive at once
+    del ref_ids, src, tgt, line_rel, unresolved
+    graph = ObjectGraph(objects, rel_types, edges_by_rel)
+    report.duplicate_count = sum(map(len, edges_by_rel.values())) - graph.num_links
+    return graph, report

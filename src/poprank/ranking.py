@@ -124,7 +124,7 @@ class LinkStructure:
     def from_graph(cls, graph: ObjectGraph) -> "LinkStructure":
         n = graph.num_objects
         rel_names = tuple(rt.rel_name for rt in graph.relationship_types)
-        edges = [graph.checked_links(name) for name in rel_names]
+        edges = [graph.links[name] for name in rel_names]
         out_degrees = [np.bincount(e[:, 0], minlength=n) for e in edges]
         # each object's types as a bit mask, renumbered by set every 32
         # types so that 32 more bits fit in int64
@@ -201,14 +201,14 @@ def build_transition(graph: ObjectGraph, ppf: PpfAssignment) -> TransitionStruct
 
 
 def _check_prior(prior: np.ndarray, num_objects: int, name: str = "prior") -> np.ndarray:
-    prior = np.asarray(prior, np.float64)
+    prior = np.asarray(prior)
     if prior.shape != (num_objects,):
         raise ConfigError(f"{name} has {prior.shape[0] if prior.ndim == 1 else prior.shape} "
                           f"entries, graph has {num_objects} objects")
-    if (not np.all(np.isfinite(prior)) or np.any(prior < 0.0)
-            or abs(float(prior.sum()) - 1.0) > 1e-9):
+    if (prior.dtype.kind not in "biuf" or not np.all(np.isfinite(prior)) or np.any(prior < 0.0)
+            or abs(float(prior.sum(dtype=np.float64)) - 1.0) > 1e-9):
         raise ConfigError(f"{name} must be a probability distribution over the objects")
-    return prior
+    return prior.astype(np.float64, copy=False)
 
 
 def _check_pairs(pairs, num_objects: int) -> tuple[np.ndarray, ...]:

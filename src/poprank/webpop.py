@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, GraphError, NonConvergenceWarning, check_count, checked_vector
+from .errors import (ConfigError, GraphError, NonConvergenceWarning, check_count, checked_edges,
+                     checked_vector)
 
 
 @dataclass
@@ -28,34 +29,27 @@ class RankResult:
     converged: bool
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PageGraph:
     """Directed hyperlink graph over densely indexed pages.
 
-    edges is an (m, 2) int64 array of (source, target) page ids,
-    deduplicated at build time and in order of first appearance.
-    Self-loops are allowed.
+    edges is a read-only (m, 2) int64 array of (source, target) page ids,
+    each row once, in order of first appearance: the constructor checks
+    them as ObjectGraph does (errors.checked_edges). Self-loops are allowed.
     """
 
     num_pages: int
     edges: np.ndarray
 
+    def __post_init__(self):
+        if self.num_pages < 0:
+            raise GraphError("num_pages must be >= 0")
+        object.__setattr__(self, "edges", checked_edges(self.edges, self.num_pages, "hyperlink"))
+
     @classmethod
     def build(cls, num_pages: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "PageGraph":
-        if num_pages < 0:
-            raise GraphError("num_pages must be >= 0")
-        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
-        if arr.size == 0:
-            arr = np.empty((0, 2), np.int64)
-        if arr.dtype.kind not in "iu":
-            raise GraphError(f"hyperlink page ids must be integers, got dtype {arr.dtype}")
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise GraphError(f"hyperlinks must be (source, target) pairs, got shape {arr.shape}")
-        outside = np.flatnonzero(((arr < 0) | (arr >= num_pages)).any(axis=1))
-        if outside.size:
-            s, t = arr[outside[0]].tolist()
-            raise GraphError(f"hyperlink ({s}, {t}) points outside the page set")
-        return cls(num_pages, _kernels.unique_edges(arr.astype(np.int64, copy=False), num_pages)[0])
+        """``PageGraph(num_pages, edges)``, the name the loader calls."""
+        return cls(num_pages, edges)
 
     @property
     def num_edges(self) -> int:

@@ -769,14 +769,3 @@ def test_walk_guide_size_on_random_graphs(graph):
     (bounds, entries), = sizes
     assert entries == len(graph[1]) + len(graph[4])
     assert bounds <= 2 * entries + 2
-
-
-@settings(max_examples=100, deadline=None)
-@given(pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40))
-def test_unique_edges_keeps_first_appearances(pairs):
-    edges = np.array(pairs, np.int64).reshape(-1, 2)
-    kept, dropped = _kernels.unique_edges(edges, 5)
-    want = list(dict.fromkeys(pairs))
-    assert kept.dtype == np.int64 and kept.shape == (len(want), 2)
-    assert [tuple(e) for e in kept.tolist()] == want
-    assert dropped == len(pairs) - len(want)

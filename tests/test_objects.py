@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from conftest import link_table, paper_registry, random_links, record_table, simple_graph
 from poprank import (
     GraphError,
-    LinkStructure,
     ObjectGraph,
+    ObjectTable,
     ObjectTypeSchema,
     PageGraph,
     RecordError,
@@ -348,6 +348,11 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="undeclared"):
             build_graph(objects, [], links)
 
+    def test_a_relationship_type_declared_twice_is_rejected(self):
+        rt = RelationshipType("cites", "paper", "paper")
+        with pytest.raises(GraphError, match="duplicate relationship type 'cites'"):
+            build_graph(simple_graph(1, {}).objects, [rt, rt], link_table([]))
+
     def test_build_output_passes_one_pass_check(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -359,18 +364,20 @@ class TestBuildGraph:
                     "extends": random_links(rng, n, int(rng.integers(1, n))),
                 },
             )
-            graph.check()
+            again = ObjectGraph(graph.objects, graph.relationship_types, graph.links)
+            assert {rel: edges.tolist() for rel, edges in again.links.items()} == {
+                rel: edges.tolist() for rel, edges in graph.links.items()}
 
 
-def _typed_graph(links: dict[str, list[tuple[int, int]]]) -> ObjectGraph:
-    """Objects 0 and 1 are papers, 2 is an author; 'by' runs paper -> author."""
+def _typed_objects() -> ObjectTable:
+    """Objects 0 and 1 are papers, 2 is an author."""
     registry = SchemaRegistry(
         [
             ObjectTypeSchema("paper", ("title",), ("title",)),
             ObjectTypeSchema("author", ("name",), ("name",)),
         ]
     )
-    objects = merge_records(
+    return merge_records(
         record_table([
             ("a", "paper", {"title": "X"}),
             ("b", "paper", {"title": "Y"}),
@@ -378,37 +385,41 @@ def _typed_graph(links: dict[str, list[tuple[int, int]]]) -> ObjectGraph:
         ]),
         registry,
     )
+
+
+def _typed_graph(links: dict[str, list[tuple[int, int]]],
+                 objects: ObjectTable | None = None) -> ObjectGraph:
+    """The graph of _typed_objects (or ``objects``) whose 'by' runs paper -> author."""
     edges = {name: np.array(pairs, np.int64).reshape(-1, 2) for name, pairs in links.items()}
+    objects = _typed_objects() if objects is None else objects
     return ObjectGraph(objects, [RelationshipType("by", "paper", "author")], edges)
 
 
 class TestGraphCheck:
     def test_valid_graph_passes(self):
-        _typed_graph({"by": [(0, 2), (1, 2)]}).check()
+        graph = _typed_graph({"by": [(0, 2), (1, 2)]})
+        assert graph.links["by"].tolist() == [[0, 2], [1, 2]]
 
     def test_non_dense_ids_rejected(self):
         # references for rows 0 and 1 only: no id is left for row 2
-        graph = _typed_graph({"by": []})
-        graph.objects.refs = SpanInterner()
-        graph.objects.refs.resolve(b"paper\tX\npaper\tY\n", 0)
+        objects = _typed_objects()
+        objects.refs = SpanInterner()
+        objects.refs.resolve(b"paper\tX\npaper\tY\n", 0)
         with pytest.raises(GraphError, match=r"object keys do not map to rows 0\.\.2 in row order"):
-            graph.check()
+            _typed_graph({"by": []}, objects)
 
     def test_declared_type_without_links_array_rejected(self):
-        graph = simple_graph(2, {"cites": [(0, 1)]})
-        del graph.links["cites"]
+        objects = simple_graph(2, {}).objects
         with pytest.raises(GraphError, match="cites: declared relationship type has no links array"):
-            graph.check()
-        with pytest.raises(GraphError, match="cites: declared relationship type has no links array"):
-            LinkStructure.from_graph(graph)
+            ObjectGraph(objects, [RelationshipType("cites", "paper", "paper")], {})
 
     def test_shared_key_rejected(self):
         # an interner holds a reference once, so two rows sharing one leave a row without one
-        graph = _typed_graph({"by": []})
-        graph.objects.refs = SpanInterner()
-        graph.objects.refs.resolve(b"paper\tX\npaper\tX\nauthor\tZ\n", 0)
+        objects = _typed_objects()
+        objects.refs = SpanInterner()
+        objects.refs.resolve(b"paper\tX\npaper\tX\nauthor\tZ\n", 0)
         with pytest.raises(GraphError, match=r"object keys do not map to rows 0\.\.2 in row order"):
-            graph.check()
+            _typed_graph({"by": []}, objects)
 
     @pytest.mark.parametrize(
         "links, message",
@@ -418,14 +429,32 @@ class TestGraphCheck:
             ({"by": [(-1, 2)]}, r"link \(-1, 2\) points outside the graph"),
             ({"by": [(0, 2), (2, 2)]}, "source object 2 has type 'author', expected 'paper'"),
             ({"by": [(0, 2), (1, 0)]}, "target object 0 has type 'paper', expected 'author'"),
-            ({"by": [(0, 2), (1, 2), (0, 2)]}, r"by: 1 duplicate link"),
         ],
-        ids=["unknown-relationship", "out-of-range", "negative", "source-type", "target-type",
-             "duplicate"],
+        ids=["unknown-relationship", "out-of-range", "negative", "source-type", "target-type"],
     )
     def test_bad_links_rejected(self, links, message):
         with pytest.raises(GraphError, match=message):
-            _typed_graph(links).check()
+            _typed_graph(links)
+
+    def test_repeated_links_are_dropped_in_first_appearance_order(self):
+        graph = _typed_graph({"by": [(1, 2), (0, 2), (1, 2), (0, 2)]})
+        assert graph.links["by"].tolist() == [[1, 2], [0, 2]]
+        assert graph.num_links == 2
+
+    def test_links_are_read_only(self):
+        graph = _typed_graph({"by": [(0, 2)]})
+        with pytest.raises(TypeError):
+            graph.links["by"] = np.array([[1, 2]])
+        with pytest.raises(ValueError, match="read-only"):
+            graph.links["by"][0, 0] = 1
+        with pytest.raises(AttributeError):
+            graph.links = {}
+
+    def test_the_given_edges_are_not_frozen(self):
+        edges = np.array([[0, 2]])
+        ObjectGraph(_typed_objects(), [RelationshipType("by", "paper", "author")], {"by": edges})
+        edges[0, 0] = 1
+        assert edges.flags.writeable
 
 
 @settings(max_examples=100)
@@ -447,4 +476,7 @@ def test_dedup_keeps_first_appearances_in_order(data):
         pairs = [(s, t) for name, s, t in triples if name == rel]
         expected = [list(pair) for pair in dict.fromkeys(pairs)]
         assert graph.links[rel].tolist() == expected
+        hand_built = {name: pairs if name == rel else [] for name in ("cites", "extends")}
+        assert ObjectGraph(objects, rels, hand_built).links[rel].tolist() == expected
         assert PageGraph.build(n, pairs).edges.tolist() == expected
+        assert PageGraph(n, pairs).edges.tolist() == expected

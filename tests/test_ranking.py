@@ -13,9 +13,12 @@ from poprank import (
     GraphError,
     LinkStructure,
     NonConvergenceWarning,
+    ObjectGraph,
     PageGraph,
     PopRankConfig,
     PpfAssignment,
+    RelationshipType,
+    SimConfig,
     build_transition,
     pagerank,
     poprank,
@@ -23,6 +26,7 @@ from poprank import (
     _kernels,
     poprank_from_transition,
     ranking_positions,
+    simulate,
 )
 
 
@@ -224,21 +228,26 @@ class TestLinkStructure:
 ], ids=["past-n", "negative", "float", "1-d", "three-columns"])
 def test_a_hand_built_graph_with_bad_edges_is_rejected(edges, message):
     graph = simple_graph(2, {"cites": [(0, 1)]})
-    graph.links["cites"] = np.array(edges)
     with pytest.raises(GraphError, match=message):
-        LinkStructure.from_graph(graph)
-    with pytest.raises(GraphError, match=message):
-        build_transition(graph, PpfAssignment({"cites": 0.5}))
+        ObjectGraph(graph.objects, graph.relationship_types, {"cites": np.array(edges)})
 
 
 def test_a_declared_relationship_type_without_links_is_rejected():
     graph = simple_graph(2, {"cites": [(0, 1)]})
-    del graph.links["cites"]
     message = "cites: declared relationship type has no links array"
     with pytest.raises(GraphError, match=message):
-        LinkStructure.from_graph(graph)
-    with pytest.raises(GraphError, match=message):
-        build_transition(graph, PpfAssignment({"cites": 0.5}))
+        ObjectGraph(graph.objects, graph.relationship_types, {})
+
+
+def test_a_hand_built_graph_counts_a_repeated_link_once():
+    # each link of a type gets 1 / out-degree, so a repeat must not count twice
+    objects = simple_graph(3, {}).objects
+    rels = [RelationshipType("cites", "paper", "paper")]
+    graph = ObjectGraph(objects, rels, {"cites": np.array([[0, 1], [0, 1], [0, 2]])})
+    distinct = ObjectGraph(objects, rels, {"cites": np.array([[0, 1], [0, 2]])})
+    t, want = (build_transition(g, PpfAssignment({"cites": 1.0})) for g in (graph, distinct))
+    assert t.targets.tolist() == want.targets.tolist() == [1, 2]
+    assert t.probs.tolist() == want.probs.tolist() == [0.5, 0.5]
 
 
 class TestPopRank:
@@ -355,9 +364,24 @@ class TestPopRank:
     def test_start_must_be_distribution(self):
         t = build_transition(simple_graph(2, {"cites": [(0, 1)]}), PpfAssignment({"cites": 1.0}))
         prior = np.array([0.5, 0.5])
-        for start in (np.array([np.nan, 1.0]), np.array([0.9, 0.3]), np.array([1.0])):
+        for start in (np.array([np.nan, 1.0]), np.array([0.9, 0.3]), np.array([1.0]),
+                      np.array(["x", "y"]), "xy", np.array([0.5, None])):
             with pytest.raises(ConfigError, match="start"):
                 poprank_from_transition(t, prior, start=start)
+
+    @pytest.mark.parametrize("prior, message", [
+        (np.array(["a", "b", "c"]), "prior must be a probability distribution over the objects"),
+        ("abc", r"prior has \(\) entries, graph has 3 objects"),
+        (np.array([0.5, None, 0.5]), "prior must be a probability distribution over the objects"),
+        (np.array([0.5, 0.5]), "prior has 2 entries, graph has 3 objects"),
+    ], ids=["strings", "string", "none", "short"])
+    @pytest.mark.parametrize("solve", [
+        poprank_from_transition, lambda t, prior: simulate(t, prior, SimConfig(steps=10)),
+    ], ids=["poprank", "simulate"])
+    def test_a_prior_that_is_not_a_distribution_is_rejected(self, prior, message, solve):
+        t = build_transition(simple_graph(3, {"cites": [(0, 1)]}), PpfAssignment({"cites": 1.0}))
+        with pytest.raises(ConfigError, match=message):
+            solve(t, prior)
 
     def test_warm_start_reaches_the_same_fixed_point(self):
         rng = np.random.default_rng(67)

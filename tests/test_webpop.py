@@ -120,15 +120,31 @@ class TestPageRank:
             PageGraph.build(2, [(0, 2)])
 
     def test_edges_that_are_not_pairs_rejected(self):
-        with pytest.raises(GraphError, match="pairs"):
+        with pytest.raises(GraphError, match=r"hyperlinks must be an integer \(m, 2\) array"):
             PageGraph.build(4, np.zeros((2, 3), np.int64))
 
     @pytest.mark.parametrize("edges", [[(0, 1.5)], np.array([[0.0, 1.0]])],
                              ids=["list", "float-array"])
     def test_non_integer_page_ids_rejected(self, edges):
         # casting to int64 would silently keep (0, 1.5) as the edge (0, 1)
-        with pytest.raises(GraphError, match="page ids must be integers"):
+        with pytest.raises(GraphError, match=r"hyperlinks must be an integer \(m, 2\) array"):
             PageGraph.build(2, edges)
+
+    def test_the_constructor_checks_the_edges(self):
+        with pytest.raises(GraphError, match=r"hyperlink \(0, 5\) points outside the graph"):
+            pagerank(PageGraph(2, np.array([[0, 5]])))
+
+    def test_the_constructor_drops_repeated_edges(self):
+        graph = PageGraph(2, np.array([[0, 1], [0, 1], [0, 0]]))
+        assert graph.edges.tolist() == [[0, 1], [0, 0]]
+        np.testing.assert_allclose(pagerank(graph).scores, [0.5, 0.5], atol=1e-9)
+
+    def test_edges_are_read_only(self):
+        graph = PageGraph(2, np.array([[0, 1]]))
+        with pytest.raises(ValueError, match="read-only"):
+            graph.edges[0, 0] = 1
+        with pytest.raises(AttributeError):
+            graph.edges = np.array([[1, 0]])
 
 
 class TestWebPopularity:
