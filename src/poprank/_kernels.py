@@ -17,12 +17,23 @@ the byte interner that feeds the loader.
   restart probability, tallying visits into an int64 histogram. Links
   and restarts are one inverse-CDF search, the prior being one more row
   of the link CDF, narrowed by a guide table (``_guide``, ``_search``).
+  A long walk on a PCG64 stream, with a second CPU, runs on two
+  processes: a forked worker walks from the first restart past the
+  midpoint, from the stream advanced to it, and the two histograms are
+  added (``_split_step``).
+* ``spare_cpu`` and ``forked`` -- whether a second CPU is free, and the
+  one way the package runs a task in a worker process: forked, its
+  result or error sent back through a pipe, and the worker killed and
+  reaped when the caller's block ends. The corpus loader's links parse
+  and the walk's second half use it.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager, nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -31,12 +42,61 @@ import numpy as np
 WALK_CHUNK_STEPS = 65_536
 EPS = 2.0**-52  # float64 machine epsilon
 SPLIT_MIN_EDGES = 1 << 18  # edges from which a solve runs on two threads (power_iteration)
+SPLIT_MIN_STEPS = 1 << 20  # steps from which a walk runs on two processes (random_walk)
 
 
 def spare_cpu() -> bool:
     """Whether the process may use a second CPU (by affinity, else count)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return (cpus or 1) > 1
+
+
+@contextmanager
+def forked(task: Callable[[], object], name: str) -> Iterator[Callable[[], object]]:
+    """Run ``task()`` in one worker process forked here, and yield a call
+    that waits for its result: what the task returned, or the exception it
+    raised, raised again here (OSError when the worker exits without a
+    result). Leaving the block kills the worker and reaps it, so none
+    outlives the block, whether it ends by a return, an error or an
+    interrupt. The worker inherits this process's memory, so ``task`` may
+    be a closure over large arrays; only its result goes through a pipe.
+    """
+    # imported here: at module level it would slow every command's start-up
+    import multiprocessing
+
+    # fork, not spawn: numpy and the package are already imported, and the task is
+    # inherited, not pickled. No Pool: its shutdown waits forever on a queue lock that
+    # a worker killed while sending its result holds
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    worker = context.Process(target=_worker, args=(task, writer), daemon=True)
+    worker.start()
+    writer.close()
+    try:
+        yield partial(_received, reader, name)
+    finally:
+        worker.kill()
+        worker.join()
+        reader.close()
+
+
+def _worker(task: Callable[[], object], writer) -> None:
+    """The body of a ``forked`` worker: sends the task's result, or the error it raised."""
+    try:
+        writer.send(task())
+    except Exception as err:  # raised again by _received
+        writer.send(err)
+
+
+def _received(reader, name: str) -> object:
+    """The result a ``forked`` worker sent; an error it raised is raised here."""
+    try:
+        result = reader.recv()
+    except EOFError:
+        raise OSError(f"the {name} worker exited without a result") from None
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def backend() -> str:
@@ -479,9 +539,17 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
     advance together, one step per round of numpy operations, which gives
     the visits of the step-by-step walk exactly. The draws are sequential,
     so the chunk size changes neither the stream nor the histogram.
+
+    A long walk runs on two processes (see ``_split_step`` for when).
+    Step j0, the first at or after steps // 2 whose restart uniform is
+    below epsilon, is such a restart: one worker, forked once the guide is
+    built, walks from j0 to the end, from its copy of the generator
+    advanced to draw 2 * j0 (a start it throws away, then step j0's
+    pair), while this process walks the steps before j0. The two
+    histograms are added, and ``rng`` is advanced past the worker's draws,
+    to where the one-process walk leaves it.
     """
     n = len(prior_cdf)
-    counts = np.zeros(n, np.int64)
     row_cdf = np.concatenate((cdf, prior_cdf))
     del cdf, prior_cdf  # frees them on CPython >= 3.11 when the caller passed them inline
     guide = _guide(np.append(indptr, indptr[-1] + n), row_cdf)
@@ -493,6 +561,26 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
     def pick(rows, u):
         return row_target[_search(guide, row_cdf, rows, u)]
 
+    j0 = _split_step(rng, epsilon, steps)
+    if j0 is None:
+        return _walk(pick, n, epsilon, steps, burn_in, rng)
+
+    def tail():
+        _advance(rng.bit_generator, 2 * j0)  # the worker's copy
+        return _walk(pick, n, epsilon, steps - j0, max(0, burn_in - j0), rng)
+
+    with forked(tail, "walk") as tail_counts:
+        counts = _walk(pick, n, epsilon, j0, burn_in, rng)
+        counts += tail_counts()
+    _advance(rng.bit_generator, 2 * (steps - j0))
+    return counts
+
+
+def _walk(pick, n, epsilon, steps, burn_in, rng):
+    """``random_walk``'s loop over chunks: draws the start object, walks
+    ``steps`` steps, picking each next object with ``pick(rows, u)``, and
+    returns the visit counts after ``burn_in``."""
+    counts = np.zeros(n, np.int64)
     state = int(pick(n, np.array([rng.random()]))[0])
     chunk = _walk_chunk(epsilon)
     buffer = np.empty(min(chunk, steps), np.int64)
@@ -522,6 +610,45 @@ def random_walk(indptr, targets, cdf, dangling, prior_cdf, epsilon, steps, burn_
             counts += np.bincount(visited[skip:], minlength=n)
         del u, u_choice  # free this chunk's uniforms before the next chunk's are drawn
     return counts
+
+
+def _split_step(rng, epsilon: float, steps: int) -> int | None:
+    """The step j0 at which ``random_walk`` hands the rest of the walk to a
+    worker, or None to walk in one process.
+
+    It splits only with SPLIT_MIN_STEPS steps or more (a shorter walk does
+    not repay the fork), a second CPU, and a PCG64 or PCG64DXSM generator,
+    whose ``advance`` skips a given number of draws (Philox's skips blocks
+    of four). j0 is the first step at or after steps // 2 whose restart
+    uniform (draw 1 + 2 * j0) is below epsilon, found from a copy of the
+    generator a few thousand draws at a time; None when no later step has one.
+    """
+    bit = getattr(rng, "bit_generator", None)
+    if (steps < SPLIT_MIN_STEPS or type(bit) not in (np.random.PCG64, np.random.PCG64DXSM)
+            or not spare_cpu()):
+        return None
+    probe = type(bit)()
+    probe.state = bit.state
+    _advance(probe, 1 + 2 * (steps // 2))
+    probe = np.random.Generator(probe)
+    # 4,096 pairs (64 KiB) at a time: under glibc's initial mmap threshold,
+    # which a larger draw, once freed, raises, so that the walk's chunks
+    # that follow stay on the heap (+1 MB of peak RSS at 20k objects)
+    for done in range(steps // 2, steps, 4096):
+        k = min(4096, steps - done)
+        restarts = np.flatnonzero(probe.random(2 * k)[0::2] < epsilon)
+        if restarts.size:
+            return done + int(restarts[0])
+    return None
+
+
+def _advance(bit_generator, draws: int) -> None:
+    """Advance a PCG64 bit generator as if ``draws`` 64-bit draws had been
+    made: ``advance`` also drops a buffered 32-bit half, which the
+    float draws of the walk leave alone, so it is put back."""
+    state = bit_generator.state
+    bit_generator.advance(draws)
+    bit_generator.state = {**state, "state": bit_generator.state["state"]}
 
 
 def _walk_chunk(epsilon: float) -> int:

@@ -14,6 +14,7 @@ the links file; a later line disagreeing on endpoint types is an error,
 as is a link naming an unregistered object type (reported first).
 
 The links file, the largest, is parsed by one forked worker process
+(``_kernels.forked``, which the walk also runs its second half on)
 while this process parses the others and resolves the page side (see
 load_corpus); only its LinkTable comes back through a pipe, the
 references as bytes and the columns narrowed (int32 ids, codes in the
@@ -146,53 +147,29 @@ def _fork_links(path: Path) -> bool:
 
 @contextmanager
 def _links_job(path: Path) -> Iterator[Callable[[], LinkTable]]:
-    """A call that returns the links task's result: from one forked
-    worker started here, which leaving the block stops, or (see
-    _fork_links) by running the task when called."""
+    """A call that returns the links task's result: from one worker
+    forked here by ``_kernels.forked``, which leaving the block stops, or
+    (see _fork_links) by running the task when called."""
     if not _fork_links(path):
         yield lambda: formats.read_links(path)
         return
-    # imported here: at module level it would slow every command's start-up
-    import multiprocessing
-
-    # fork, not spawn: numpy and the package are already imported. No Pool: its shutdown
-    # waits forever on a queue lock that a worker killed while sending its result holds
-    context = multiprocessing.get_context("fork")
-    reader, writer = context.Pipe(duplex=False)
-    worker = context.Process(target=_links_worker, args=(path, writer), daemon=True)
-    worker.start()
-    writer.close()
-    try:
-        yield partial(_links_received, reader)
-    finally:
-        worker.kill()
-        worker.join()
-        reader.close()
+    with _kernels.forked(partial(_narrowed_links, path), "links") as received:
+        yield lambda: _widened_links(received())
 
 
-def _links_worker(path: Path, writer) -> None:
-    """The links task in the worker: sends the LinkTable narrowed, with
-    int32 references where they fit and the codes in the smallest unsigned
-    dtype that holds the triple count (less than half the bytes of int64
-    columns), or the error raised."""
-    try:
-        links = formats.read_links(path)
-        ids = np.int32 if links.refs.count(b"\n") <= np.iinfo(np.int32).max else np.int64
-        writer.send(_recast(links, ids, np.min_scalar_type(len(links.triples))))
-    except Exception as err:  # raised again by _links_received
-        writer.send(err)
+def _narrowed_links(path: Path) -> LinkTable:
+    """The links task in the worker: the LinkTable narrowed for the pipe,
+    with int32 references where they fit and the codes in the smallest
+    unsigned dtype that holds the triple count (less than half the bytes
+    of int64 columns)."""
+    links = formats.read_links(path)
+    ids = np.int32 if links.refs.count(b"\n") <= np.iinfo(np.int32).max else np.int64
+    return _recast(links, ids, np.min_scalar_type(len(links.triples)))
 
 
-def _links_received(reader) -> LinkTable:
-    """The worker's LinkTable with its columns widened to int64; an error
-    it raised is raised here."""
-    try:
-        result = reader.recv()
-    except EOFError:
-        raise OSError("the links worker exited without a result") from None
-    if isinstance(result, Exception):
-        raise result
-    return _recast(result, np.int64, np.int64)
+def _widened_links(links: LinkTable) -> LinkTable:
+    """The worker's LinkTable with its columns widened to int64."""
+    return _recast(links, np.int64, np.int64)
 
 
 def _recast(links: LinkTable, ids, codes) -> LinkTable:
@@ -208,14 +185,16 @@ def load_corpus(paths: CorpusPaths, strict: bool = False) -> CorpusBundle:
     lenient mode and raised in strict mode; malformed lines and type
     mismatches are always errors.
 
-    The links file is parsed by one forked worker while this process
-    parses the others (see _fork_links for when it runs here instead).
+    The links file is parsed by one worker, forked by the package's one
+    fork helper (``_kernels.forked``), while this process parses the
+    others (see _fork_links for when it runs here instead).
     The page side, which needs no link, is built and resolved before the
     links are taken; its error and diagnostics are kept until the links
     are resolved, so the first error and the diagnostics are those of a
     load that reads one file after the other (objects, links, pages and
-    map). An error stops the worker without waiting for it; none
-    outlives the call.
+    map). An error raised in the worker is raised again here, and an
+    error here stops the worker without waiting for it; none outlives the
+    call.
     """
     for p in (paths.schemas, paths.objects, paths.links, paths.pages, paths.page_map):
         if not Path(p).is_file():

@@ -161,9 +161,9 @@ class RecordTable:
                 for attr, value in segments[bounds[record]:bounds[record + 1]]}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ObjectTable:
-    """Merged objects as columns; row i is object i.
+    """Merged objects as columns, read-only; row i is object i.
 
     refs interns each object's reference ``type_name<TAB>key text``, id i
     being row i; ``refs.resolve(data, len(table))`` looks references up.
@@ -171,7 +171,8 @@ class ObjectTable:
     of attributes, a value id per row (-1 for none), and values the
     distinct values, each as UTF-8 bytes followed by a newline. merged
     and conflicts count each row's records and disagreements. The list
-    properties decode these columns when read.
+    properties decode these columns when read. The table holds read-only
+    views of the given columns, which stay writable.
     """
 
     refs: _kernels.SpanInterner
@@ -182,6 +183,12 @@ class ObjectTable:
     values: bytes
     merged: np.ndarray
     conflicts: np.ndarray
+
+    def __post_init__(self):
+        for name in ("type_ids", "value_ids", "merged", "conflicts"):
+            column = np.asarray(getattr(self, name)).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.type_ids)

@@ -16,6 +16,17 @@ restarting from the prior are one search: the prior CDF is searched as
 one more row of the link CDF, through a guide table that maps each
 uniform to the few entries it can land on. The stream and the visit
 counts are those of the step-by-step walk, bit for bit.
+
+A long walk (``_kernels.SPLIT_MIN_STEPS`` steps or more) runs on two
+processes when a second CPU is free and the generator is PCG64, numpy's
+default, whose ``advance`` skips draws exactly. The first step at or
+after the midpoint whose restart uniform is below epsilon starts the
+second half: a worker forked once the guide table is built walks from
+it to the end, from its copy of the stream advanced to that step, while
+this process walks the first half; the counts are added, and the
+generator is advanced past the worker's draws. The histogram is the
+one-process walk's, bit for bit. When no step after the midpoint
+restarts, the walk stays in one process.
 """
 
 from __future__ import annotations

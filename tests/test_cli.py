@@ -389,6 +389,29 @@ class TestSimulate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_the_walk_on_two_processes_changes_no_byte(self, oracle_corpus, tmp_path, capsys,
+                                                       monkeypatch):
+        """A walk split across a forked worker gives the report, stderr and
+        exit code of the walk in one process, also on one CPU."""
+        forks, real = [], _kernels.forked
+
+        def spy(task, name):
+            forks.append(name)
+            return real(task, name)
+
+        monkeypatch.setattr(_kernels, "forked", spy)
+        monkeypatch.setattr(_kernels, "SPLIT_MIN_STEPS", 2)
+        runs = []
+        for spare in (True, False):
+            monkeypatch.setattr(_kernels, "spare_cpu", lambda: spare)
+            out = tmp_path / f"sim-{spare}.tsv"
+            code = run_cli("simulate", oracle_corpus, "--ppf", oracle_corpus / "gamma.tsv",
+                           "--steps", "200000", "--seed", "7", "--burn-in", "1000", "--out", out)
+            runs.append((code, out.read_bytes(), capsys.readouterr()))
+        assert forks == ["walk"]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
     def test_epsilon_validation(self, oracle_corpus, capsys):
         code = run_cli(
             "simulate", oracle_corpus, "--ppf", oracle_corpus / "gamma.tsv",

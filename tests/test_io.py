@@ -977,30 +977,15 @@ def test_both_executors_load_the_same_bundle(tmp_path, monkeypatch, write):
     assert worker != parent == os.getpid()
 
 
-class _Sent:
-    """A pipe end that keeps what is sent through it, and gives it back."""
-
-    def __init__(self):
-        self.items = []
-
-    def send(self, item):
-        self.items.append(item)
-
-    def recv(self):
-        return self.items.pop(0)
-
-
 @pytest.mark.parametrize("write, codes", [(write_dirty_corpus, np.uint8),
                                           (write_many_triples_corpus, np.uint16)],
                          ids=["few-triples", "many-triples"])
 def test_the_links_worker_sends_narrow_columns_that_are_widened_on_receipt(tmp_path, write, codes):
     path = CorpusPaths.in_dir(write(tmp_path / "corpus")).links
-    pipe = _Sent()
-    corpus._links_worker(path, pipe)
-    sent = pipe.items[0]
+    sent = corpus._narrowed_links(path)
     assert _link_dtypes(sent) == (np.dtype(codes), np.dtype(np.int32), np.dtype(np.int32))
     expected = formats.read_links(path)
-    received = corpus._links_received(pipe)
+    received = corpus._widened_links(sent)
     assert _link_dtypes(received) == _link_dtypes(expected) == (np.dtype(np.int64),) * 3
     assert (received.triples, received.refs) == (expected.triples, expected.refs)
     for column in ("codes", "src", "tgt"):

@@ -1,12 +1,15 @@
 """Determinism: the two kernels give pinned results on a fixed seeded graph,
 and the segment-parallel walk gives the histogram of a step-by-step walk,
-its guide-table search that of a clamped bisect-right. The span interner
+on one process or split across two, its guide-table search that of a
+clamped bisect-right. The span interner
 gives the ids of plain dict interning, collisions or not."""
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
+import os
 import tracemalloc
 from bisect import bisect_right
 from unittest import mock
@@ -353,6 +356,159 @@ def test_random_walk_grown_chunks_match_step_by_step_reference(epsilon):
         got = _kernels.random_walk(*args, np.random.default_rng(13))
         want = reference_walk(*args, np.random.default_rng(13))
     assert got.tolist() == want.tolist()
+
+
+# ---- the walk on two processes ---------------------------------------------
+
+@contextlib.contextmanager
+def _split_forced(min_steps=2):
+    """Walks of ``min_steps`` steps or more split where ``_split_step``
+    finds a step, as with a second CPU; yields the names of the workers
+    forked meanwhile."""
+    forks, real = [], _kernels.forked
+
+    def spy(task, name):
+        forks.append(name)
+        return real(task, name)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(_kernels, "spare_cpu", lambda: True)
+        monkeypatch.setattr(_kernels, "SPLIT_MIN_STEPS", min_steps)
+        monkeypatch.setattr(_kernels, "forked", spy)
+        yield forks
+
+
+def _structure_walk_args():
+    t, prior = _structure()
+    return t.indptr, t.targets, t.link_cdf(), t.dangling, np.cumsum(prior)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=walk_graphs(),
+    epsilon=st.sampled_from([1e-3, 0.15, 0.5, 1.0]),
+    chunk=st.sampled_from([7, _kernels.WALK_CHUNK_STEPS]),
+    steps=st.integers(2, 300),
+    burn_in=st.integers(0, 299),
+    seed=st.integers(0, 2**64 - 1),
+    bits=st.sampled_from([np.random.PCG64, np.random.PCG64DXSM]),
+    half=st.booleans(),
+)
+def test_split_walk_matches_step_by_step_reference(graph, epsilon, chunk, steps, burn_in, seed,
+                                                   bits, half):
+    """Split or not, the histogram is the step-by-step walk's, and the
+    caller's generator ends where that walk leaves it, a buffered 32-bit
+    half (``half``) included."""
+    args = (*graph, epsilon, steps, min(burn_in, steps - 1))
+    rng, want_rng = (np.random.Generator(bits(seed)) for _ in range(2))
+    if half:
+        for r in (rng, want_rng):
+            r.integers(2**32, dtype=np.uint32)
+    with mock.patch.object(_kernels, "WALK_CHUNK_STEPS", chunk), _split_forced() as forks:
+        j0 = _kernels._split_step(rng, epsilon, steps)
+        got = _kernels.random_walk(*args, rng)
+        want = reference_walk(*args, want_rng)
+    assert got.tolist() == want.tolist()
+    assert forks == ([] if j0 is None else ["walk"])
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    assert rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("after_j0", [-300, -1, 0, 1, 300])
+def test_split_walk_burn_in_around_the_split(after_j0):
+    """Burn-in ending well before, just before, at, just after and well
+    after j0, the first step the worker walks."""
+    args, steps = _structure_walk_args(), 2_000
+    with _split_forced() as forks:
+        j0 = _kernels._split_step(np.random.default_rng(17), 0.15, steps)
+        assert steps // 2 <= j0 < steps // 2 + 50
+        burn_in = j0 + after_j0
+        got = _kernels.random_walk(*args, 0.15, steps, burn_in, np.random.default_rng(17))
+    assert forks == ["walk"]
+    want = reference_walk(*args, 0.15, steps, burn_in, np.random.default_rng(17))
+    assert got.tolist() == want.tolist()
+    assert got.sum() == steps - burn_in
+
+
+@pytest.mark.parametrize("epsilon, steps, seed", [
+    (0.15, 1_001, 5),
+    (1e-4, 60_000, 5),  # the restart lies past the first 4,096 pairs searched
+    (1e-5, 20_000, 5),  # no restart after the midpoint
+])
+def test_a_split_step_is_the_first_restart_past_the_midpoint(epsilon, steps, seed):
+    u = np.random.default_rng(seed).random(1 + 2 * steps)
+    restarts = np.flatnonzero(u[1::2] < epsilon)
+    later = restarts[restarts >= steps // 2]
+    with _split_forced():
+        j0 = _kernels._split_step(np.random.default_rng(seed), epsilon, steps)
+    assert j0 == (int(later[0]) if later.size else None)
+
+
+@pytest.mark.parametrize("bits, epsilon", [
+    (np.random.PCG64, 1e-12),  # no restart after the midpoint
+    (np.random.MT19937, 0.15),  # no advance
+    (np.random.Philox, 0.15),  # advance skips blocks of four draws
+], ids=["no-restart-in-the-tail", "mt19937", "philox"])
+def test_a_walk_that_cannot_split_runs_in_one_process(bits, epsilon):
+    args = _structure_walk_args()
+    rng, want_rng = np.random.Generator(bits(3)), np.random.Generator(bits(3))
+    with _split_forced() as forks:
+        assert _kernels._split_step(rng, epsilon, 400) is None
+        got = _kernels.random_walk(*args, epsilon, 400, 0, rng)
+    assert forks == []
+    assert got.tolist() == reference_walk(*args, epsilon, 400, 0, want_rng).tolist()
+    assert rng.random(4).tolist() == want_rng.random(4).tolist()
+
+
+def test_a_walk_splits_only_when_long_with_a_second_cpu():
+    args = _structure_walk_args()
+    want = _kernels.random_walk(*args, 0.15, 1_000, 0, np.random.default_rng(9))
+    for spare, min_steps, split in [(True, 1_000, True), (False, 1_000, False), (True, 1_001, False)]:
+        with _split_forced(min_steps) as forks, \
+                mock.patch.object(_kernels, "spare_cpu", lambda: spare):
+            got = _kernels.random_walk(*args, 0.15, 1_000, 0, np.random.default_rng(9))
+        assert forks == (["walk"] if split else [])
+        assert got.tolist() == want.tolist()
+
+
+def _plant(monkeypatch, fault, in_worker=True):
+    """Make ``_search`` call ``fault`` first: in a worker, or in this process only."""
+    parent, real = os.getpid(), _kernels._search
+
+    def planted(*args):
+        if (os.getpid() != parent) == in_worker:
+            fault()
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_search", planted)
+
+
+def test_an_error_in_the_walk_worker_is_raised_in_the_caller(monkeypatch):
+    def fault():
+        raise ArithmeticError("planted in the worker")
+
+    _plant(monkeypatch, fault)
+    with _split_forced() as forks, pytest.raises(ArithmeticError, match="^planted in the worker$"):
+        _kernels.random_walk(*_structure_walk_args(), 0.15, 1_000, 0, np.random.default_rng(1))
+    assert forks == ["walk"]
+
+
+def test_a_walk_worker_that_exits_without_a_result_is_an_os_error(monkeypatch):
+    _plant(monkeypatch, lambda: os._exit(3))
+    with _split_forced(), pytest.raises(OSError, match="^the walk worker exited without a result$"):
+        _kernels.random_walk(*_structure_walk_args(), 0.15, 1_000, 0, np.random.default_rng(1))
+
+
+def test_an_interrupt_in_the_callers_half_stops_the_worker(monkeypatch):
+    """The caller does not wait for the worker's result: the worker is
+    killed and reaped all the same (see the autouse no_worker_left)."""
+    def fault():
+        raise KeyboardInterrupt
+
+    _plant(monkeypatch, fault, in_worker=False)
+    with _split_forced() as forks, pytest.raises(KeyboardInterrupt):
+        _kernels.random_walk(*_structure_walk_args(), 0.15, 1_000, 0, np.random.default_rng(1))
+    assert forks == ["walk"]
 
 
 def test_random_walk_memory_is_bounded_by_the_chunk():

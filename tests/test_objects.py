@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import re
 import tracemalloc
@@ -402,9 +403,9 @@ class TestGraphCheck:
 
     def test_non_dense_ids_rejected(self):
         # references for rows 0 and 1 only: no id is left for row 2
-        objects = _typed_objects()
-        objects.refs = SpanInterner()
-        objects.refs.resolve(b"paper\tX\npaper\tY\n", 0)
+        refs = SpanInterner()
+        refs.resolve(b"paper\tX\npaper\tY\n", 0)
+        objects = dataclasses.replace(_typed_objects(), refs=refs)
         with pytest.raises(GraphError, match=r"object keys do not map to rows 0\.\.2 in row order"):
             _typed_graph({"by": []}, objects)
 
@@ -415,9 +416,9 @@ class TestGraphCheck:
 
     def test_shared_key_rejected(self):
         # an interner holds a reference once, so two rows sharing one leave a row without one
-        objects = _typed_objects()
-        objects.refs = SpanInterner()
-        objects.refs.resolve(b"paper\tX\npaper\tX\nauthor\tZ\n", 0)
+        refs = SpanInterner()
+        refs.resolve(b"paper\tX\npaper\tX\nauthor\tZ\n", 0)
+        objects = dataclasses.replace(_typed_objects(), refs=refs)
         with pytest.raises(GraphError, match=r"object keys do not map to rows 0\.\.2 in row order"):
             _typed_graph({"by": []}, objects)
 
@@ -449,6 +450,24 @@ class TestGraphCheck:
             graph.links["by"][0, 0] = 1
         with pytest.raises(AttributeError):
             graph.links = {}
+
+    def test_the_object_table_is_frozen(self):
+        graph = _typed_graph({"by": [(0, 2)]})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.objects.refs = SpanInterner()
+
+    def test_the_object_columns_are_read_only(self):
+        graph = _typed_graph({"by": [(0, 2)]})
+        for column in ("type_ids", "value_ids", "merged", "conflicts"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(graph.objects, column)[0] = 1
+
+    def test_the_given_columns_are_not_frozen(self):
+        objects = _typed_objects()
+        type_ids = np.array(objects.type_ids)
+        assert dataclasses.replace(objects, type_ids=type_ids).type_ids.tolist() == [0, 0, 1]
+        type_ids[0] = 1
+        assert type_ids.flags.writeable
 
     def test_the_given_edges_are_not_frozen(self):
         edges = np.array([[0, 2]])
