@@ -4,8 +4,8 @@ the byte interner that feeds the loader.
 * ``SpanInterner`` -- exact interning of byte spans, one block of a file
   at a time: ids in order of first appearance, found by a 64-bit hash
   and checked byte for byte against the stored value; ``resolve`` looks
-  newline-ended values up by the same means, and ``first_appearances``
-  finds where new ids first appear.
+  newline-ended values up by the same means and stores nothing, and
+  ``first_appearances`` finds where new ids first appear.
 * ``row_starts`` and ``stable_order`` -- group ``(m, 2)`` int64 edge arrays
   by source into CSR arrays, in a stable order.
 * ``power_iteration`` -- one power-iteration solve with restart and
@@ -232,25 +232,10 @@ class SpanInterner:
         stored under its hash."""
         buf = np.frombuffer(data + bytes(8), np.uint8)
         starts = np.asarray(starts, np.int64)
-        lengths = np.asarray(ends, np.int64) - starts
-        counts = (lengths + 7) >> 3  # words per span
-        word_starts = np.cumsum(counts) - counts
-        word_index = np.arange(int(counts.sum())) - np.repeat(word_starts, counts)
-        place = 8 * word_index
-        # the last word of a span keeps only the span's bytes (little-endian: the low ones)
-        last = (word_starts + counts - 1)[counts > 0]
-        mask = np.full(len(place), _ALL_BITS)
-        mask[last] >>= (np.uint64(64) - (8 * (lengths[counts > 0] - place[last])).astype(np.uint64))
-        words = _padded_words(buf)[np.repeat(starts, counts) + place] & mask
-        hashes = _span_hashes(words, word_index, word_starts, lengths, self.seed)
-
+        lengths, counts, words, place, mask, hashes = self._hashed(buf, starts, ends)
         distinct, first, inverse = unique_first(hashes)
-        at = np.searchsorted(self._hashes, distinct)
-        hit = at < len(self._hashes)
-        hit[hit] = self._hashes[at[hit]] == distinct[hit]
-        distinct_ids = np.full(len(distinct), -1)
-        distinct_ids[hit] = self._ids[at[hit]]
-        new = np.flatnonzero(~hit)  # ascending, as distinct is sorted
+        at, distinct_ids = self._held(distinct)
+        new = np.flatnonzero(distinct_ids < 0)  # ascending, as distinct is sorted
         distinct_ids[new[np.argsort(first[new])]] = np.arange(len(self), len(self) + len(new))
         self._store_new(buf, starts, lengths, np.sort(first[new]))  # by first appearance
         self._hashes = np.insert(self._hashes, at[new], distinct[new])
@@ -261,6 +246,31 @@ class SpanInterner:
             return None
         stored = _padded_words(self._store)[np.repeat(self._offsets[ids], counts) + place] & mask
         return ids if np.array_equal(stored, words) else None
+
+    def _hashed(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+        """(lengths, word counts, words, offsets, masks, hashes) of spans of 8-byte padded buf."""
+        lengths = np.asarray(ends, np.int64) - starts
+        counts = (lengths + 7) >> 3
+        word_starts = np.cumsum(counts) - counts
+        word_index = np.arange(int(counts.sum()))
+        word_index -= np.repeat(word_starts, counts)  # in place: one word-length temporary fewer
+        place = 8 * word_index
+        # the last word of a span keeps only the span's bytes (little-endian: the low ones)
+        last = (word_starts + counts - 1)[counts > 0]
+        mask = np.full(len(place), _ALL_BITS)
+        mask[last] >>= (np.uint64(64) - (8 * (lengths[counts > 0] - place[last])).astype(np.uint64))
+        words = _padded_words(buf)[np.repeat(starts, counts) + place] & mask
+        hashes = _span_hashes(words, word_index, word_starts, lengths, self.seed)
+        return lengths, counts, words, place, mask, hashes
+
+    def _held(self, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each hash goes in the sorted table, and its id there, or -1."""
+        at = np.searchsorted(self._hashes, hashes)
+        hit = at < len(self._hashes)
+        hit[hit] = self._hashes[at[hit]] == hashes[hit]
+        ids = np.full(len(hashes), -1)
+        ids[hit] = self._ids[at[hit]]
+        return at, ids
 
     def _store_new(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
                    spans: np.ndarray) -> None:
@@ -279,12 +289,21 @@ class SpanInterner:
         self._lengths[self._count:count] = lengths
         self._size, self._count = end, count
 
-    def resolve(self, data: bytes, known: int) -> np.ndarray:
+    def resolve(self, data: bytes) -> np.ndarray:
         """The id of each newline-ended value of ``data``, or -1 for one not
-        among the first ``known`` ids (a new value is interned all the same)."""
-        ids = self.intern(data, *line_spans(np.frombuffer(data, np.uint8)))
-        ids[ids >= known] = -1
-        return ids
+        held; nothing is stored. The held hashes are distinct (``intern``
+        starts over otherwise): a hash held under other bytes is absent."""
+        buf = np.frombuffer(data + bytes(8), np.uint8)
+        lengths, counts, words, place, mask, hashes = self._hashed(buf, *line_spans(buf))
+        distinct, _, inverse = unique_first(hashes)  # sorted, they search the table faster
+        ids = self._held(distinct)[1][inverse]
+        same = ids >= 0  # the store is read only for a held id of the span's length
+        same[same] = self._lengths[ids[same]] == lengths[same]
+        spans, in_spans = np.flatnonzero(same), np.repeat(same, counts)
+        at = np.repeat(self._offsets[ids[spans]], counts[spans]) + place[in_spans]
+        stored = _padded_words(self._store)[at] & mask[in_spans]
+        same[np.repeat(spans, counts[spans])[stored != words[in_spans]]] = False
+        return np.where(same, ids, -1)
 
     def data(self) -> bytes:
         """The distinct values' bytes, each followed by a newline, in id order."""

@@ -7,11 +7,12 @@ and expert rankings, and collects structured diagnostics for everything
 lenient mode drops. Records, objects, links and the page map are columns
 (RecordTable, ObjectTable, LinkTable, PageObjectMap), and a reference
 stays newline-ended UTF-8 bytes: link, map and expert references are
-resolved by one lookup in the objects' interner (``SpanInterner.resolve``),
-map page ids in the pages', and only a reference that is printed is
-decoded. Relationship types are declared by their first appearance in
-the links file; a later line disagreeing on endpoint types is an error,
-as is a link naming an unregistered object type (reported first).
+resolved by one lookup in the objects' interner (``SpanInterner.resolve``,
+which stores nothing), map page ids in the pages', and only a printed
+reference is decoded. Relationship types are declared by their first
+appearance in the links file; a later line disagreeing on endpoint types
+is an error, as is a link naming an unregistered object type (reported
+first).
 
 The links file, the largest, is parsed by one forked worker process
 (``_kernels.forked``, which the walk also runs its second half on)
@@ -76,13 +77,9 @@ class CorpusBundle:
     page_map: PageObjectMap
     diagnostics: list[str] = field(default_factory=list)
 
-    def resolve_ref(self, ref: str) -> int:
-        return self.resolve_refs([ref])[0]
-
     def resolve_refs(self, refs: Sequence[str]) -> list[int]:
         """The object id of each reference; GraphError names the first unknown one."""
-        objects = self.graph.objects
-        ids = objects.refs.resolve(b"".join(map(_ref_line, refs)), len(objects))
+        ids = self.graph.objects.refs.resolve(b"".join(map(_ref_line, refs)))
         unknown = np.flatnonzero(ids < 0)
         if unknown.size:
             raise GraphError(f"unknown object {formats.format_object_ref(refs[unknown[0]])!r}")
@@ -90,11 +87,9 @@ class CorpusBundle:
 
 
 def _ref_line(ref: str) -> bytes:
-    """The reference as UTF-8 and a newline; an empty line (no object's) if it cannot be one."""
-    try:
-        return b"\n" if "\n" in ref else ref.encode("utf-8") + b"\n"
-    except UnicodeEncodeError:
-        return b"\n"
+    """The reference as UTF-8 and a newline, or an empty line (no object's) if it has a
+    newline; a lone surrogate is kept as bytes that are not UTF-8, so no object's either."""
+    return b"\n" if "\n" in ref else ref.encode("utf-8", "surrogatepass") + b"\n"
 
 
 def _infer_relationship_types(links: LinkTable, registry: SchemaRegistry) -> list[RelationshipType]:
@@ -124,8 +119,8 @@ def _page_side(paths: CorpusPaths, objects: ObjectTable,
     if deduped:
         diagnostics.append(f"hyperlink-duplicates\tcount={deduped}")
 
-    page_rows = np.append(number, -1)[pages.resolve(map_pages, len(number))]
-    objs = objects.refs.resolve(map_refs, len(objects))
+    page_rows = np.append(number, -1)[pages.resolve(map_pages)]
+    objs = objects.refs.resolve(map_refs)
     kept = (page_rows >= 0) & (objs >= 0)
     unresolved = np.flatnonzero(~kept)
     for row, page_id, ref in zip(unresolved.tolist(), _kernels.lines_at(map_pages, unresolved),
@@ -242,9 +237,9 @@ def write_corpus(directory: Path | str, registry: SchemaRegistry, graph: ObjectG
     edges = [graph.links[rt.rel_name] for rt in rels]
     pairs = np.concatenate([np.empty((0, 2), np.int64), *edges])
     formats.write_schemas(paths.schemas, list(registry))
-    formats.write_objects(paths.objects, RecordTable.from_rows(
-        (f"r{i}", type_name, values) for i, (type_name, values)
-        in enumerate(zip(objects.type_names, objects.attribute_values))))
+    formats.write_objects(paths.objects, RecordTable(
+        "".join(f"r{i}\n" for i in range(len(objects))).encode(), objects.types,
+        objects.type_ids, objects.attributes, objects.values, objects.cells))
     formats.write_links(paths.links, LinkTable(
         [(rt.rel_name, rt.source_type, rt.target_type) for rt in rels],
         np.repeat(np.arange(len(rels)), [len(e) for e in edges]),

@@ -12,13 +12,14 @@ the numeric modules can index score vectors directly.
 Tables are columns, not an object per line: merge_records turns a
 RecordTable of records (interned type, attribute and value ids, the
 values kept as bytes) into an ObjectTable whose row i is object i, with
-one value-id column per attribute; values are decoded only when read.
-A reference stays UTF-8 bytes: the merge interns every record's
-reference, and a record's id in that interner (ObjectTable.refs) is its
-object's row. build_graph looks a LinkTable's references up in it, as
-the loader does map and expert references (see corpus), and hands each
-relationship type's rows to ObjectGraph, which checks them when it is
-made (errors.checked_edges, as PageGraph does) and keeps each row once.
+the (row, attribute, value) cells it kept, shaped as the records' segments
+and decoded as they are, only when read. A reference stays UTF-8 bytes:
+the merge interns every record's reference, and a record's id in that
+interner (ObjectTable.refs, holding nothing else) is its object's row.
+build_graph looks a LinkTable's references up in it, as the loader does
+map and expert references (see corpus), and hands each relationship
+type's rows to ObjectGraph, which checks them when it is made
+(errors.checked_edges, as PageGraph does) and keeps each row once.
 """
 
 from __future__ import annotations
@@ -106,6 +107,16 @@ def _joined(strings: Iterable[str]) -> bytes:
     return "".join(f"{text}\n" for text in strings).encode("utf-8")
 
 
+def _decoded(cells: np.ndarray, rows: range, attributes: list[str],
+             values: bytes) -> list[dict[str, str]]:
+    """The {attribute: value} dict of each of ``rows``, from (row, attribute
+    id, value id) int64 cells sorted by row and the newline-ended ``values``."""
+    bounds = np.searchsorted(cells[:, 0], np.arange(rows.start, rows.stop + 1)).tolist()
+    pairs, values = cells[:, 1:].tolist(), _lines(values)
+    return [{attributes[attr]: values[value] for attr, value in pairs[lo:hi]}
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
 @dataclass(frozen=True)
 class RecordTable:
     """Records as interned columns, one row per record.
@@ -151,14 +162,8 @@ class RecordTable:
 
     def rows(self) -> Iterator[tuple[str, str, dict[str, str]]]:
         """The (record_id, type_name, {attribute: value}) rows, decoded."""
-        values = _lines(self.values)
-        bounds = np.searchsorted(self.segments[:, 0], np.arange(len(self) + 1)).tolist()
-        segments = self.segments[:, 1:].tolist()
-        for record, (record_id, type_id) in enumerate(zip(_lines(self.record_ids),
-                                                          self.type_ids.tolist())):
-            yield record_id, self.types[type_id], {
-                self.attributes[attr]: values[value]
-                for attr, value in segments[bounds[record]:bounds[record + 1]]}
+        return zip(_lines(self.record_ids), [self.types[i] for i in self.type_ids.tolist()],
+                   _decoded(self.segments, range(len(self)), self.attributes, self.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,29 +171,30 @@ class ObjectTable:
     """Merged objects as columns, read-only; row i is object i.
 
     refs interns each object's reference ``type_name<TAB>key text``, id i
-    being row i; ``refs.resolve(data, len(table))`` looks references up.
-    type_ids[i] indexes types. value_ids holds one column per attribute
-    of attributes, a value id per row (-1 for none), and values the
-    distinct values, each as UTF-8 bytes followed by a newline. merged
-    and conflicts count each row's records and disagreements. The list
-    properties decode these columns when read. The table holds read-only
-    views of the given columns, which stay writable.
+    being row i, and no other value (else GraphError); ``refs.resolve(data)``
+    looks references up. type_ids[i] indexes types. cells holds the int64
+    (row, attribute id, value id) of each kept value by row and attribute,
+    with values, as RecordTable.segments does. merged and conflicts count
+    each row's records and disagreements. The list properties decode these
+    columns when read; the table holds read-only views of the given columns.
     """
 
     refs: _kernels.SpanInterner
     types: list[str]
     type_ids: np.ndarray
     attributes: list[str]
-    value_ids: np.ndarray
+    cells: np.ndarray
     values: bytes
     merged: np.ndarray
     conflicts: np.ndarray
 
     def __post_init__(self):
-        for name in ("type_ids", "value_ids", "merged", "conflicts"):
+        for name in ("type_ids", "cells", "merged", "conflicts"):
             column = np.asarray(getattr(self, name)).view()
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        if len(self.refs) != len(self):
+            raise GraphError(f"object keys do not map to rows 0..{len(self) - 1} in row order")
 
     def __len__(self) -> int:
         return len(self.type_ids)
@@ -196,7 +202,7 @@ class ObjectTable:
     @property
     def references(self) -> list[str]:
         """Each row's reference, decoded."""
-        return self.refs.values()[:len(self)]
+        return self.refs.values()
 
     @property
     def type_names(self) -> list[str]:
@@ -205,9 +211,7 @@ class ObjectTable:
     @property
     def attribute_values(self) -> list[dict[str, str]]:
         """Each row's non-empty values, as attribute -> value."""
-        values = _lines(self.values)
-        return [{attr: values[value] for attr, value in zip(self.attributes, row) if value >= 0}
-                for row in self.value_ids.tolist()]
+        return _decoded(self.cells, range(len(self)), self.attributes, self.values)
 
     @property
     def merged_record_counts(self) -> list[int]:
@@ -226,9 +230,7 @@ def _reject_record(records: RecordTable, registry: SchemaRegistry, record: int) 
     if type_name not in registry:
         raise RecordError(f"record {record_id!r}: unregistered type {type_name!r}")
     schema = registry.get(type_name)
-    values = _lines(records.values)
-    row = records.segments[records.segments[:, 0] == record, 1:].tolist()
-    row = {records.attributes[attr]: values[value] for attr, value in row}
+    row, = _decoded(records.segments, range(record, record + 1), records.attributes, records.values)
     unknown = [a for a in row if a not in schema.attributes]
     if unknown:
         raise RecordError(f"record {record_id!r}: attributes {unknown} not in schema {type_name!r}")
@@ -313,11 +315,10 @@ def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable
     new_cell = np.ones(len(cell), bool)
     np.not_equal(cell[1:], cell[:-1], out=new_cell[1:])
     kept = value[new_cell]
-    value_ids = np.full((len(first), len(attributes)), -1)
-    value_ids.ravel()[cell[new_cell]] = kept
+    cells = np.column_stack((*np.divmod(cell[new_cell], max(len(attributes), 1)), kept))
     conflicted = value != kept[np.cumsum(new_cell) - 1]
     conflicts = np.bincount(cell[conflicted] // max(len(attributes), 1), minlength=len(first))
-    return ObjectTable(refs, records.types, records.type_ids[first], attributes, value_ids,
+    return ObjectTable(refs, records.types, records.type_ids[first], attributes, cells,
                        records.values, np.bincount(obj, minlength=len(first)), conflicts)
 
 
@@ -394,8 +395,8 @@ class ObjectGraph:
     links maps each declared rel_name to a read-only (m, 2) int64 array of
     (source object_id, target object_id) rows, each row once, in order of
     first appearance (errors.checked_edges); a relationship without links
-    has an empty array. Raises GraphError for references that do not number
-    the rows, or links that do not match the declared relationship types.
+    has an empty array. Raises GraphError for links that do not match the
+    declared relationship types.
     """
 
     objects: ObjectTable
@@ -404,8 +405,6 @@ class ObjectGraph:
 
     def __post_init__(self):
         n = len(self.objects)
-        if len(self.objects.refs) < n:
-            raise GraphError(f"object keys do not map to rows 0..{n - 1} in row order")
         rels = {}
         for rt in self.relationship_types:
             if rt.rel_name in rels:
@@ -465,7 +464,7 @@ def build_graph(objects: ObjectTable, rel_types: Sequence[RelationshipType], lin
                             f"{rel.rel_name!r} ({rel.source_type!r}->{rel.target_type!r})")
         else:
             problems.append(None)
-    ref_ids = objects.refs.resolve(links.refs, len(objects))
+    ref_ids = objects.refs.resolve(links.refs)
     src, tgt = ref_ids[links.src], ref_ids[links.tgt]
     unresolved = (src < 0) | (tgt < 0)
     bad = np.flatnonzero(np.array([p is not None for p in problems], bool)[links.codes])

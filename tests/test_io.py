@@ -146,6 +146,20 @@ class TestLoadCorpus:
         with pytest.raises(GraphError, match=strict_error):
             load_corpus(paths, strict=True)
 
+    def test_lookups_add_no_reference_to_the_objects(self, tmp_path):
+        """Dropped links and map entries, and unknown expert references,
+        leave the objects' interner holding one reference per object."""
+        links = "paper\tA\tcites\tpaper\tMissing\npaper\tGone\tcites\tpaper\tB\n"
+        page_map = "p1\tpaper\tNope\t1.0\np2\tpaper\tA\t1.0\np1\tpaper\tB\t1.0\n"
+        bundle = load_corpus(write_minimal_corpus(tmp_path, links=links, page_map=page_map))
+        assert [d.partition("\t")[0] for d in bundle.diagnostics] == [
+            "merge", "link-dropped", "link-dropped", "map-dropped", "map-dropped"]
+        with pytest.raises(GraphError, match="unknown object 'paper:Z'"):
+            bundle.resolve_refs(["paper\tA", "paper\tZ"])
+        objects = bundle.graph.objects
+        assert len(objects.refs) == len(objects) == 2
+        assert objects.refs.values() == ["paper\tA", "paper\tB"]
+
     def test_map_unknown_object_lenient_then_strict(self, tmp_path):
         paths = write_minimal_corpus(tmp_path, page_map="p1\tpaper\tNope\t1.0\n")
         bundle = load_corpus(paths)
@@ -305,7 +319,7 @@ class TestExpertFiles:
         bundle = load_corpus(write_minimal_corpus(tmp_path))
         objects = bundle.graph.objects
         with pytest.raises(GraphError, match=r"^unknown object "):
-            bundle.resolve_ref(ref)
+            bundle.resolve_refs([ref])
         assert objects.references == ["paper\tA", "paper\tB"]
         assert bundle.resolve_refs(["paper\tB", "paper\tA"]) == [1, 0]
         assert len(objects.refs.values()) == len(objects.refs)  # every held value decodes

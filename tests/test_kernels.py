@@ -649,9 +649,9 @@ def _joined_lines(refs):
        batches=st.lists(st.lists(_REF, max_size=12), max_size=4), collide=st.booleans())
 def test_resolve_gives_the_ids_of_a_dict(known, batches, collide):
     """Each batch resolves to the ids a dict of the known refs gives, -1 for
-    an unknown ref, after unknown refs of earlier batches were interned
-    too; an empty batch resolves to nothing. With every hash of seed 0
-    equal, the interner starts over and the ids stay the same."""
+    an unknown ref, and the interner still holds the known refs alone; an
+    empty batch resolves to nothing. With every hash of seed 0 equal, the
+    interner starts over and the ids stay the same."""
     with pytest.MonkeyPatch.context() as patch:
         if collide:
             _colliding_first_seed(patch)
@@ -660,10 +660,28 @@ def test_resolve_gives_the_ids_of_a_dict(known, batches, collide):
         interner.intern(data, *_kernels.line_spans(np.frombuffer(data, np.uint8)))
         index = {ref: i for i, ref in enumerate(known)}
         for batch in [*batches, []]:
-            ids = interner.resolve(_joined_lines(batch), len(known))
+            ids = interner.resolve(_joined_lines(batch))
             assert ids.dtype == np.int64
             assert ids.tolist() == [index.get(ref, -1) for ref in batch]
-        assert interner.values()[:len(known)] == known
+            assert interner.values() == known
+
+
+@pytest.mark.parametrize("held, asked", [
+    (["ab"], ["ba", "ab", "abc", "", "b" * 20]),  # the same length, longer, shorter, empty
+    (["a" * 17], ["a" * 16 + "b", "b" + "a" * 16, "a" * 17, "x"]),  # differing in a later word
+])
+def test_resolve_stores_nothing_when_a_hash_is_held_under_other_bytes(monkeypatch, held, asked):
+    """With every hash of seed 0 equal, a value held under its hash with
+    other bytes is not held: resolve gives -1 for it, and the interner
+    keeps its seed, its count and its bytes."""
+    seeds = _colliding_first_seed(monkeypatch)
+    interner = _kernels.SpanInterner(0)
+    interner.intern(*_spans(held, [""]))
+    seed, count, data = interner.seed, len(interner), interner.data()
+    assert interner.resolve(_joined_lines(asked)).tolist() == [
+        held.index(v) if v in held else -1 for v in asked]
+    assert (interner.seed, len(interner), interner.data()) == (seed, count, data)
+    assert set(seeds) == {0}
 
 
 def test_a_forced_collision_in_a_later_block_gives_the_same_tables(tmp_path, monkeypatch):
