@@ -10,15 +10,15 @@ counted so the merge stays auditable. Object ids are dense integers so
 the numeric modules can index score vectors directly.
 
 Tables are columns, not an object per line: merge_records turns a
-RecordTable of records (interned type, attribute and value ids, the
-values kept as bytes) into an ObjectTable whose row i is object i, with
-the (row, attribute, value) cells it kept, shaped as the records' segments
-and decoded as they are, only when read. A reference stays UTF-8 bytes:
-the merge interns every record's reference, and a record's id in that
-interner (ObjectTable.refs, holding nothing else) is its object's row.
-build_graph looks a LinkTable's references up in it, as the loader does
-map and expert references (see corpus), and hands each relationship
-type's rows to ObjectGraph, which checks them when it is made
+RecordTable of records (interned type, attribute and value ids, the values
+kept as bytes) into an ObjectTable whose row i is object i, with the (row,
+attribute, value) cells it kept, shaped as the records' segments and
+decoded as they are, only when read. A reference stays UTF-8 bytes: the
+merge composes each record's from its own key segments and interns it, and
+a record's id in that interner (ObjectTable.refs, holding nothing else) is
+its object's row. build_graph looks a LinkTable's references up in it, as
+the loader does map and expert references (see corpus), and hands each
+relationship type's rows to ObjectGraph, which checks them when it is made
 (errors.checked_edges, as PageGraph does) and keeps each row once.
 """
 
@@ -51,8 +51,9 @@ class ObjectTypeSchema:
         object.__setattr__(self, "key_attributes", tuple(self.key_attributes))
         if not self.type_name:
             raise SchemaError("schema requires a non-empty type_name")
-        if "\t" in self.type_name:
-            raise SchemaError(f"type name {self.type_name!r} contains TAB")
+        for sep, shown in (("\t", "TAB"), ("\n", "a newline")):
+            if sep in self.type_name:
+                raise SchemaError(f"type name {self.type_name!r} contains {shown}")
         for name in self.attributes:
             for sep, shown in (("=", "'='"), (";", "';'"), ("\t", "TAB"), ("\n", "a newline")):
                 if sep in name:
@@ -124,10 +125,10 @@ class RecordTable:
     record_ids holds each record's id as UTF-8 bytes followed by a
     newline. type_ids[i] indexes types, the distinct type names.
     segments holds one int64 row (record, attribute id, value id) per
-    ``attr=value`` segment, in record order: the attribute id indexes
-    attributes, the distinct attribute names, and the value id the
-    distinct values, each stored as UTF-8 bytes followed by a newline in
-    values (the empty value included).
+    ``attr=value`` segment, in record order, a record naming an attribute
+    at most once: the attribute id indexes attributes, the distinct
+    attribute names, and the value id the distinct values, each stored as
+    UTF-8 bytes followed by a newline in values (the empty value included).
     """
 
     record_ids: bytes
@@ -143,14 +144,14 @@ class RecordTable:
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, str, dict[str, str]]]) -> "RecordTable":
         """The table of (record_id, type_name, {attribute: value}) rows.
-        Raises RecordError for a record id or value with a newline."""
+        Raises RecordError for a record id, type name or value with a newline."""
         ids: list[str] = []
         types: dict[str, int] = {}
         attributes: dict[str, int] = {}
         values: dict[str, int] = {}
         type_ids, segments = [], []
         for record, (record_id, type_name, row) in enumerate(rows):
-            for text in (record_id, *row.values()):
+            for text in (record_id, type_name, *row.values()):
                 if "\n" in text:
                     raise RecordError(f"record {record_id!r}: {text!r} contains a newline")
             ids.append(record_id)
@@ -223,8 +224,8 @@ class ObjectTable:
 
 
 def _reject_record(records: RecordTable, registry: SchemaRegistry, record: int) -> None:
-    """Raise the RecordError of one record that merge_records rejects:
-    its type, then its attributes, then its key are checked."""
+    """Raise the RecordError of one record that merge_records rejects: its
+    type, attributes and key values are checked, then a repeated key attribute."""
     record_id = _lines(records.record_ids)[record]
     type_name = records.types[records.type_ids[record]]
     if type_name not in registry:
@@ -242,6 +243,7 @@ def _reject_record(records: RecordTable, registry: SchemaRegistry, record: int) 
             if sep in value:
                 raise RecordError(f"record {record_id!r}: key attribute {attr!r} value {value!r} "
                                   f"contains {name}")
+    raise RecordError(f"record {record_id!r}: a key attribute is given twice")
 
 
 def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable:
@@ -255,98 +257,96 @@ def merge_records(records: RecordTable, registry: SchemaRegistry) -> ObjectTable
     treated as absent.
 
     Raises RecordError for an unregistered type, an attribute not in the
-    type's schema, or a key attribute that is missing, empty or contains
-    ``|`` or TAB (the separators of references); the first such record
-    is named.
+    type's schema, or a key attribute that is missing, given twice, empty
+    or contains ``|`` or TAB (the separators of references); the first
+    such record is named.
 
     The merge works on the table's columns: each record's reference is
-    composed and interned as bytes, and its id in the interner is its
-    object's row. Each (object, attribute)'s first non-empty value and
-    its disagreements are then found with one sort. No value is decoded.
+    composed as bytes from the record's own key segments and interned, and
+    its id in the interner is its object's row. Each (object, attribute)'s
+    first non-empty value and its disagreements are then found with one
+    sort. No value is decoded, and memory follows the input, not the schema.
     """
     schemas = list(registry)
     attributes = list(dict.fromkeys(a for s in schemas for a in s.attributes))
     column = {a: i for i, a in enumerate(attributes)}
     position = {s.type_name: i for i, s in enumerate(schemas)}
-    # allowed[s, c]: whether schema s has attribute c; key_at[s, c]: the
-    # place of c in s's key, or -1. The last row and column stand for an
-    # unregistered type and an attribute no schema has.
-    allowed = np.zeros((len(schemas) + 1, len(attributes) + 1), bool)
-    key_at = np.full((len(schemas) + 1, len(attributes) + 1), -1)
-    for i, s in enumerate(schemas):
-        allowed[i, [column[a] for a in s.attributes]] = True
-        key_at[i, [column[a] for a in s.key_attributes]] = np.arange(len(s.key_attributes))
-    key_sizes = np.array([len(s.key_attributes) for s in schemas] + [0])
-    width = int(key_sizes.max())
+    # each declared (schema, attribute) pair's sorted key schema * stride + attribute, and
+    # its key place or -1; attribute len(attributes) is no schema's, and the last key none
+    stride = len(attributes) + 1
+    declared = {i * stride + column[a]: -1 for i, s in enumerate(schemas) for a in s.attributes}
+    declared.update((i * stride + column[a], p) for i, s in enumerate(schemas)
+                    for p, a in enumerate(s.key_attributes))
+    pairs, places = np.array(sorted(declared.items()) + [(np.iinfo(np.int64).max, -1)], np.int64).T
+    key_sizes = np.array([len(s.key_attributes) for s in schemas] + [-1])  # -1: unregistered
 
     schema = np.array([position.get(t, -1) for t in records.types], np.int64)[records.type_ids]
     record, attribute, value = records.segments.T
-    col = np.array([column.get(a, -1) for a in records.attributes], np.int64)[attribute]
-    unknown = ~allowed[schema[record], col]
-    place = key_at[schema[record], col]
-    keys = np.full((len(records), width), -1)  # each record's key value ids
-    in_key = place >= 0
-    keys[record[in_key], place[in_key]] = value[in_key]
-    del place, in_key
-    # per value id, and last for no value (-1): empty, or holds '|' or TAB
+    col = np.array([column.get(a, stride - 1) for a in records.attributes], np.int64)[attribute]
+    pair = schema[record] * stride + col  # negative for an unregistered type
+    at = np.searchsorted(pairs, pair)
+    unknown, place = pairs[at] != pair, places[at]
+    del pair, at
+    in_key = place >= 0  # also some unknown pairs, whose records fail
     buf = np.frombuffer(records.values, np.uint8)
     spans = _kernels.line_spans(buf)
-    empty = np.append(spans[0] == spans[1], True)
-    separated = np.zeros(len(empty), bool)
-    separators = np.flatnonzero((buf == ord("|")) | (buf == ord("\t")))
-    separated[np.searchsorted(spans[1], separators)] = True
-    needed = np.arange(width) < key_sizes[schema][:, None]
-    failed = (schema < 0) | (needed & (empty[keys] | separated[keys])).any(axis=1)
-    failed[record[unknown]] = True
+    empty = spans[0] == spans[1]
+    bad = empty.copy()  # per value id: not a key value, being empty or holding '|' or TAB
+    bad[np.searchsorted(spans[1], np.flatnonzero((buf == ord("|")) | (buf == ord("\t"))))] = True
+    failed = np.bincount(record[in_key], minlength=len(records)) != key_sizes[schema]
+    failed[record[unknown | in_key & bad[value]]] = True
     if failed.any():
         _reject_record(records, registry, int(np.argmax(failed)))
 
     # a record's reference id is its object's row, in first appearance order
-    refs, obj = _references(records, keys, needed, spans)
+    place = place[in_key]  # the key segments' places; the others' are freed
+    refs, obj = _references(records, records.segments[in_key], place, spans)
     first = _kernels.first_appearances(obj, 0)  # each row's first record
 
     # the non-empty values by (row, attribute) cell, in record order within
     # a cell (a stable sort, fast as rows mostly grow with records): a
     # cell's first value is kept, and each later one that differs is a conflict
     filled = ~empty[value]
-    cell = obj[record[filled]] * len(attributes) + col[filled]
+    cell = obj[record[filled]] * stride + col[filled]
     order = np.argsort(cell, kind="stable")
     cell, value = cell[order], value[filled][order]
     new_cell = np.ones(len(cell), bool)
     np.not_equal(cell[1:], cell[:-1], out=new_cell[1:])
     kept = value[new_cell]
-    cells = np.column_stack((*np.divmod(cell[new_cell], max(len(attributes), 1)), kept))
+    cells = np.column_stack((*np.divmod(cell[new_cell], stride), kept))
     conflicted = value != kept[np.cumsum(new_cell) - 1]
-    conflicts = np.bincount(cell[conflicted] // max(len(attributes), 1), minlength=len(first))
+    conflicts = np.bincount(cell[conflicted] // stride, minlength=len(first))
     return ObjectTable(refs, records.types, records.type_ids[first], attributes, cells,
                        records.values, np.bincount(obj, minlength=len(first)), conflicts)
 
 
-def _references(records: RecordTable, keys: np.ndarray, in_key: np.ndarray,
+def _references(records: RecordTable, keys: np.ndarray, place: np.ndarray,
                 spans: tuple[np.ndarray, np.ndarray]) -> tuple[_kernels.SpanInterner, np.ndarray]:
     """The interner of the records' references ``type_name<TAB>key1|key2...``
-    and each record's id in it. A record's reference is composed as bytes
-    from its type id, the key value ids its row of ``in_key`` marks and the
-    ``spans`` of records.values; ids follow first appearance."""
+    and each record's id in it, by first appearance, composed as bytes from
+    its type and its key segments: the ``keys`` rows of records.segments,
+    one per ``place`` of its key."""
     type_data = _joined(records.types)
     type_starts, type_ends = _kernels.line_spans(np.frombuffer(type_data, np.uint8))
     at_values, at_separators = len(type_data), len(type_data) + len(records.values)
     data = np.frombuffer(type_data + records.values + b"\t|\n", np.uint8)
-    value_starts, value_ends = (np.append(side, 0) for side in spans)  # -1: none
-    # pieces of a record's reference: its type name, a separator and a value
-    # per key place (empty past the record's key), and a newline
-    n, width = keys.shape
-    starts = np.empty((n, 2 * width + 2), np.int64)
-    lengths = np.zeros((n, 2 * width + 2), np.int64)
+    # a record's pieces, from its first on: its type name, a separator and a
+    # value per key place, and a newline
+    counts = 2 * np.bincount(keys[:, 0], minlength=len(records)) + 2
+    first = np.cumsum(counts) - counts
+    starts = np.empty(int(counts.sum()), np.int64)
+    lengths = np.ones(len(starts), np.int64)
     type_ids = records.type_ids
-    starts[:, 0], lengths[:, 0] = type_starts[type_ids], (type_ends - type_starts)[type_ids]
-    starts[:, 1:-1:2], lengths[:, 1:-1:2] = at_separators + (np.arange(width) > 0), in_key
-    starts[:, 2:-1:2] = at_values + value_starts[keys]
-    lengths[:, 2:-1:2] = np.where(in_key, (value_ends - value_starts)[keys], 0)
-    starts[:, -1], lengths[:, -1] = at_separators + 2, 1
-    data = _kernels.gather_spans(data, starts.ravel(), lengths.ravel())
+    starts[first], lengths[first] = type_starts[type_ids], (type_ends - type_starts)[type_ids]
+    record, _, value = keys.T
+    at = first[record] + 2 * place + 1  # a key segment's separator, then its value
+    starts[at] = at_separators + (place > 0)
+    starts[at + 1], lengths[at + 1] = at_values + spans[0][value], (spans[1] - spans[0])[value]
+    starts[first + counts - 1] = at_separators + 2
+    data = _kernels.gather_spans(data, starts, lengths).tobytes()
+    del starts, lengths  # freed before the interner's arrays are made
     refs = _kernels.SpanInterner()
-    return refs, refs.intern(data.tobytes(), *_kernels.line_spans(data))
+    return refs, refs.intern(data, *_kernels.line_spans(np.frombuffer(data, np.uint8)))
 
 
 @dataclass(frozen=True)

@@ -834,7 +834,14 @@ def _reference_merge(rows, registry):
     return index, types, stored_values, merged, conflicts
 
 
-_OBJECT_SCHEMAS = "paper\ttitle,year,venue\ttitle\nauthor\tname,k1,k2\tk1,k2\n"
+# event shares attribute names with paper and author, and its key order is not
+# its attribute order, so a segment's key place depends on its type
+_OBJECT_SCHEMAS = ("paper\ttitle,year,venue\ttitle\nauthor\tname,k1,k2\tk1,k2\n"
+                   "event\ttitle,name,year,k2\tk2,title\n")
+# each type's key attributes, its other attributes, and a segment it does not declare
+_OBJECT_TYPES = {"paper": (["title"], ["year", "venue"], "name=N"),
+                 "author": (["k1", "k2"], ["name"], "venue=V"),
+                 "event": (["k2", "title"], ["name", "year"], "k1=K")}
 # keys and values that repeat, so records merge and disagree: '=' inside
 # values, empty values, non-ASCII text, and blanks that str.strip removes
 _OBJECT_KEYS = st.sampled_from(["A", "B", "é", "x=y", " A"])
@@ -847,25 +854,20 @@ _OBJECT_FAULTS = ["fields", "segment", "twice", "unknown", "type", "missing", "e
 def _object_line(data, fault):
     """An objects line of a registered type with its key, or with ``fault``;
     ';' and '=' in record ids and ';' in the optional fourth field."""
-    type_name = data.draw(st.sampled_from(["paper", "author"]))
-    if type_name == "paper":
-        attrs = {"title": data.draw(_OBJECT_KEYS)}
-        optional = ["year", "venue"]
-    else:
-        attrs = {"k1": data.draw(_OBJECT_KEYS), "k2": data.draw(_OBJECT_KEYS)}
-        optional = ["name"]
+    type_name = data.draw(st.sampled_from(list(_OBJECT_TYPES)))
+    keys, optional, undeclared = _OBJECT_TYPES[type_name]
+    attrs = {name: data.draw(_OBJECT_KEYS) for name in keys}
     for name in data.draw(st.lists(st.sampled_from(optional), unique=True)):
         attrs[name] = data.draw(_OBJECT_VALUES)
     segments = data.draw(st.permutations([f"{a}={v}" for a, v in attrs.items()]))
-    key = "title" if type_name == "paper" else data.draw(st.sampled_from(["k1", "k2"]))
+    key = data.draw(st.sampled_from(keys))
     if fault == "segment":
         segments.insert(data.draw(st.integers(0, len(segments))),
                         data.draw(st.sampled_from(["title", "=A", "", "k2A"])))
     elif fault == "twice":
         segments.append(data.draw(st.sampled_from(segments)))
     elif fault == "unknown":
-        segments.append(data.draw(st.sampled_from(["zz=1", "name=N" if type_name == "paper"
-                                                   else "venue=V"])))
+        segments.append(data.draw(st.sampled_from(["zz=1", undeclared])))
     elif fault == "type":
         type_name = data.draw(st.sampled_from(["book", "", "Paper"]))
     elif fault in ("missing", "empty", "pipe"):
